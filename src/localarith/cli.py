@@ -64,8 +64,12 @@ def _emit(args, text: str, payload: dict) -> None:
 
 def _read_poly_arg(args) -> list[Fraction]:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return parse_polynomial(fh.read().strip())
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidArgumentError(f"cannot read the polynomial file: {exc}") from exc
+        return parse_polynomial(text.strip())
     if args.poly is None:
         raise InvalidArgumentError("a polynomial is required (positional or --file)")
     return parse_polynomial(args.poly)
@@ -152,14 +156,16 @@ def _cmd_weak_approx(args) -> int:
     for spec_str in args.target:
         try:
             place_s, x_s, eps_s = spec_str.split(":")
+            prime = None if place_s == "inf" else int(place_s)
         except ValueError as exc:
             raise InvalidArgumentError(
-                f"target {spec_str!r} is not place:value:epsilon"
+                f"target {spec_str!r} is not place:value:epsilon "
+                "with place a prime or inf"
             ) from exc
         place = (
             val.RationalPlace.infinite()
-            if place_s == "inf"
-            else val.RationalPlace.finite(int(place_s))
+            if prime is None
+            else val.RationalPlace.finite(prime)
         )
         targets.append((place, parse_rational(x_s), parse_rational(eps_s)))
     y = val.weak_approximation(targets)

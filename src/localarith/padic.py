@@ -308,6 +308,8 @@ def teichmuller(p: int, residue: int, precision: int = DEFAULT_PRECISION) -> Pad
     step reaches one digit deeper; at most N iterations are needed.
     """
     require_prime(p)
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     if residue % p == 0:
         raise InvalidArgumentError("residue must be a unit modulo p")
     modulus = p**precision

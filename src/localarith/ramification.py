@@ -10,8 +10,12 @@ functions, quotient filtrations, upper numbering and different and
 discriminant exponents are all derived from the table and the depths
 with exact rational arithmetic.
 
-Tables are verified to be groups on construction (associativity checked
-exhaustively, vectorized, for orders up to 512).
+Tables are verified to be groups on construction, for orders up to 512.
+Associativity is decided exactly by Light's test (Clifford & Preston,
+*The Algebraic Theory of Semigroups* I, 1961, section 1.2): it checks
+(xy)s = x(ys) only for s in a set S from which right multiplication
+reaches the whole table, starting at the identity.  A greedy S of a group
+has at most log2(g) elements, so the check costs O(g^2 log g).
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     InconsistencyError,
@@ -118,38 +120,39 @@ class PiecewiseLinear:
 # ---------------------------------------------------------------------------
 
 
-def _check_associativity(table: np.ndarray):
-    g = len(table)
-    chunk = max(1, 2**22 // (g * g + 1))
-    for start in range(0, g, chunk):
-        block = table[start : start + chunk]
-        left = table[block]  # [a, j, k] = table[table[a+start, j], k]
-        right = block[:, table]  # [a, j, k] = table[a+start, table[j, k]]
-        if not np.array_equal(left, right):
-            raise InvalidArgumentError("multiplication table is not associative")
+def _right_closure(table, identity: int, generators) -> set[int]:
+    """Everything reached from the identity by right multiplication by generators."""
+    reached = {identity}
+    stack = [identity]
+    while stack:
+        row = table[stack.pop()]
+        for s in generators:
+            if row[s] not in reached:
+                reached.add(row[s])
+                stack.append(row[s])
+    return reached
 
 
 class FilteredGroup:
     """Finite group as a multiplication table plus per-element depths."""
 
-    def __init__(self, table, identity: int, depths, validate: bool = True):
+    def __init__(self, table, identity: int, depths):
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.identity = identity
         self.depths = tuple(
             INFINITY if d == INFINITY else int(d) for d in depths
         )
         self.order = len(self.table)
-        if validate:
-            self._validate()
-        self.inverses = tuple(
-            next(j for j in range(self.order) if self.table[i][j] == self.identity)
-            for i in range(self.order)
-        )
-        self._validate_depths()
+        self._validate_depths(self._validate())
 
     # -- construction checks ----------------------------------------------
 
-    def _validate(self):
+    def _validate(self) -> list[int]:
+        """Check the group axioms and set ``inverses``.
+
+        Returns the set S of Light's test: right multiplication by S,
+        starting at the identity, reaches every element.
+        """
         g = self.order
         if g > MAX_VERIFIED_ORDER:
             raise ResourceLimitError(
@@ -164,12 +167,40 @@ class FilteredGroup:
         for i in range(g):
             if self.table[self.identity][i] != i or self.table[i][self.identity] != i:
                 raise InvalidArgumentError("identity element does not act trivially")
-        for i in range(g):
-            if all(self.table[i][j] != self.identity for j in range(g)):
+        mul, e = self.table, self.identity
+        inverses = []
+        for i, row in enumerate(mul):
+            if e not in row:
                 raise InvalidArgumentError(f"element {i} has no inverse")
-        _check_associativity(np.array(self.table, dtype=np.int32))
+            inverses.append(row.index(e))
+        self.inverses = tuple(inverses)
 
-    def _validate_depths(self):
+        # In a group each element added to S at least doubles the subgroup
+        # reached, so a table that needs more than log2(g) of them is not
+        # associative (identity and inverses are already checked).
+        generators: list[int] = []
+        reached = {e}
+        for a in range(g):
+            if a not in reached:
+                generators.append(a)
+                if len(generators) > g.bit_length() - 1:
+                    raise InvalidArgumentError("multiplication table is not associative")
+                reached = _right_closure(mul, e, generators)
+
+        # (xy)s = x(ys) for s in S makes each right multiplication by S
+        # commute with every left multiplication; so does each composite,
+        # and applying the composite for a word w in S to the identity
+        # gives (xy)w = x(yw) for every element w.
+        columns = [[row[s] for row in mul] for s in generators]
+        for row in mul:
+            for col in columns:
+                if [col[z] for z in row] != [row[z] for z in col]:
+                    raise InvalidArgumentError("multiplication table is not associative")
+        return generators
+
+    def _validate_depths(self, generators):
+        """Depth checks; conjugation invariance is checked under S only,
+        which suffices because conjugation by a product composes."""
         g = self.order
         if len(self.depths) != g:
             raise InvalidArgumentError("depth list length must match the order")
@@ -185,9 +216,10 @@ class FilteredGroup:
         for s in range(g):
             if d[inv[s]] != d[s]:
                 raise InvalidArgumentError("depths must be inverse-invariant")
-            for t in range(g):
+            for t in generators:
                 if d[mul[t][mul[s][inv[t]]]] != d[s]:
                     raise InvalidArgumentError("depths must be a class function")
+            for t in range(g):
                 if d[mul[s][t]] < min(d[s], d[t]):
                     raise InvalidArgumentError(
                         "depth sets G_n are not closed under multiplication"

@@ -120,6 +120,17 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_place_not_an_integer(self, capsys):
+        code, out, err = run_cli(capsys, "weak-approx", "x:1:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_polynomial_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "polygon", "-p", "2", "--file", missing)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestJsonOutput:
     def test_values_reparse(self, capsys):

@@ -166,6 +166,11 @@ class TestTeichmuller:
         with pytest.raises(InvalidArgumentError):
             teichmuller(5, 10, 4)
 
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_precision_below_one_rejected(self, precision):
+        with pytest.raises(InvalidArgumentError):
+            teichmuller(5, 2, precision)
+
 
 class TestNewtonLift:
     def test_sqrt_two_mod_49(self):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localarith import (
     FilteredGroup,
@@ -28,6 +30,38 @@ def tame_cyclic(order):
     return FilteredGroup(table, 0, depths)
 
 
+def is_associative(table):
+    """Brute-force oracle: (xy)z = x(yz) for every triple."""
+    g = range(len(table))
+    return all(table[table[x][y]][z] == table[x][table[y][z]] for x in g for y in g for z in g)
+
+
+@st.composite
+def loop_tables(draw, max_order=6):
+    """A random Latin square of order <= max_order with identity 0."""
+    g = draw(st.integers(1, max_order))
+    rnd = draw(st.randoms(use_true_random=False))
+    table = [[c if r == 0 else r if c == 0 else None for c in range(g)] for r in range(g)]
+    cells = [(r, c) for r in range(1, g) for c in range(1, g)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(table[r][:c]) | {table[i][c] for i in range(r)}
+        candidates = [v for v in range(g) if v not in used]
+        rnd.shuffle(candidates)
+        for v in candidates:
+            table[r][c] = v
+            if fill(k + 1):
+                return True
+        table[r][c] = None
+        return False
+
+    fill(0)
+    return table
+
+
 class TestFilteredGroup:
     def test_rejects_non_class_function(self):
         # S3 with depths separating conjugate transpositions
@@ -41,11 +75,13 @@ class TestFilteredGroup:
         identity = index[(0, 1, 2)]
         depths = [INFINITY if i == identity else 1 for i in range(6)]
         FilteredGroup(table, identity, depths)  # valid: constant depth
-        bad = list(depths)
-        transpositions = [index[(1, 0, 2)], index[(0, 2, 1)]]
-        bad[transpositions[0]] = 2
-        with pytest.raises(InvalidArgumentError):
-            FilteredGroup(table, identity, bad)
+        # conjugation by the first generator fixes (0, 2, 1), so that case is
+        # caught only under a later one
+        for transposition in [index[(1, 0, 2)], index[(0, 2, 1)]]:
+            bad = list(depths)
+            bad[transposition] = 2
+            with pytest.raises(InvalidArgumentError, match="class function"):
+                FilteredGroup(table, identity, bad)
 
     def test_rejects_all_infinite(self):
         with pytest.raises(InvalidArgumentError):
@@ -54,6 +90,49 @@ class TestFilteredGroup:
     def test_rejects_broken_table(self):
         with pytest.raises(InvalidArgumentError):
             FilteredGroup([[0, 1], [0, 1]], 0, [INFINITY, 1])
+        with pytest.raises(InvalidArgumentError, match="element 1 has no inverse"):
+            FilteredGroup([[0, 1], [1, 1]], 0, [INFINITY, 1])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # found by the associativity check
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            # needs three generators at order 7, more than log2(7)
+            [
+                [0, 1, 2, 3, 4, 5, 6],
+                [1, 0, 4, 2, 6, 3, 5],
+                [2, 4, 0, 6, 5, 1, 3],
+                [3, 5, 6, 0, 2, 4, 1],
+                [4, 2, 1, 5, 3, 6, 0],
+                [5, 6, 3, 4, 1, 0, 2],
+                [6, 3, 5, 1, 0, 2, 4],
+            ],
+        ],
+    )
+    def test_rejects_non_associative_loop(self, table):
+        # identity and inverses hold; only associativity fails
+        assert not is_associative(table)
+        with pytest.raises(InvalidArgumentError, match="not associative"):
+            FilteredGroup(table, 0, [INFINITY] + [1] * (len(table) - 1))
+
+    def test_elementary_abelian_order_512(self):
+        # the valid table that needs the most generators (nine) at the order bound
+        n = 512
+        group = FilteredGroup(
+            [[a ^ b for b in range(n)] for a in range(n)], 0, [INFINITY] + [1] * (n - 1)
+        )
+        assert group.inverses == tuple(range(n))
+
+    @given(loop_tables())
+    @settings(deadline=None)
+    def test_acceptance_matches_brute_force(self, table):
+        depths = [INFINITY] + [1] * (len(table) - 1)
+        if is_associative(table):
+            FilteredGroup(table, 0, depths)
+        else:
+            with pytest.raises(InvalidArgumentError, match="not associative"):
+                FilteredGroup(table, 0, depths)
 
     def test_order_bound(self):
         with pytest.raises(ResourceLimitError):

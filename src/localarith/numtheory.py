@@ -121,6 +121,13 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
+def _exact(x):
+    """x itself if it is an int or a Fraction; floats and bools never enter."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise InvalidArgumentError(f"{x!r} is not an exact rational (int or Fraction)")
+    return x
+
+
 def int_valuation(n: int, p: int) -> int | float:
     """Exponent of p in n; n = 0 gives +infinity."""
     if n == 0:

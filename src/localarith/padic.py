@@ -25,7 +25,8 @@ from .errors import (
     NotASquareError,
     PrecisionLossError,
 )
-from .numtheory import INFINITY, int_valuation, rational_valuation, require_prime
+from .numtheory import INFINITY, _exact, int_valuation, rational_valuation, require_prime
+from .polynomials import poly_derivative, poly_eval
 
 DEFAULT_PRECISION = 32
 
@@ -58,7 +59,7 @@ class PadicNumber:
         require_prime(p)
         if precision < 1:
             raise InvalidArgumentError("precision must be at least one digit")
-        x = Fraction(x)
+        x = Fraction(_exact(x))
         if x == 0:
             return cls.zero(p)
         vn = int_valuation(x.numerator, p)
@@ -327,17 +328,6 @@ def teichmuller(p: int, residue: int, precision: int = DEFAULT_PRECISION) -> Pad
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval_int(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative_int(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
 def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION) -> PadicNumber:
     """Lift an approximate root a0 of an integer polynomial to p^precision.
 
@@ -346,6 +336,8 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
     f(a) = 0 mod p^precision together with the displacement bound
     v(a - a0) >= v(f(a0)) - 2 v(f'(a0)).
     """
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     if isinstance(a0, PadicNumber):
         if p is not None and p != a0.p:
             raise InvalidArgumentError("prime disagrees with the one carried by a0")
@@ -367,11 +359,11 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
             raise InvalidArgumentError("newton_lift expects integer coefficients")
         coeffs.append(int(c))
 
-    fpa = _poly_eval_int(_poly_derivative_int(coeffs), a_int)
-    t = int_valuation(fpa, p)
+    derivative = poly_derivative(coeffs)
+    t = int_valuation(poly_eval(derivative, a_int), p)
     if t == INFINITY:
         raise HypothesisFailedError("f'(a0) = 0: the convergence hypothesis fails")
-    fa = _poly_eval_int(coeffs, a_int)
+    fa = poly_eval(coeffs, a_int)
     v_fa = int_valuation(fa, p)
     if v_fa < a_prec:
         if v_fa <= 2 * t:
@@ -387,11 +379,10 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
     modulus = p**M
     a = a_int % modulus
     for _ in range(2 * precision + 4):
-        fa = _poly_eval_int(coeffs, a) % modulus
+        fa = poly_eval(coeffs, a) % modulus
         if fa == 0 or int_valuation(fa, p) >= precision + t:
             break
-        fpa = _poly_eval_int(_poly_derivative_int(coeffs), a)
-        w = fpa // p**t
+        w = poly_eval(derivative, a) // p**t
         delta = (fa // p**t) * pow(w, -1, modulus) % modulus
         a = (a - delta) % modulus
     else:

@@ -24,7 +24,8 @@ from .valuations import gauss_valuation
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers over Q (ascending coefficient tuples)
+# exact polynomial helpers over Q and Z (ascending coefficient sequences;
+# integer inputs give integer results)
 # ---------------------------------------------------------------------------
 
 
@@ -52,7 +53,7 @@ def poly_sub(a, b):
 def poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0 * a[-1] * b[-1]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -76,7 +77,7 @@ def poly_divmod(a, b):
 
 
 def poly_eval(a, x):
-    acc = Fraction(0)
+    acc = 0 * x
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -357,14 +358,13 @@ def cyclotomic(p: int, n: int) -> list[int]:
 def _solve_mod_prime_power(p, M, matrix, rhs):
     """Solve A x = b over Z/p^M where v_p(det A) = beta < M.
 
-    Entries are integers; returns (x, beta) with x valid modulo
-    p^(M - beta).  Pivots are chosen with minimal valuation, so the spent
-    precision is exactly beta.
+    Entries are integers; returns x, valid modulo p^(M - beta).  Pivots
+    are chosen with minimal valuation, so the spent precision is exactly
+    beta.
     """
     mod = p**M
     size = len(matrix)
     a = [[matrix[i][j] % mod for j in range(size)] + [rhs[i] % mod] for i in range(size)]
-    beta = 0
     for col in range(size):
         best, best_v = None, M
         for r in range(col, size):
@@ -375,7 +375,6 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
             raise HypothesisFailedError("matrix is singular at this precision")
         if best != col:
             a[col], a[best] = a[best], a[col]
-        beta += best_v
         t, u = best_v, a[col][col] // p**best_v
         inv_u = pow(u, -1, mod)
         for r in range(col + 1, size):
@@ -394,7 +393,7 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
         if acc % p**t:
             raise PrecisionLossError("solution is not integral at this precision")
         xs[col] = acc // p**t * pow(u, -1, mod) % mod
-    return xs, beta
+    return xs
 
 
 def _int_reps(p, M, coeffs):
@@ -428,12 +427,17 @@ def hensel_lift_factors(
 ) -> tuple[PadicPolynomial, PadicPolynomial]:
     """Lift an approximate factorization f = g0*h0 to one modulo p^precision.
 
-    Requires res(g0, h0) != 0 mod p^(alpha+1), f = g0*h0 mod p^(2*alpha+1)
-    and equal leading terms.  The returned pair is the unique one with
-    g = g0 and h = h0 mod p^(alpha+1) and the leading terms of g0, h0.
-    Each round solves the degree-bounded Sylvester system of (g0, h0)
-    modulo p^(alpha+1) for the current defect, gaining at least one digit.
+    Checks that precision >= 1, that f, g0 and h0 share one prime, that
+    f and g0*h0 have the same leading term, that res(g0, h0) != 0 mod
+    p^(alpha+1) and that f = g0*h0 mod p^(2*alpha+1).  Together these
+    imply w(f - g0*h0) > 2 v(res(g0, h0)), so the lift is the quadratic
+    one of refine_factorization, about log2(precision) rounds.  Returns
+    the true factors g, h of f with g = g0 and h = h0 mod p^(alpha+1)
+    and the leading terms of g0, h0; their other coefficients are
+    reduced to canonical residues in [0, p^precision).
     """
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     p = f.p
     if g0.p != p or h0.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
@@ -449,54 +453,7 @@ def hensel_lift_factors(
     defect0 = poly_sub(f.coefficients, poly_mul(g0.coefficients, h0.coefficients))
     if any(rational_valuation(c, p) < 2 * alpha + 1 for c in defect0):
         raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-
-    M = precision + 2 * alpha + 2
-    mod = p**M
-    f_i = _int_reps(p, M, f.coefficients)
-    g = _int_reps(p, M, g0.coefficients)
-    h = _int_reps(p, M, h0.coefficients)
-
-    # the Sylvester system of (g0, h0); modulo p^(alpha+1) it stays the
-    # system of every later (g_i, h_i), so it is built once
-    matrix = [[int(c) for c in row] for row in sylvester_matrix(g, h, m, n)]
-    m_small = alpha + int(beta) + 2
-
-    def pm(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % mod
-        return out
-
-    for _ in range(precision + 2):
-        gh = pm(g, h)
-        diff = [(fc - (gh[i] if i < len(gh) else 0)) % mod for i, fc in enumerate(f_i)]
-        d = _min_val(p, diff, M)
-        if d >= precision:
-            break
-        big_f = [c // p**d for c in diff]
-        # solve p^alpha * F = g*H1 + h*G1 with deg H1 < n, deg G1 < m
-        rhs = [
-            p**alpha * (big_f[m + n - 1 - i] if m + n - 1 - i < len(big_f) else 0)
-            for i in range(m + n)
-        ]
-        x, _ = _solve_mod_prime_power(p, m_small, matrix, rhs)
-        h1 = list(reversed(x[:n]))
-        g1 = list(reversed(x[n:]))
-        scale = p ** (d - alpha)
-        g = [(gc + scale * (g1[i] if i < len(g1) else 0)) % mod for i, gc in enumerate(g)]
-        h = [(hc + scale * (h1[i] if i < len(h1) else 0)) % mod for i, hc in enumerate(h)]
-    else:
-        raise HypothesisFailedError("factor lifting failed to converge")
-
-    modN = p**precision
-    g_out = [c % modN for c in g]
-    h_out = [c % modN for c in h]
-    # restore the exact leading terms (reduction may have zeroed them)
-    g_out[-1] = g0.coefficients[-1]
-    h_out[-1] = h0.coefficients[-1]
-    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+    return _lift_factorization(f, g0, h0, beta, precision)
 
 
 def refine_factorization(
@@ -505,12 +462,18 @@ def refine_factorization(
     big_h: PadicPolynomial,
     precision: int,
 ) -> tuple[PadicPolynomial, PadicPolynomial]:
-    """Resultant-controlled refinement of f ~ G*H, quadratic per round.
+    """Resultant-controlled refinement of f ~ G*H to the factors of f.
 
-    Requires w(f - GH) > 2 v(res(G, H)) (the discriminant variant
-    w(f - GH) > v(dis(f)) implies it) and equal leading terms.  Each round
-    solves the Sylvester system of the current pair, so the defect at
-    least doubles net of 2 v(res)."""
+    Checks that precision >= 1, that f and G*H have the same leading
+    term and, unless f = G*H exactly, that w(f - GH) > 2 v(res(G, H))
+    (the discriminant variant w(f - GH) > v(dis(f)) implies it).  Returns
+    the true factors of f near G, H with the leading terms of G, H;
+    their other coefficients are reduced to canonical residues in
+    [0, p^precision), so the pair is the one hensel_lift_factors returns.
+    The lift is quadratic, about log2(precision) rounds.
+    """
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     p = f.p
     s, t = big_g.degree, big_h.degree
     if f.degree != s + t or f.coefficients[-1] != big_g.coefficients[-1] * big_h.coefficients[-1]:
@@ -520,47 +483,55 @@ def refine_factorization(
     defect0 = poly_sub(f.coefficients, poly_mul(big_g.coefficients, big_h.coefficients))
     w0 = min((rational_valuation(c, p) for c in defect0), default=INFINITY)
     if w0 == INFINITY:
-        return big_g, big_h
+        # nothing to lift: v(res) would only size the working modulus
+        return _lift_factorization(f, big_g, big_h, 0, precision)
     if beta == INFINITY or w0 <= 2 * beta:
         raise HypothesisFailedError(
             f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
         )
+    return _lift_factorization(f, big_g, big_h, beta, precision)
 
+
+def _lift_factorization(f, g0, h0, beta, precision):
+    """The factors of f near g0, h0, reduced modulo p^precision, given
+    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
+
+    Each round solves the Sylvester system of the current pair modulo
+    p^M for the defect, of valuation w.  The correction has valuation
+    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
+    v(res) stays beta.  Once w >= precision + beta every later correction
+    is 0 mod p^precision, so the reduced pair is that of the true factors,
+    whatever the starting pair.
+    """
+    p = f.p
+    s, t = g0.degree, h0.degree
     M = precision + 2 * beta + 2
     mod = p**M
     f_i = _int_reps(p, M, f.coefficients)
-    g = _int_reps(p, M, big_g.coefficients)
-    h = _int_reps(p, M, big_h.coefficients)
-
-    def pm(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % mod
-        return out
-
+    g = _int_reps(p, M, g0.coefficients)
+    h = _int_reps(p, M, h0.coefficients)
     for _ in range(precision + 2):
-        gh = pm(g, h)
+        gh = poly_mul(g, h)
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
         d = _min_val(p, diff, M)
-        if d >= precision:
+        if d >= precision + beta:
             break
         matrix = sylvester_matrix(g, h, s, t)
         rhs = [diff[s + t - 1 - i] for i in range(s + t)]
-        x, _ = _solve_mod_prime_power(p, M, [[int(c) for c in row] for row in matrix], rhs)
+        x = _solve_mod_prime_power(p, M, [[int(c) for c in row] for row in matrix], rhs)
         delta = list(reversed(x[:t]))  # added to H
         gamma = list(reversed(x[t:]))  # added to G
         g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
         h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
     else:
-        raise HypothesisFailedError("refinement failed to converge")
+        raise HypothesisFailedError("factor lifting failed to converge")
 
     modN = p**precision
     g_out = [c % modN for c in g]
     h_out = [c % modN for c in h]
-    g_out[-1] = big_g.coefficients[-1]
-    h_out[-1] = big_h.coefficients[-1]
+    # restore the exact leading terms (reduction may have changed them)
+    g_out[-1] = g0.coefficients[-1]
+    h_out[-1] = h0.coefficients[-1]
     return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
 
 

@@ -18,6 +18,7 @@ from .errors import InvalidArgumentError
 from .finitefield import FqPoly, factor_monic
 from .numtheory import (
     INFINITY,
+    _exact,
     crt,
     factorint,
     is_prime,
@@ -60,12 +61,12 @@ class RationalPlace:
 def vp_rational(p: int, x) -> int | float:
     """p-adic valuation of a rational number; v_p(0) = +infinity."""
     require_prime(p)
-    return rational_valuation(Fraction(x), p)
+    return rational_valuation(_exact(x), p)
 
 
 def normalized_absolute_value(place: RationalPlace, x) -> Fraction:
     """|x|_v with the product-formula normalization, as an exact Fraction."""
-    x = Fraction(x)
+    x = Fraction(_exact(x))
     if not place.is_finite:
         return abs(x)
     if x == 0:

@@ -125,6 +125,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "-p", "7", "--poly", "T^2 - 2", "--start", "3"],
+            ["factor-lift", "-p", "7", "--f", "T^2 - 2", "--g0", "T - 3", "--h0", "T + 3"],
+        ],
+    )
+    def test_precision_below_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--prec", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_polynomial_file(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")
         code, out, err = run_cli(capsys, "polygon", "-p", "2", "--file", missing)

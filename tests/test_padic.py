@@ -192,6 +192,11 @@ class TestNewtonLift:
         with pytest.raises(HypothesisFailedError):
             newton_lift([-2, 0, 1], 1, p=2, precision=4)
 
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_precision_below_one_rejected(self, precision):
+        with pytest.raises(InvalidArgumentError):
+            newton_lift([-2, 0, 1], 3, p=7, precision=precision)
+
     def test_displacement_bound(self):
         rng = random.Random(7)
         for _ in range(100):

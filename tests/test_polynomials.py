@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localarith import (
     HypothesisFailedError,
@@ -25,7 +27,7 @@ from localarith import (
     weierstrass_prepare,
 )
 from localarith.formats import parse_polynomial
-from localarith.polynomials import poly_mul, poly_sub
+from localarith.polynomials import poly_add, poly_mul, poly_sub
 
 EXP7 = parse_polynomial(
     "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/5040*T^7"
@@ -219,6 +221,14 @@ class TestHenselLiftFactors:
         assert g.coefficients == g0.coefficients
         assert h.coefficients == h0.coefficients
 
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_rejected(self, precision):
+        g0, h0 = PadicPolynomial(5, [2, 1]), PadicPolynomial(5, [3, 1])
+        with pytest.raises(InvalidArgumentError):
+            hensel_lift_factors(g0 * h0, g0, h0, 0, precision)
+        with pytest.raises(InvalidArgumentError):
+            refine_factorization(g0 * h0, g0, h0, precision)
+
     def test_non_coprime_residues_rejected(self):
         f = PadicPolynomial(2, [1, 1, 1])
         with pytest.raises(HypothesisFailedError):
@@ -269,6 +279,28 @@ def _coprime_pair(rng, p):
             return gp, hp
 
 
+@st.composite
+def lifting_cases(draw):
+    """(f, g0, h0, alpha, N): monic g0, h0 with beta = v(res(g0, h0)) <= alpha <= 2
+    and f = g0*h0 + p^(2*alpha+1)*e, deg e < deg f."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def monic():
+        degree = draw(st.integers(1, 3))
+        return [draw(st.integers(-(p**3), p**3)) for _ in range(degree)] + [1]
+
+    g0, h0 = PadicPolynomial(p, monic()), PadicPolynomial(p, monic())
+    beta = vp_rational(p, resultant(g0, h0))
+    assume(beta <= 2)
+    alpha = draw(st.integers(beta, 2))
+    noise = [
+        p ** (2 * alpha + 1) * draw(st.integers(-(p**2), p**2))
+        for _ in range(g0.degree + h0.degree)
+    ]
+    f = PadicPolynomial(p, poly_add(poly_mul(g0.coefficients, h0.coefficients), noise))
+    return f, g0, h0, alpha, draw(st.integers(1, 6))
+
+
 class TestRefineFactorization:
     def test_exact_input_is_fixpoint(self):
         g = PadicPolynomial(3, [1, 1])
@@ -280,6 +312,22 @@ class TestRefineFactorization:
         f = PadicPolynomial(7, [-2, 0, 1])
         g0, h0 = PadicPolynomial(7, [-3, 1]), PadicPolynomial(7, [3, 1])
         assert refine_factorization(f, g0, h0, 6) == hensel_lift_factors(f, g0, h0, 0, 6)
+        exact = g0 * h0  # negative coefficients, no defect to lift
+        assert refine_factorization(exact, g0, h0, 2) == hensel_lift_factors(exact, g0, h0, 0, 2)
+
+    @given(lifting_cases())
+    @settings(deadline=None)
+    def test_both_routes_return_the_canonical_true_factors(self, case):
+        f, g0, h0, alpha, precision = case
+        p = f.p
+        lifted = hensel_lift_factors(f, g0, h0, alpha, precision)
+        assert lifted == refine_factorization(f, g0, h0, precision)
+        deeper = hensel_lift_factors(f, g0, h0, alpha, precision + 3)
+        reduced = tuple(
+            PadicPolynomial(p, [c % p**precision for c in x.coefficients[:-1]] + [1])
+            for x in deeper
+        )
+        assert reduced == lifted
 
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root

@@ -10,6 +10,7 @@ from localarith import (
     FunctionFieldPlace,
     INFINITY,
     InvalidArgumentError,
+    PadicNumber,
     RationalPlace,
     ff_valuation,
     gauss_valuation,
@@ -36,6 +37,20 @@ class TestVpRational:
     def test_rejects_composite(self):
         with pytest.raises(InvalidArgumentError):
             vp_rational(6, 5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: vp_rational(5, x),
+            lambda x: normalized_absolute_value(RationalPlace.finite(5), x),
+            lambda x: normalized_absolute_value(RationalPlace.infinite(), x),
+            lambda x: PadicNumber.from_rational(5, x, 4),
+        ],
+    )
+    @pytest.mark.parametrize("x", [0.2, 0.1, True, False])
+    def test_rejects_floats_and_bools(self, call, x):
+        with pytest.raises(InvalidArgumentError):
+            call(x)
 
     def test_multiplicativity(self, rng):
         primes = [p for p in range(2, 51) if all(p % d for d in range(2, p))]

@@ -109,7 +109,7 @@ class _FiniteField:
     def multiplicative_generator(self) -> int:
         """Least element code generating GF(q)^*."""
         for g in range(2, self.q) if self.q > 2 else [1]:
-            seen, x, n = 1, g, 1
+            x, n = g, 1
             while x != 1:
                 x = self.mul(x, g)
                 n += 1
@@ -124,17 +124,7 @@ class _FiniteField:
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Coefficients (ascending, without the monic lead) of the least
     monic irreducible of degree m over GF(p)."""
-    base = FiniteField(p)
-    for code in range(p**m):
-        low = []
-        c = code
-        for _ in range(m):
-            low.append(c % p)
-            c //= p
-        poly = FqPoly(base, tuple(low) + (1,))
-        if poly.is_irreducible():
-            return tuple(low)
-    raise InvalidArgumentError(f"no irreducible of degree {m} over GF({p})")  # unreachable
+    return next(g.coeffs[:-1] for g in monic_polys(FiniteField(p), m) if g.is_irreducible())
 
 
 class FqPoly:
@@ -279,7 +269,9 @@ def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
     """Factor a nonzero polynomial into monic irreducibles by trial division.
 
     The unit leading coefficient is discarded; the returned dict maps each
-    monic irreducible factor to its multiplicity.
+    monic irreducible factor to its multiplicity.  Candidates come in
+    increasing degree, so a reducible candidate never divides what is
+    left: its irreducible factors, all of lower degree, are gone by then.
     """
     if poly.is_zero():
         raise InvalidArgumentError("cannot factor the zero polynomial")
@@ -292,8 +284,6 @@ def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
             factors[work] = factors.get(work, 0) + 1
             break
         for g in monic_polys(poly.field, d):
-            if not g.is_irreducible():
-                continue
             while g.divides(work):
                 factors[g] = factors.get(g, 0) + 1
                 work = work // g

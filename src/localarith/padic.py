@@ -350,7 +350,10 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         if p is None:
             raise InvalidArgumentError("a prime is required when a0 is an integer")
         require_prime(p)
-        a_int, a_prec = int(a0), INFINITY
+        a0 = Fraction(_exact(a0))
+        if a0.denominator != 1:
+            raise InvalidArgumentError("a0 must be an integer or a PadicNumber")
+        a_int, a_prec = a0.numerator, INFINITY
     raw = f.coefficients if hasattr(f, "coefficients") else list(f)
     coeffs = []
     for c in raw:
@@ -460,9 +463,9 @@ def unit_filtration_level(p: int, u, precision: int = DEFAULT_PRECISION):
     available precision without being exactly 1.
     """
     require_prime(p)
-    if not isinstance(u, PadicNumber) and Fraction(u) == 1:
-        return INFINITY
     rep = _unit_representative(p, u, precision)
+    if not isinstance(u, PadicNumber) and u == 1:
+        return INFINITY
     if rep == 1:
         raise PrecisionLossError(
             f"u = 1 + O(p^{precision}): the filtration level exceeds the precision"
@@ -471,6 +474,8 @@ def unit_filtration_level(p: int, u, precision: int = DEFAULT_PRECISION):
 
 
 def _unit_representative(p, u, precision):
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     if isinstance(u, PadicNumber):
         if u.p != p:
             raise InvalidArgumentError("prime mismatch")
@@ -481,7 +486,7 @@ def _unit_representative(p, u, precision):
                 f"u carries {u.precision} digits but {precision} are required"
             )
         return u.unit % p**precision
-    x = Fraction(u)
+    x = Fraction(_exact(u))
     if x.numerator % p == 0 or x.denominator % p == 0:
         raise InvalidArgumentError("u must be a unit")
     return x.numerator * pow(x.denominator, -1, p**precision) % p**precision

@@ -20,7 +20,6 @@ from .errors import (
     PrecisionLossError,
 )
 from .numtheory import INFINITY, int_valuation, rational_valuation, require_prime
-from .valuations import gauss_valuation
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +463,10 @@ def refine_factorization(
 ) -> tuple[PadicPolynomial, PadicPolynomial]:
     """Resultant-controlled refinement of f ~ G*H to the factors of f.
 
-    Checks that precision >= 1, that f and G*H have the same leading
-    term and, unless f = G*H exactly, that w(f - GH) > 2 v(res(G, H))
-    (the discriminant variant w(f - GH) > v(dis(f)) implies it).  Returns
+    Checks that precision >= 1, that f, G and H share one prime, that f
+    and G*H have the same leading term and, unless f = G*H exactly, that
+    w(f - GH) > 2 v(res(G, H)) (the discriminant variant
+    w(f - GH) > v(dis(f)) implies it).  Returns
     the true factors of f near G, H with the leading terms of G, H;
     their other coefficients are reduced to canonical residues in
     [0, p^precision), so the pair is the one hensel_lift_factors returns.
@@ -475,6 +475,8 @@ def refine_factorization(
     if precision < 1:
         raise InvalidArgumentError("precision must be at least one digit")
     p = f.p
+    if big_g.p != p or big_h.p != p:
+        raise InvalidArgumentError("all polynomials must share one prime")
     s, t = big_g.degree, big_h.degree
     if f.degree != s + t or f.coefficients[-1] != big_g.coefficients[-1] * big_h.coefficients[-1]:
         raise HypothesisFailedError("f and G*H must have the same leading term")
@@ -554,61 +556,69 @@ def _truncate_coefficient(c: Fraction, p: int, abs_precision: Fraction) -> Fract
 
 
 def _gauss_w(p, coeffs, C):
-    vals = [rational_valuation(c, p) for c in coeffs]
-    if all(v == INFINITY for v in vals):
-        return INFINITY
-    return gauss_valuation(C, vals)[0]
+    """min_j (j*C + v(c_j)), the Gauss valuation with w(T) = C; 0 gives +inf."""
+    return min(
+        (j * C + rational_valuation(c, p) for j, c in enumerate(coeffs) if c),
+        default=INFINITY,
+    )
 
 
-def _split_first_side(p, coeffs, n, gamma, target_w, step_budget):
-    """Split off the factor carrying the first polygon side (slope gamma).
+def _crop(p, poly, C, cap):
+    """Drop from each term c_j T^j the digits of w-weight j*C + v >= cap."""
+    return _trim([_truncate_coefficient(c, p, cap - j * C) for j, c in enumerate(poly)])
 
-    Iterates the division step of the side-splitting lemma with the Gauss
-    valuation w(T) = -gamma until w(f - G*H) >= target_w; every round
-    certifiably gains w(f - f_n) - w(f) > 0.
+
+def _split_first_side(p, coeffs, n, C, target_w, g):
+    """Split f = G*H with G of degree n, starting from the approximation g.
+
+    Iterates the division step of the side-splitting lemma for the Gauss
+    valuation w(T) = C: divide the defect e = f - G*H by G, add the
+    remainder to G and the quotient to H, until w(e) >= target_w.  Every
+    round certifiably gains w(f - f_n) - w(f) > 0, where f_n is f cut
+    after degree n; slope factorization runs it with C = -slope of the
+    first polygon side, Weierstrass preparation with C = 0.
     """
-    C = -gamma
-    f_n = coeffs[: n + 1]
     w_f = _gauss_w(p, coeffs, C)
-    w_tail = _gauss_w(p, [Fraction(0)] * (n + 1) + coeffs[n + 1 :], C)
+    w_tail = _gauss_w(p, [0] * (n + 1) + coeffs[n + 1 :], C)
+    if w_tail == INFINITY:
+        return g, [Fraction(1)]
     delta = w_tail - w_f
     if delta <= 0:
         raise PrecisionLossError("cannot certify the side gap at this precision")
-    budget = step_budget or math.ceil((target_w - w_f) / delta) + 4
+    # floored at 0 so the stop test runs even when target_w <= w_f
+    budget = max(0, math.ceil((target_w - w_f) / delta)) + 4
     # truncation floors: dropped mass in g stays above target_w, dropped
     # mass in h re-enters through multiplication by g (+w_f) and through
     # division by g (-w_f), which cancel; floors are therefore stable
     cap_g = target_w + 2
     cap_h = target_w + 2 - w_f
-
-    def crop(poly, cap):
-        return _trim(
-            [_truncate_coefficient(c, p, cap - j * C) for j, c in enumerate(poly)]
-        )
-
-    g, h = crop(list(f_n), cap_g), [Fraction(1)]
+    h = [Fraction(1)]
     for _ in range(budget):
         e = poly_sub(coeffs, poly_mul(g, h))
         if not e or _gauss_w(p, e, C) >= target_w:
             break
         q, r = poly_divmod(e, g)
-        g = crop(poly_add(g, r), cap_g)
-        h = crop(poly_add(h, q), cap_h)
+        g = _crop(p, poly_add(g, r), C, cap_g)
+        h = _crop(p, poly_add(h, q), C, cap_h)
     else:
-        raise PrecisionLossError("side splitting exceeded its step budget")
+        raise PrecisionLossError("division steps exceeded their budget")
     return g, h
 
 
 def slope_factorization(
-    f: PadicPolynomial, precision: int, step_budget: int | None = None
+    f: PadicPolynomial, precision: int
 ) -> list[tuple[PadicPolynomial, tuple[int, Fraction]]]:
     """Factor f into pure polynomials, one per Newton polygon side.
 
     The factors are ordered by increasing slope, factor i is pure of the
     i-th type entry, and their product agrees with f coefficientwise
     modulo p^precision (exact check; PrecisionLossError if the working
-    slack was insufficient).
+    slack was insufficient).  Each side is split off by _split_first_side
+    with w(T) = -slope, from the cropped low part of the remaining
+    cofactor; the step budget follows from the polygon's gap.
     """
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     if f.coefficients[0] == 0:
         raise InvalidArgumentError("f(0) = 0: strip the exact T power first")
     p = f.p
@@ -622,7 +632,8 @@ def slope_factorization(
     for length, gamma in polygon.sides[:-1]:
         deg = len(work) - 1
         target = precision + slack + max(Fraction(0), -gamma * deg)
-        g, h = _split_first_side(p, work, length, gamma, target, step_budget)
+        g0 = _crop(p, work[: length + 1], -gamma, target + 2)
+        g, h = _split_first_side(p, work, length, -gamma, target, g0)
         if len(g) - 1 != length:
             raise PrecisionLossError("split factor has the wrong degree")
         factors.append(g)
@@ -688,8 +699,13 @@ def weierstrass_prepare(
     The distinguished degree is the last index where the minimal
     coefficient valuation is attained; it must be certified by the tail
     bound, otherwise PrecisionLossError is raised.  The product matches f
-    coefficientwise modulo p^min(precision, tail).
+    coefficientwise modulo p^min(precision, tail).  After scaling f to
+    minimal valuation 0 this is the split of _split_first_side for the
+    Gauss valuation w(T) = 0, started from f cut after the distinguished
+    degree and normalized by h(0).
     """
+    if precision < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
     p = f.p
     vals = [rational_valuation(c, p) for c in f.coefficients]
     finite = [v for v in vals if v != INFINITY]
@@ -707,46 +723,20 @@ def weierstrass_prepare(
     scale = Fraction(p) ** (-w)
     coeffs = [c * scale for c in f.coefficients]
     target = min(precision, f.tail) - w
+    g, h = _split_first_side(p, coeffs, n_dist, 0, target, coeffs[: n_dist + 1])
 
-    g = _trim(coeffs[: n_dist + 1])
-    h = [Fraction(1)]
-    m_trunc = f.truncation
-    if n_dist == m_trunc:
-        # minimal valuation attained only at the top stored coefficient
-        g_final = g
-        h_final = [Fraction(1)]
-    else:
-        tail_vals = [
-            v
-            for v in (rational_valuation(c, p) for c in coeffs[n_dist + 1 :])
-            if v != INFINITY
-        ]
-        # scaled coefficients already have w subtracted; the gap is their minimum
-        delta = min(tail_vals) if tail_vals else f.tail - w
-        budget = math.ceil(target / delta) + 4
-        for _ in range(budget):
-            e = poly_sub(coeffs, poly_mul(g, h)[: m_trunc + 1])
-            if not e or min(rational_valuation(c, p) for c in e if c) >= target:
-                break
-            q, r = poly_divmod(e, g)
-            g = poly_add(g, r)
-            h = poly_add(h, q)[: m_trunc + 1]
-            g = _trim([_truncate_coefficient(c, p, Fraction(target + 2)) for c in g])
-            h = _trim([_truncate_coefficient(c, p, Fraction(target + 2)) for c in h])
-        else:
-            raise PrecisionLossError("preparation exceeded its step budget")
-        g_final, h_final = g, h
-
-    c0 = h_final[0]
+    c0 = h[0]
     if c0 == 0 or rational_valuation(c0, p) != 0:
         raise PrecisionLossError("unit part has no invertible constant term")
-    g_out = poly_scale(g_final, c0 / scale)
-    h_out = [c / c0 for c in h_final]
+    g_out = poly_scale(g, c0 / scale)
+    h_out = [c / c0 for c in h]
     if len(g_out) - 1 != n_dist:
         raise PrecisionLossError("prepared polynomial has the wrong degree")
     if any(rational_valuation(c, p) <= 0 for c in h_out[1:] if c):
         raise PrecisionLossError("unit part does not satisfy w(h - 1) > 0")
-    h_series = TruncatedSeries(p, h_out + [Fraction(0)] * (m_trunc - len(h_out) + 1), int(target))
+    h_series = TruncatedSeries(
+        p, h_out + [Fraction(0)] * (f.truncation - len(h_out) + 1), int(target)
+    )
     return PadicPolynomial(p, g_out), h_series
 
 

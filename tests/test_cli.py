@@ -130,6 +130,8 @@ class TestExitCodes:
         [
             ["lift", "-p", "7", "--poly", "T^2 - 2", "--start", "3"],
             ["factor-lift", "-p", "7", "--f", "T^2 - 2", "--g0", "T - 3", "--h0", "T + 3"],
+            ["slope-factor", "-p", "2", "2 + T + T^3"],
+            ["weierstrass", "-p", "3", "3 + T", "--tail", "10"],
         ],
     )
     def test_precision_below_one(self, capsys, argv):

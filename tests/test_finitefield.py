@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from localarith import FiniteField, FqPoly, factor_monic, monic_irreducibles
@@ -56,14 +58,39 @@ class TestPolynomials:
 
     def test_factor_roundtrip(self):
         f3 = FiniteField(3)
-        poly = FqPoly(f3, [0, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 0, 1])
-        factors = factor_monic(poly)
-        rebuilt = FqPoly(f3, [1])
-        for g, e in factors.items():
-            assert g.is_irreducible()
-            for _ in range(e):
-                rebuilt = rebuilt * g
-        assert rebuilt == poly
+        cases = [FqPoly(f3, [0, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 0, 1])]
+        rng = random.Random(4)
+        for q in (4, 8, 9):
+            field = FiniteField(q)
+            for _ in range(10):
+                poly = FqPoly(field, [rng.randrange(1, q)])
+                for _ in range(rng.randint(1, 3)):
+                    coeffs = [rng.randrange(q) for _ in range(rng.randint(1, 3))]
+                    poly = poly * FqPoly(field, coeffs + [1])
+                cases.append(poly)
+        for poly in cases:
+            factors = factor_monic(poly)
+            rebuilt = FqPoly(poly.field, [poly.coeffs[-1]])
+            for g, e in factors.items():
+                assert g.is_monic() and g.is_irreducible()
+                for _ in range(e):
+                    rebuilt = rebuilt * g
+            assert rebuilt == poly
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_factor_agrees_with_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        rng = random.Random(p)
+        field = FiniteField(p)
+        for _ in range(25):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1]
+            ours = {g.coeffs: e for g, e in factor_monic(FqPoly(field, coeffs)).items()}
+            _, theirs = sympy.Poly(list(reversed(coeffs)), T, modulus=p).factor_list()
+            expected = {
+                tuple(int(c) % p for c in reversed(g.all_coeffs())): e for g, e in theirs
+            }
+            assert ours == expected
 
     def test_monic_irreducible_enumeration(self):
         # over GF(2): 1 of degree 1 with nonzero constant? count degree-2 and 3

@@ -197,6 +197,14 @@ class TestNewtonLift:
         with pytest.raises(InvalidArgumentError):
             newton_lift([-2, 0, 1], 3, p=7, precision=precision)
 
+    @pytest.mark.parametrize("start", [3.9, Fraction(7, 2), True])
+    def test_inexact_or_non_integral_start_rejected(self, start):
+        with pytest.raises(InvalidArgumentError):
+            newton_lift([-2, 0, 1], start, p=7, precision=2)
+
+    def test_integral_fraction_start(self):
+        assert newton_lift([-2, 0, 1], Fraction(3), p=7, precision=2).residue(2) == 10
+
     def test_displacement_bound(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -280,6 +288,12 @@ class TestPthPowerOnUnits:
         with pytest.raises(InvalidArgumentError):
             pth_power_on_units(3, 2, "forward", 1 + 3, 5)
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("precision", [0, -2])
+    def test_precision_below_one_rejected(self, direction, precision):
+        with pytest.raises(InvalidArgumentError):
+            pth_power_on_units(5, 1, direction, 6, precision)
+
 
 class TestUnitFiltrationLevel:
     def test_levels(self):
@@ -295,6 +309,20 @@ class TestUnitFiltrationLevel:
 
         with pytest.raises(PrecisionLossError):
             unit_filtration_level(3, 1 + 3**6, 4)
+
+    @pytest.mark.parametrize("u", [6, 1])
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_rejected(self, u, precision):
+        from localarith.padic import unit_filtration_level
+
+        with pytest.raises(InvalidArgumentError):
+            unit_filtration_level(5, u, precision)
+
+    def test_float_unit_rejected(self):
+        from localarith.padic import unit_filtration_level
+
+        with pytest.raises(InvalidArgumentError):
+            unit_filtration_level(5, 6.0, 4)
 
     def test_characterizes_membership(self):
         from localarith.padic import unit_filtration_level

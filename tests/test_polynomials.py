@@ -229,6 +229,14 @@ class TestHenselLiftFactors:
         with pytest.raises(InvalidArgumentError):
             refine_factorization(g0 * h0, g0, h0, precision)
 
+    def test_mixed_primes_rejected(self):
+        f = PadicPolynomial(7, [-2, 0, 1])
+        g0, h0 = PadicPolynomial(5, [-3, 1]), PadicPolynomial(3, [3, 1])
+        with pytest.raises(InvalidArgumentError, match="share one prime"):
+            hensel_lift_factors(f, g0, h0, 0, 4)
+        with pytest.raises(InvalidArgumentError, match="share one prime"):
+            refine_factorization(f, g0, h0, 4)
+
     def test_non_coprime_residues_rejected(self):
         f = PadicPolynomial(2, [1, 1, 1])
         with pytest.raises(HypothesisFailedError):
@@ -381,6 +389,11 @@ class TestSlopeFactorization:
         with pytest.raises(InvalidArgumentError):
             slope_factorization(PadicPolynomial(2, [0, 1, 1]), 8)
 
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_rejected(self, precision):
+        with pytest.raises(InvalidArgumentError):
+            slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), precision)
+
 
 class TestWeierstrass:
     def test_low_degree_example(self):
@@ -408,6 +421,45 @@ class TestWeierstrass:
     def test_undetermined_index_rejected(self):
         with pytest.raises(PrecisionLossError):
             weierstrass_prepare(TruncatedSeries(3, [9, 3, 9], 1), 6)
+
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_rejected(self, precision):
+        with pytest.raises(InvalidArgumentError):
+            weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), precision)
+
+    @pytest.mark.parametrize("coefficients", [[5**7 * 2, 0], [5**7, 5**8]])
+    def test_precision_below_minimal_valuation(self, coefficients):
+        # nothing is left to divide modulo p^1: the first stop test ends the loop
+        g, h = weierstrass_prepare(TruncatedSeries(5, coefficients, 9), 1)
+        assert g.coefficients == (coefficients[0],)
+        assert h.coefficients == (1, 0)
+
+
+# Outputs of the division steps, recorded before slope factorization and
+# Weierstrass preparation shared one loop; any change to the loop's start,
+# caps, budget or stop test shows up here.
+DIVISION_STEP_TABLE = [
+    (
+        lambda: [x.coefficients for x in weierstrass_prepare(TruncatedSeries(3, [3, -1], 10), 8)],
+        [(3, -1), (1, 0)],
+    ),
+    (
+        lambda: [x.coefficients for x in weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), 8)],
+        [(583325391, 50941), (1, Fraction(3, 50941), 0)],
+    ),
+    (
+        lambda: [
+            (g.coefficients, side)
+            for g, side in slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), 8)
+        ],
+        [((1335386, 1), (1, -1)), ((761765, 106406, 1), (2, 0))],
+    ),
+]
+
+
+@pytest.mark.parametrize("call, expected", DIVISION_STEP_TABLE)
+def test_division_step_outputs_are_pinned(call, expected):
+    assert call() == expected
 
 
 class TestPrimitiveRescale:

@@ -15,12 +15,16 @@ Associativity is decided exactly by Light's test (Clifford & Preston,
 *The Algebraic Theory of Semigroups* I, 1961, section 1.2): it checks
 (xy)s = x(ys) only for s in a set S from which right multiplication
 reaches the whole table, starting at the identity.  A greedy S of a group
-has at most log2(g) elements, so the check costs O(g^2 log g).
+has at most log2(g) elements, so the check costs O(g^2 log g).  Every
+subgroup question reuses it: a set is a subgroup exactly when its greedy S
+reaches the set itself, never by pairwise products.  G_n changes only one
+below each finite depth, so filtration queries step through those depths.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,26 +137,40 @@ def _right_closure(table, identity: int, generators) -> set[int]:
     return reached
 
 
+def _greedy_generators(table, identity: int, elements) -> list[int] | None:
+    """Greedy S of ``elements``, or None if it is not a subgroup.
+
+    An element joins S when right multiplication by S does not yet reach it
+    from the identity.  In a group each one at least doubles the subgroup
+    reached, so a subgroup H has an S of at most log2|H| elements reaching H.
+    """
+    cap = len(elements).bit_length() - 1
+    generators: list[int] = []
+    reached = {identity}
+    for a in sorted(elements):
+        if a not in reached:
+            generators.append(a)
+            if len(generators) > cap:
+                return None
+            reached = _right_closure(table, identity, generators)
+    return generators if reached == elements else None
+
+
 class FilteredGroup:
     """Finite group as a multiplication table plus per-element depths."""
 
     def __init__(self, table, identity: int, depths):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         self.identity = identity
-        self.depths = tuple(
-            INFINITY if d == INFINITY else int(d) for d in depths
-        )
+        self.depths = tuple(depths)
         self.order = len(self.table)
-        self._validate_depths(self._validate())
+        self._validate()
+        self._validate_depths()
 
     # -- construction checks ----------------------------------------------
 
-    def _validate(self) -> list[int]:
-        """Check the group axioms and set ``inverses``.
-
-        Returns the set S of Light's test: right multiplication by S,
-        starting at the identity, reaches every element.
-        """
+    def _validate(self):
+        """Check the group axioms; set ``inverses`` and Light's S."""
         g = self.order
         if g > MAX_VERIFIED_ORDER:
             raise ResourceLimitError(
@@ -160,8 +178,12 @@ class FilteredGroup:
             )
         if any(len(row) != g for row in self.table):
             raise InvalidArgumentError("table is not square")
-        if any(not 0 <= x < g for row in self.table for x in row):
+        if any(set(map(type, row)) - {int} for row in self.table):
+            raise InvalidArgumentError("table entries must be integers")
+        if any(min(row) < 0 or max(row) >= g for row in self.table):
             raise InvalidArgumentError("table entries out of range")
+        if type(self.identity) is not int:
+            raise InvalidArgumentError("identity must be an integer index")
         if not 0 <= self.identity < g:
             raise InvalidArgumentError("identity index out of range")
         for i in range(g):
@@ -175,18 +197,10 @@ class FilteredGroup:
             inverses.append(row.index(e))
         self.inverses = tuple(inverses)
 
-        # In a group each element added to S at least doubles the subgroup
-        # reached, so a table that needs more than log2(g) of them is not
-        # associative (identity and inverses are already checked).
-        generators: list[int] = []
-        reached = {e}
-        for a in range(g):
-            if a not in reached:
-                generators.append(a)
-                if len(generators) > g.bit_length() - 1:
-                    raise InvalidArgumentError("multiplication table is not associative")
-                reached = _right_closure(mul, e, generators)
-
+        # a group never needs more than log2(g) greedy generators
+        generators = _greedy_generators(mul, e, set(range(g)))
+        if generators is None:
+            raise InvalidArgumentError("multiplication table is not associative")
         # (xy)s = x(ys) for s in S makes each right multiplication by S
         # commute with every left multiplication; so does each composite,
         # and applying the composite for a word w in S to the identity
@@ -196,11 +210,12 @@ class FilteredGroup:
             for col in columns:
                 if [col[z] for z in row] != [row[z] for z in col]:
                     raise InvalidArgumentError("multiplication table is not associative")
-        return generators
+        self._generators = generators
 
-    def _validate_depths(self, generators):
-        """Depth checks; conjugation invariance is checked under S only,
-        which suffices because conjugation by a product composes."""
+    def _validate_depths(self):
+        """Depth checks.  Conjugation invariance is checked under S only,
+        which suffices because conjugation by a product composes; closure
+        under multiplication is checked once per level {s : depth(s) >= d}."""
         g = self.order
         if len(self.depths) != g:
             raise InvalidArgumentError("depth list length must match the order")
@@ -208,7 +223,7 @@ class FilteredGroup:
             if i == self.identity:
                 if d != INFINITY:
                     raise InvalidArgumentError("identity must have infinite depth")
-            elif d == INFINITY or d < 1:
+            elif type(d) is not int or d < 1:
                 raise InvalidArgumentError(
                     "depths must be positive integers away from the identity"
                 )
@@ -216,14 +231,14 @@ class FilteredGroup:
         for s in range(g):
             if d[inv[s]] != d[s]:
                 raise InvalidArgumentError("depths must be inverse-invariant")
-            for t in generators:
+            for t in self._generators:
                 if d[mul[t][mul[s][inv[t]]]] != d[s]:
                     raise InvalidArgumentError("depths must be a class function")
-            for t in range(g):
-                if d[mul[s][t]] < min(d[s], d[t]):
-                    raise InvalidArgumentError(
-                        "depth sets G_n are not closed under multiplication"
-                    )
+        for level in set(d) - {INFINITY}:
+            if not is_subgroup(self, {s for s in range(g) if d[s] >= level}):
+                raise InvalidArgumentError(
+                    "depth sets G_n are not closed under multiplication"
+                )
 
     # -- filtration queries -------------------------------------------------
 
@@ -246,72 +261,54 @@ class FilteredGroup:
         return max((d for d in self.depths if d != INFINITY), default=0)
 
     def lower_jumps(self) -> tuple[int, ...]:
-        jumps = []
-        u = -1
-        while len(self.subgroup(u)) > 1:
-            if self.subgroup(u) != self.subgroup(u + 1):
-                jumps.append(u)
-            u += 1
-        return tuple(jumps)
+        """The u with G_u != G_{u+1}: one below each finite depth."""
+        return tuple(sorted({d - 1 for d in self.depths if d != INFINITY}))
 
 
 def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
     """The chain G = G_{-1} >= G_0 >= ... down to the first trivial term."""
+    jumps = group.lower_jumps()
+    starts = [-1] + [u + 1 for u in jumps]
     out = []
-    n = -1
-    while True:
-        sub = group.subgroup(n)
+    # G_n is constant from each start to the next jump; the last start is trivial
+    for start, end in zip(starts, [*jumps, starts[-1]]):
+        sub = group.subgroup(start)
         if not is_normal(group, sub):
             raise InvalidArgumentError("filtration subgroup is not normal")
-        out.append((n, sub))
-        if len(sub) == 1:
-            return out
-        n += 1
+        out.extend((n, sub) for n in range(start, end + 1))
+    return out
 
 
 def is_subgroup(group: FilteredGroup, elements: frozenset[int]) -> bool:
-    if group.identity not in elements:
-        return False
-    return all(group.table[a][b] in elements for a in elements for b in elements)
+    return _greedy_generators(group.table, group.identity, elements) is not None
 
 
 def is_normal(group: FilteredGroup, elements: frozenset[int]) -> bool:
-    if not is_subgroup(group, elements):
+    """Conjugating H's generators by S suffices: conjugation by a product composes."""
+    generators = _greedy_generators(group.table, group.identity, elements)
+    if generators is None:
         return False
     mul, inv = group.table, group.inverses
     return all(
         mul[t][mul[s][inv[t]]] in elements
-        for t in range(group.order)
-        for s in elements
+        for t in group._generators
+        for s in generators
     )
 
 
 def all_subgroups(group: FilteredGroup) -> list[frozenset[int]]:
-    """Every subgroup, found by closing generator sets (desk-scale orders)."""
-
-    def closure(seed: frozenset[int]) -> frozenset[int]:
-        elems = set(seed) | {group.identity}
-        added = True
-        while added:
-            added = False
-            for a in list(elems):
-                for b in list(elems):
-                    c = group.table[a][b]
-                    if c not in elems:
-                        elems.add(c)
-                        added = True
-        return frozenset(elems)
-
-    found = {frozenset({group.identity})}
-    frontier = [frozenset({group.identity})]
+    """Every subgroup, found by adding one generator at a time."""
+    trivial = frozenset({group.identity})
+    found = {trivial}
+    frontier = [(trivial, [])]
     while frontier:
-        base = frontier.pop()
+        base, generators = frontier.pop()
         for x in range(group.order):
             if x not in base:
-                new = closure(base | {x})
+                new = frozenset(_right_closure(group.table, group.identity, generators + [x]))
                 if new not in found:
                     found.add(new)
-                    frontier.append(new)
+                    frontier.append((new, generators + [x]))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -327,12 +324,10 @@ def herbrand_functions(group: FilteredGroup) -> tuple[PiecewiseLinear, Piecewise
     psi is its inverse and maps integers to integers.
     """
     g0 = len(group.subgroup(0))
-    top = group.max_depth()
-    bps = [Fraction(-1), Fraction(0)]
+    bps = [-1, 0] + [u for u in group.lower_jumps() if u > 0]
     vals = [Fraction(-1), Fraction(0)]
-    for m in range(top):
-        bps.append(Fraction(m + 1))
-        vals.append(vals[-1] + Fraction(len(group.subgroup(m + 1)), g0))
+    for lo, hi in zip(bps[1:], bps[2:]):
+        vals.append(vals[-1] + Fraction((hi - lo) * len(group.subgroup(lo + 1)), g0))
     phi = PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
     return phi, phi.inverse()
 
@@ -472,8 +467,8 @@ def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> Ra
     by_elements = sum(
         d for i, d in enumerate(group.depths) if i != group.identity
     )
-    top = group.max_depth()
-    orders = tuple(len(group.subgroup(n)) for n in range(top + 1))
+    finite = sorted(d for d in group.depths if d != INFINITY)
+    orders = tuple(group.order - bisect_right(finite, n) for n in range(group.max_depth() + 1))
     by_filtration = sum(o - 1 for o in orders)
     if by_elements != by_filtration:
         raise InconsistencyError(
@@ -495,7 +490,7 @@ def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> Ra
 # ---------------------------------------------------------------------------
 
 
-def cyclotomic_group(p: int, n: int, bound: int = 2**10) -> FilteredGroup:
+def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     """The automorphism group (Z/p^nZ)^* of the p^n-th cyclotomic extension,
     with depth p^s for the automorphism x -> x^a, s = v_p(a - 1).
 
@@ -505,9 +500,12 @@ def cyclotomic_group(p: int, n: int, bound: int = 2**10) -> FilteredGroup:
     require_prime(p)
     if n < 1:
         raise InvalidArgumentError("n must be at least 1")
+    order = (p - 1) * p ** (n - 1)
+    if order > MAX_VERIFIED_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
+        )
     q = p**n
-    if q > bound:
-        raise ResourceLimitError(f"p^n = {q} exceeds the configured bound {bound}")
     units = [a for a in range(1, q) if a % p != 0]
     index = {a: i for i, a in enumerate(units)}
     table = [[index[a * b % q] for b in units] for a in units]

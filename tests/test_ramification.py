@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from localarith import (
     subgroup_filtration,
     upper_numbering,
 )
+from localarith import ramification
+from localarith.ramification import is_normal, is_subgroup
 
 
 def tame_cyclic(order):
@@ -83,6 +86,31 @@ class TestFilteredGroup:
             with pytest.raises(InvalidArgumentError, match="class function"):
                 FilteredGroup(table, identity, bad)
 
+    def test_rejects_unclosed_depth_sets(self):
+        # Z/4: inverse-invariant and a class function, but 1 + 1 = 2 leaves G_1
+        table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        with pytest.raises(InvalidArgumentError, match="not closed under multiplication"):
+            FilteredGroup(table, 0, [INFINITY, 2, 1, 2])
+
+    @pytest.mark.parametrize(
+        "table, identity, depths",
+        [
+            ([[0, 1], [1, 0]], 0, [INFINITY, 1.5]),
+            ([[0, 1], [1, 0]], 0, [INFINITY, 1.0]),
+            ([[0, 1], [1, 0]], 0, [INFINITY, True]),
+            ([[0, 1], [1, 0]], 0, [INFINITY, Fraction(1)]),
+            ([[0, 1], [1, 0]], 0, [INFINITY, "1"]),
+            ([[0, 1], [1, 0]], 0, [True, 1]),
+            ([[0, 1], [1.9, 0]], 0, [INFINITY, 1]),
+            ([[0, 1], [1, False]], 0, [INFINITY, 1]),
+            ([[0, 1], [1, 0]], 0.0, [INFINITY, 1]),
+            ([[0, 1], [1, 0]], False, [INFINITY, 1]),
+        ],
+    )
+    def test_rejects_inexact_input(self, table, identity, depths):
+        with pytest.raises(InvalidArgumentError):
+            FilteredGroup(table, identity, depths)
+
     def test_rejects_all_infinite(self):
         with pytest.raises(InvalidArgumentError):
             FilteredGroup([[0, 1], [1, 0]], 0, [INFINITY, INFINITY])
@@ -142,6 +170,16 @@ class TestFilteredGroup:
                 0,
                 [INFINITY] + [1] * (n - 1),
             )
+
+    @pytest.mark.parametrize("p, n", [(2, 11), (31, 2)])
+    def test_cyclotomic_order_bound(self, p, n, monkeypatch):
+        # rejected from p and n alone, before any table is built
+        monkeypatch.setattr(ramification, "FilteredGroup", None)
+        with pytest.raises(ResourceLimitError):
+            cyclotomic_group(p, n)
+
+    def test_cyclotomic_below_order_bound(self):
+        assert cyclotomic_group(3, 6).order == 486
 
 
 class TestLowerFiltration:
@@ -326,3 +364,188 @@ def test_exclusive_threshold_identity():
             i for i in range(group.order) if group.depths[i] > 1
         )
         assert exclusive == group.subgroup(1)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: pairwise products, all conjugates, fixpoint closure and
+# scans over every integer level
+# ---------------------------------------------------------------------------
+
+
+def _table_from(generators, mul, one):
+    """Cayley table of the group generated by ``generators``; index 0 is ``one``."""
+    elements = [one]
+    for x in elements:
+        for s in generators:
+            if mul(x, s) not in elements:
+                elements.append(mul(x, s))
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _quaternion(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+SMALL_GROUPS = {
+    **{f"C{n}": ([[(a + b) % n for b in range(n)] for a in range(n)], 0) for n in (1, 2, 5, 6, 8, 12)},
+    "C2^3": ([[a ^ b for b in range(8)] for a in range(8)], 0),
+    "S3": (_table_from([(1, 0, 2), (1, 2, 0)], _compose, (0, 1, 2)), 0),
+    "D4": (_table_from([(1, 2, 3, 0), (0, 3, 2, 1)], _compose, (0, 1, 2, 3)), 0),
+    "Q8": (_table_from([(0, 1, 0, 0), (0, 0, 1, 0)], _quaternion, (1, 0, 0, 0)), 0),
+    **{
+        f"cyclotomic({p},{n})": (cyclotomic_group(p, n).table, cyclotomic_group(p, n).identity)
+        for p, n in [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2), (61, 1)]
+    },
+}
+
+
+def oracle_is_subgroup(table, identity, elements):
+    return identity in elements and all(table[a][b] in elements for a in elements for b in elements)
+
+
+def oracle_is_normal(table, identity, elements):
+    inv = [row.index(identity) for row in table]
+    return oracle_is_subgroup(table, identity, elements) and all(
+        table[t][table[s][inv[t]]] in elements for t in range(len(table)) for s in elements
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_all_subgroups(name):
+    table, identity = SMALL_GROUPS[name]
+
+    def closure(seed):
+        elems = set(seed) | {identity}
+        added = True
+        while added:
+            added = False
+            for a in list(elems):
+                for b in list(elems):
+                    if table[a][b] not in elems:
+                        elems.add(table[a][b])
+                        added = True
+        return frozenset(elems)
+
+    found = {frozenset({identity})}
+    frontier = [frozenset({identity})]
+    while frontier:
+        base = frontier.pop()
+        for x in range(len(table)):
+            if x not in base:
+                new = closure(base | {x})
+                if new not in found:
+                    found.add(new)
+                    frontier.append(new)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_valid_depths(table, identity, depths):
+    g = range(len(table))
+    inv = [row.index(identity) for row in table]
+    return (
+        all(depths[inv[s]] == depths[s] for s in g)
+        and all(depths[table[t][table[s][inv[t]]]] == depths[s] for s in g for t in g)
+        and all(depths[table[s][t]] >= min(depths[s], depths[t]) for s in g for t in g)
+    )
+
+
+def oracle_level(group, n):
+    if n <= -1:
+        return frozenset(range(group.order))
+    return frozenset(s for s in range(group.order) if group.depths[s] >= n + 1)
+
+
+def oracle_lower_jumps(group):
+    jumps, u = [], -1
+    while len(oracle_level(group, u)) > 1:
+        if oracle_level(group, u) != oracle_level(group, u + 1):
+            jumps.append(u)
+        u += 1
+    return tuple(jumps)
+
+
+def oracle_herbrand(group):
+    g0 = len(oracle_level(group, 0))
+    bps, vals = [Fraction(-1), Fraction(0)], [Fraction(-1), Fraction(0)]
+    for m in range(group.max_depth()):
+        bps.append(Fraction(m + 1))
+        vals.append(vals[-1] + Fraction(len(oracle_level(group, m + 1)), g0))
+    phi = PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
+    return phi, phi.inverse()
+
+
+def oracle_lower_filtration(group):
+    out, n = [], -1
+    while True:
+        out.append((n, oracle_level(group, n)))
+        if len(out[-1][1]) == 1:
+            return out
+        n += 1
+
+
+@st.composite
+def filtered_groups(draw):
+    """A small group with a random valid depth function.
+
+    Valid depths are those whose levels {s : depth(s) >= d} form a chain of
+    normal subgroups; the depth steps up by 1-3 along the chain.
+    """
+    name = draw(st.sampled_from(sorted(SMALL_GROUPS)))
+    table, identity = SMALL_GROUPS[name]
+    normals = [h for h in oracle_all_subgroups(name) if oracle_is_normal(table, identity, h)]
+    chain = [frozenset(range(len(table)))]
+    while len(chain[-1]) > 1:
+        chain.append(draw(st.sampled_from([h for h in normals if h < chain[-1]])))
+    depths = [INFINITY] * len(table)
+    level = 0
+    for upper, lower in zip(chain, chain[1:]):
+        level += draw(st.integers(1, 3))
+        for s in upper - lower:
+            depths[s] = level
+    return name, table, identity, depths
+
+
+@given(filtered_groups(), st.data())
+@settings(deadline=None, max_examples=80)
+def test_queries_match_brute_force(case, data):
+    name, table, identity, depths = case
+    group = FilteredGroup(table, identity, depths)
+    subgroups = oracle_all_subgroups(name)
+    assert all_subgroups(group) == subgroups
+    for h in subgroups:
+        assert is_subgroup(group, h)
+        assert is_normal(group, h) == oracle_is_normal(table, identity, h)
+    # near misses: one element toggled in a subgroup
+    h = data.draw(st.sampled_from(subgroups)) ^ {data.draw(st.integers(0, group.order - 1))}
+    assert is_subgroup(group, h) == oracle_is_subgroup(table, identity, h)
+    assert is_normal(group, h) == oracle_is_normal(table, identity, h)
+
+    assert group.lower_jumps() == oracle_lower_jumps(group)
+    assert herbrand_functions(group) == oracle_herbrand(group)
+    assert different_discriminant(group).segment_orders == tuple(
+        len(oracle_level(group, n)) for n in range(group.max_depth() + 1)
+    )
+    assert lower_filtration(group) == oracle_lower_filtration(group)
+
+    # one depth changed: the constructor agrees with the brute-force conditions
+    if group.order > 1:
+        s = data.draw(st.sampled_from([x for x in range(group.order) if x != identity]))
+        changed = list(depths)
+        changed[s] = data.draw(st.integers(1, group.max_depth() + 1))
+        if oracle_valid_depths(table, identity, changed):
+            FilteredGroup(table, identity, changed)
+        else:
+            with pytest.raises(InvalidArgumentError):
+                FilteredGroup(table, identity, changed)

@@ -128,6 +128,13 @@ def _exact(x):
     return x
 
 
+def _precision(n) -> int:
+    """n itself if it is an int of at least one digit; floats and bools never enter."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidArgumentError("precision must be at least one digit")
+    return n
+
+
 def int_valuation(n: int, p: int) -> int | float:
     """Exponent of p in n; n = 0 gives +infinity."""
     if n == 0:

@@ -25,7 +25,7 @@ from .errors import (
     NotASquareError,
     PrecisionLossError,
 )
-from .numtheory import INFINITY, _exact, int_valuation, rational_valuation, require_prime
+from .numtheory import INFINITY, _exact, _precision, int_valuation, rational_valuation, require_prime
 from .polynomials import poly_derivative, poly_eval
 
 DEFAULT_PRECISION = 32
@@ -57,8 +57,7 @@ class PadicNumber:
     @classmethod
     def from_rational(cls, p: int, x, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         require_prime(p)
-        if precision < 1:
-            raise InvalidArgumentError("precision must be at least one digit")
+        _precision(precision)
         x = Fraction(_exact(x))
         if x == 0:
             return cls.zero(p)
@@ -309,8 +308,7 @@ def teichmuller(p: int, residue: int, precision: int = DEFAULT_PRECISION) -> Pad
     step reaches one digit deeper; at most N iterations are needed.
     """
     require_prime(p)
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     if residue % p == 0:
         raise InvalidArgumentError("residue must be a unit modulo p")
     modulus = p**precision
@@ -336,8 +334,7 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
     f(a) = 0 mod p^precision together with the displacement bound
     v(a - a0) >= v(f(a0)) - 2 v(f'(a0)).
     """
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     if isinstance(a0, PadicNumber):
         if p is not None and p != a0.p:
             raise InvalidArgumentError("prime disagrees with the one carried by a0")
@@ -474,8 +471,7 @@ def unit_filtration_level(p: int, u, precision: int = DEFAULT_PRECISION):
 
 
 def _unit_representative(p, u, precision):
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     if isinstance(u, PadicNumber):
         if u.p != p:
             raise InvalidArgumentError("prime mismatch")

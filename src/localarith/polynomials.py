@@ -1,11 +1,21 @@
 """Polynomials over Q_p at finite precision.
 
-Coefficients are exact rationals tagged with the prime p, so coefficient
-valuations are always exact; finite-precision outputs (lifted factors,
-slope factors) carry integer representatives modulo p^N.  No floating
+Coefficients are exact rationals tagged with the prime p (ints and
+Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
 slope comparisons, and all linear algebra is either exact over Q or
 modular over Z/p^M with minimal-valuation pivoting.
+
+The three lifting kernels share one representation, integer residues
+modulo one p^M per call: the factor lift (_lift_factorization) and the
+side split (_split_first_side), which slope factorization and Weierstrass
+preparation both run.  Slope factorization divides out the content p^c
+and splits the primitive polynomial, with each split's target set by the
+precision and by the polygon's height, so every cofactor keeps its
+leading vertex; the first factor gets p^c back.  Outputs carry canonical
+integer residues: lifted factors modulo p^N, slope factors modulo the
+power their split needs, and the Weierstrass factors h and g / p^w(f)
+modulo p^(h.tail) after normalizing h(0) = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     PrecisionLossError,
 )
-from .numtheory import INFINITY, int_valuation, rational_valuation, require_prime
+from .numtheory import INFINITY, _exact, _precision, int_valuation, rational_valuation, require_prime
 
 
 # ---------------------------------------------------------------------------
@@ -60,21 +70,6 @@ def poly_mul(a, b):
     return _trim(out)
 
 
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    return _trim(q), _trim(rem)
-
-
 def poly_eval(a, x):
     acc = 0 * x
     for c in reversed(a):
@@ -102,7 +97,7 @@ class PadicPolynomial:
 
     def __init__(self, p: int, coefficients):
         require_prime(p)
-        cs = _trim([Fraction(c) for c in coefficients])
+        cs = _trim([Fraction(_exact(c)) for c in coefficients])
         if not cs:
             raise InvalidArgumentError("the zero polynomial is not representable")
         self.p = p
@@ -226,7 +221,7 @@ def _det(matrix) -> Fraction:
 def _coeffs_of(f):
     if isinstance(f, PadicPolynomial):
         return list(f.coefficients)
-    return _trim([Fraction(c) for c in f])
+    return _trim([Fraction(_exact(c)) for c in f])
 
 
 def resultant_mn(g, h, m: int, n: int) -> Fraction:
@@ -407,11 +402,6 @@ def _int_reps(p, M, coeffs):
     return out
 
 
-def _min_val(p, ints, M):
-    vals = [int_valuation(c, p) for c in ints if c]
-    return min(vals) if vals else M
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting of factorizations (discrete valuation version)
 # ---------------------------------------------------------------------------
@@ -435,8 +425,7 @@ def hensel_lift_factors(
     and the leading terms of g0, h0; their other coefficients are
     reduced to canonical residues in [0, p^precision).
     """
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     p = f.p
     if g0.p != p or h0.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
@@ -472,8 +461,7 @@ def refine_factorization(
     [0, p^precision), so the pair is the one hensel_lift_factors returns.
     The lift is quadratic, about log2(precision) rounds.
     """
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     p = f.p
     if big_g.p != p or big_h.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
@@ -515,8 +503,7 @@ def _lift_factorization(f, g0, h0, beta, precision):
     for _ in range(precision + 2):
         gh = poly_mul(g, h)
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        d = _min_val(p, diff, M)
-        if d >= precision + beta:
+        if _gauss_w(p, diff, 0) >= precision + beta:
             break
         matrix = sylvester_matrix(g, h, s, t)
         rhs = [diff[s + t - 1 - i] for i in range(s + t)]
@@ -542,63 +529,71 @@ def _lift_factorization(f, g0, h0, beta, precision):
 # ---------------------------------------------------------------------------
 
 
-def _truncate_coefficient(c: Fraction, p: int, abs_precision: Fraction) -> Fraction:
-    """A small representative of c modulo p^ceil(abs_precision)."""
-    if c == 0:
-        return c
-    v = rational_valuation(c, p)
-    k = math.ceil(abs_precision - v)
-    if k <= 0:
-        return Fraction(0)
-    unit = c / Fraction(p) ** v
-    rep = unit.numerator * pow(unit.denominator, -1, p**k) % p**k
-    return rep * Fraction(p) ** v
-
-
-def _gauss_w(p, coeffs, C):
+def _gauss_w(p, ints, C):
     """min_j (j*C + v(c_j)), the Gauss valuation with w(T) = C; 0 gives +inf."""
     return min(
-        (j * C + rational_valuation(c, p) for j, c in enumerate(coeffs) if c),
+        (j * C + int_valuation(c, p) for j, c in enumerate(ints) if c),
         default=INFINITY,
     )
 
 
-def _crop(p, poly, C, cap):
-    """Drop from each term c_j T^j the digits of w-weight j*C + v >= cap."""
-    return _trim([_truncate_coefficient(c, p, cap - j * C) for j, c in enumerate(poly)])
+def _crop(p, ints, C, cap):
+    """Reduce each c_j modulo p^ceil(cap - j*C): the digits of w-weight >= cap go."""
+    return _trim([c % p ** max(0, math.ceil(cap - j * C)) for j, c in enumerate(ints)])
 
 
-def _split_first_side(p, coeffs, n, C, target_w, g):
-    """Split f = G*H with G of degree n, starting from the approximation g.
+def _split_first_side(p, coeffs, n, C, target_w):
+    """Split f = G*H with G of degree n, for the Gauss valuation w(T) = C.
 
-    Iterates the division step of the side-splitting lemma for the Gauss
-    valuation w(T) = C: divide the defect e = f - G*H by G, add the
-    remainder to G and the quotient to H, until w(e) >= target_w.  Every
-    round certifiably gains w(f - f_n) - w(f) > 0, where f_n is f cut
-    after degree n; slope factorization runs it with C = -slope of the
-    first polygon side, Weierstrass preparation with C = 0.
+    f is p-integral and w(f) is attained at degree n but at no higher
+    degree; up to degree n its least valuation is c_G = min(v(f_0), v(f_n)),
+    at one end of the first side.  G starts as the primitive low part
+    (f cut after degree n) / p^c_G and H as p^c_G.  Each round divides the
+    defect e = f - G*H by G, adds the quotient to H and the remainder,
+    exactly divided by p^c_G, to G, and gains w(f - f_n) - w(f) > 0, until
+    w(e) >= target_w.  Everything runs on integer residues modulo one p^M:
+    dividing by G is long division by the unit part of its leading
+    coefficient after an exact division by p^v(lead), and each coefficient
+    c_j is kept modulo p^ceil(cap - j*C).  Slope factorization runs this
+    with C = -slope of the first polygon side, Weierstrass preparation with
+    C = 0.
     """
-    w_f = _gauss_w(p, coeffs, C)
-    w_tail = _gauss_w(p, [0] * (n + 1) + coeffs[n + 1 :], C)
+    deg = len(coeffs) - 1
+    M = math.ceil(target_w + max(0, -deg * C)) + 2
+    mod = p**M
+    f = _int_reps(p, M, coeffs)
+    c_g = min(int_valuation(f[0], p), int_valuation(f[n], p))
+    w_f = _gauss_w(p, f, C)
+    # digits dropped from G re-enter the product through H (w = c_G) and
+    # those dropped from H through G (w = w(f) - c_G), so both caps drop
+    # only mass of w-weight >= target_w + 2
+    cap_g = target_w + 2 - c_g
+    cap_h = target_w + 2 - w_f + c_g
+    g = _crop(p, [c // p**c_g for c in f[: n + 1]], C, cap_g)
+    h = [p**c_g]
+    w_tail = _gauss_w(p, [0] * (n + 1) + f[n + 1 :], C)
     if w_tail == INFINITY:
-        return g, [Fraction(1)]
+        return g, h
     delta = w_tail - w_f
     if delta <= 0:
         raise PrecisionLossError("cannot certify the side gap at this precision")
     # floored at 0 so the stop test runs even when target_w <= w_f
     budget = max(0, math.ceil((target_w - w_f) / delta)) + 4
-    # truncation floors: dropped mass in g stays above target_w, dropped
-    # mass in h re-enters through multiplication by g (+w_f) and through
-    # division by g (-w_f), which cancel; floors are therefore stable
-    cap_g = target_w + 2
-    cap_h = target_w + 2 - w_f
-    h = [Fraction(1)]
+    p_lead = p ** int_valuation(g[n], p)
+    inv_lead = pow(g[n] // p_lead, -1, mod)
     for _ in range(budget):
-        e = poly_sub(coeffs, poly_mul(g, h))
-        if not e or _gauss_w(p, e, C) >= target_w:
+        gh = poly_mul(g, h)
+        e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
+        if _gauss_w(p, e, C) >= target_w:
             break
-        q, r = poly_divmod(e, g)
-        g = _crop(p, poly_add(g, r), C, cap_g)
+        q = [0] * (deg - n + 1)
+        for i in range(deg - n, -1, -1):
+            if e[i + n] % p_lead:
+                raise PrecisionLossError("the side factor does not divide the defect")
+            q[i] = c = e[i + n] // p_lead * inv_lead % mod
+            for j, y in enumerate(g):
+                e[i + j] = (e[i + j] - c * y) % mod
+        g = _crop(p, poly_add(g, [c // p**c_g for c in e[:n]]), C, cap_g)
         h = _crop(p, poly_add(h, q), C, cap_h)
     else:
         raise PrecisionLossError("division steps exceeded their budget")
@@ -613,12 +608,18 @@ def slope_factorization(
     The factors are ordered by increasing slope, factor i is pure of the
     i-th type entry, and their product agrees with f coefficientwise
     modulo p^precision (exact check; PrecisionLossError if the working
-    slack was insufficient).  Each side is split off by _split_first_side
-    with w(T) = -slope, from the cropped low part of the remaining
-    cofactor; the step budget follows from the polygon's gap.
+    slack was insufficient).  The content p^c, c the least vertex
+    valuation, is divided out, and _split_first_side splits the primitive
+    polynomial one side at a time with w(T) = C = -slope.  Each split's
+    target is the larger of precision - c plus slack plus max(0, deg*C),
+    which the product check needs, and the polygon's height
+    max_j (j*C + v_j) + 1, attained at its ends, so every cofactor keeps
+    its leading vertex.  The first factor is p^c times a primitive integer
+    polynomial, the others are primitive integer polynomials; coefficient
+    j of each is a canonical residue modulo p^ceil(cap - j*C), with the
+    cap of the split that produced it.
     """
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     if f.coefficients[0] == 0:
         raise InvalidArgumentError("f(0) = 0: strip the exact T power first")
     p = f.p
@@ -627,18 +628,18 @@ def slope_factorization(
         return [(f, polygon.sides[0])]
 
     slack = 8
-    work = list(f.coefficients)
-    factors: list[list[Fraction]] = []
+    c = int(min(y for _, y in polygon.vertices))
+    content = Fraction(p) ** c
+    work = [a / content for a in f.coefficients]
+    factors = []
     for length, gamma in polygon.sides[:-1]:
-        deg = len(work) - 1
-        target = precision + slack + max(Fraction(0), -gamma * deg)
-        g0 = _crop(p, work[: length + 1], -gamma, target + 2)
-        g, h = _split_first_side(p, work, length, -gamma, target, g0)
-        if len(g) - 1 != length:
-            raise PrecisionLossError("split factor has the wrong degree")
+        deg, C = len(work) - 1, -gamma
+        relative = precision - c + slack + max(0, deg * C)
+        height = max(rational_valuation(work[0], p), rational_valuation(work[-1], p) + deg * C)
+        g, work = _split_first_side(p, work, length, C, max(relative, height + 1))
         factors.append(g)
-        work = h
     factors.append(work)
+    factors[0] = [a * content for a in factors[0]]
 
     product = [Fraction(1)]
     for fac in factors:
@@ -676,8 +677,10 @@ class TruncatedSeries:
     tail: int
 
     def __post_init__(self):
+        if isinstance(self.tail, bool) or not isinstance(self.tail, int):
+            raise InvalidArgumentError(f"tail bound {self.tail!r} is not an integer")
         object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
+            self, "coefficients", tuple(Fraction(_exact(c)) for c in self.coefficients)
         )
 
     @property
@@ -702,10 +705,12 @@ def weierstrass_prepare(
     coefficientwise modulo p^min(precision, tail).  After scaling f to
     minimal valuation 0 this is the split of _split_first_side for the
     Gauss valuation w(T) = 0, started from f cut after the distinguished
-    degree and normalized by h(0).
+    degree, on integer residues; it is normalized by the inverse of h(0)
+    modulo p^t, t = h.tail = min(precision, tail) - w(f).  The
+    coefficients of h and of g / p^w(f) come back as canonical residues
+    modulo p^max(1, t).
     """
-    if precision < 1:
-        raise InvalidArgumentError("precision must be at least one digit")
+    _precision(precision)
     p = f.p
     vals = [rational_valuation(c, p) for c in f.coefficients]
     finite = [v for v in vals if v != INFINITY]
@@ -720,22 +725,22 @@ def weierstrass_prepare(
     n_dist = max(j for j, v in enumerate(vals) if v == w)
 
     # scale to w = 0 so division by g loses no precision
-    scale = Fraction(p) ** (-w)
-    coeffs = [c * scale for c in f.coefficients]
+    scale = Fraction(p) ** w
+    coeffs = [c / scale for c in f.coefficients]
     target = min(precision, f.tail) - w
-    g, h = _split_first_side(p, coeffs, n_dist, 0, target, coeffs[: n_dist + 1])
+    # below w = 0 there is nothing to divide: the first stop test ends the loop
+    g, h = _split_first_side(p, coeffs, n_dist, 0, max(target, 0))
 
-    c0 = h[0]
-    if c0 == 0 or rational_valuation(c0, p) != 0:
-        raise PrecisionLossError("unit part has no invertible constant term")
-    g_out = poly_scale(g, c0 / scale)
-    h_out = [c / c0 for c in h]
+    mod = p ** max(1, target)
+    inv = pow(h[0], -1, mod)
+    g_out = [c * h[0] % mod * scale for c in g]
+    h_out = [c * inv % mod for c in h]
     if len(g_out) - 1 != n_dist:
         raise PrecisionLossError("prepared polynomial has the wrong degree")
     if any(rational_valuation(c, p) <= 0 for c in h_out[1:] if c):
         raise PrecisionLossError("unit part does not satisfy w(h - 1) > 0")
     h_series = TruncatedSeries(
-        p, h_out + [Fraction(0)] * (f.truncation - len(h_out) + 1), int(target)
+        p, h_out + [0] * (f.truncation - len(h_out) + 1), target
     )
     return PadicPolynomial(p, g_out), h_series
 

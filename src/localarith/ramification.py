@@ -352,11 +352,20 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
+    """The given elements as a set of indices, each an int in [0, order)."""
+    elems = list(elements)
+    if any(type(x) is not int or not 0 <= x < group.order for x in elems):
+        raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
+    return frozenset(elems)
+
+
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
     """The subgroup with the restricted depth function (depths restrict)."""
-    elems = sorted(elements)
-    if not is_subgroup(group, frozenset(elems)):
+    h = _element_set(group, elements)
+    if not is_subgroup(group, h):
         raise InvalidArgumentError("the given elements do not form a subgroup")
+    elems = sorted(h)
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[group.table[a][b]] for b in elems] for a in elems]
     depths = [group.depths[e] for e in elems]
@@ -378,7 +387,7 @@ def quotient_with_projection(
     group: FilteredGroup, subgroup_elements
 ) -> tuple[FilteredGroup, tuple[int, ...]]:
     """quotient_filtration plus the element -> coset index projection."""
-    h = frozenset(subgroup_elements)
+    h = _element_set(group, subgroup_elements)
     if not is_normal(group, h):
         raise InvalidArgumentError("H must be a normal subgroup")
     e = sum(1 for t in h if group.depths[t] >= 1)

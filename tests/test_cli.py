@@ -120,6 +120,16 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_steep_slope_side(self, capsys):
+        code, out, err = run_cli(
+            capsys, "slope-factor", "-p", "2", "-1 + T + 1125899906842624*T^2", "--prec", "32"
+        )
+        assert code == 0 and err == ""
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "length 1 slope 0",
+            "length 1 slope 50",
+        ]
+
     def test_place_not_an_integer(self, capsys):
         code, out, err = run_cli(capsys, "weak-approx", "x:1:1")
         assert code == 2 and out == ""

@@ -166,7 +166,7 @@ class TestTeichmuller:
         with pytest.raises(InvalidArgumentError):
             teichmuller(5, 10, 4)
 
-    @pytest.mark.parametrize("precision", [0, -3])
+    @pytest.mark.parametrize("precision", [0, -3, 2.5, True])
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             teichmuller(5, 2, precision)
@@ -192,7 +192,7 @@ class TestNewtonLift:
         with pytest.raises(HypothesisFailedError):
             newton_lift([-2, 0, 1], 1, p=2, precision=4)
 
-    @pytest.mark.parametrize("precision", [0, -3])
+    @pytest.mark.parametrize("precision", [0, -3, 2.5, True])
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             newton_lift([-2, 0, 1], 3, p=7, precision=precision)

@@ -34,6 +34,53 @@ EXP7 = parse_polynomial(
 )
 
 
+def is_pure_of(coeffs, p, side):
+    """Brute force: the ends sit on the side's line, no point lies below it."""
+    length, slope = side
+    if len(coeffs) != length + 1 or coeffs[0] == 0:
+        return False
+    v0 = vp_rational(p, coeffs[0])
+    return vp_rational(p, coeffs[-1]) == v0 + length * slope and all(
+        c == 0 or vp_rational(p, c) >= v0 + j * slope for j, c in enumerate(coeffs)
+    )
+
+
+def product_agrees(f, factors, p, precision):
+    product = [1]
+    for g, _ in factors:
+        product = poly_mul(product, list(g.coefficients))
+    defect = poly_sub(list(f.coefficients), product)
+    return all(vp_rational(p, c) >= precision for c in defect if c)
+
+
+@st.composite
+def pure_factor_products(draw):
+    """(p, precision, sides, f): f is +-p^c, 0 <= c <= 45, times one pure
+    factor per side; the sides have distinct slopes, sorted increasingly."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    units = st.integers(-60, 60).filter(lambda u: u % p)
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-6, 6)),
+            min_size=2,
+            max_size=3,
+            unique_by=lambda s: Fraction(s[1], s[0]),
+        )
+    )
+    f = [draw(st.sampled_from([1, -1])) * p ** draw(st.integers(0, 45))]
+    for length, rise in shapes:
+        base = max(0, -rise) + draw(st.integers(0, 2))
+        factor = [draw(units) * p**base]
+        for j in range(1, length):
+            # on or above the side's line
+            height = base + math.ceil(Fraction(j * rise, length)) + draw(st.integers(0, 3))
+            factor.append(draw(st.sampled_from([0, 1])) * draw(units) * p**height)
+        factor.append(draw(units) * p ** (base + rise))
+        f = poly_mul(f, factor)
+    sides = sorted(((length, Fraction(rise, length)) for length, rise in shapes), key=lambda s: s[1])
+    return p, draw(st.integers(1, 60)), sides, PadicPolynomial(p, f)
+
+
 def random_poly(rng, degree, bound=40):
     coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(degree)]
     lead = Fraction(rng.randint(1, bound))
@@ -221,7 +268,7 @@ class TestHenselLiftFactors:
         assert g.coefficients == g0.coefficients
         assert h.coefficients == h0.coefficients
 
-    @pytest.mark.parametrize("precision", [0, -1])
+    @pytest.mark.parametrize("precision", [0, -1, 2.5, True])
     def test_precision_below_one_rejected(self, precision):
         g0, h0 = PadicPolynomial(5, [2, 1]), PadicPolynomial(5, [3, 1])
         with pytest.raises(InvalidArgumentError):
@@ -389,7 +436,33 @@ class TestSlopeFactorization:
         with pytest.raises(InvalidArgumentError):
             slope_factorization(PadicPolynomial(2, [0, 1, 1]), 8)
 
-    @pytest.mark.parametrize("precision", [0, -1])
+    @pytest.mark.parametrize(
+        "coefficients, precision, sides",
+        [
+            # f = 2^40 (2 + T + T^3): the content lies far above the precision
+            ([2**41, 2**40, 0, 2**40], 8, [(1, -1), (2, 0)]),
+            # (T - a)(2^50 T + b): the steep side lies far above the precision
+            ([-1, 1, 2**50], 32, [(1, 0), (1, 50)]),
+        ],
+    )
+    def test_content_and_steep_sides(self, coefficients, precision, sides):
+        f = PadicPolynomial(2, coefficients)
+        factors = slope_factorization(f, precision)
+        assert [side for _, side in factors] == sides
+        assert all(is_pure_of(g.coefficients, 2, side) for g, side in factors)
+        assert product_agrees(f, factors, 2, precision)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pure_factor_products())
+    def test_products_of_pure_factors(self, case):
+        p, precision, sides, f = case
+        factors = slope_factorization(f, precision)
+        assert [side for _, side in factors] == sides
+        assert [g.degree for g, _ in factors] == [length for length, _ in sides]
+        assert all(is_pure_of(g.coefficients, p, side) for g, side in factors)
+        assert product_agrees(f, factors, p, precision)
+
+    @pytest.mark.parametrize("precision", [0, -1, 2.5, True])
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), precision)
@@ -422,7 +495,7 @@ class TestWeierstrass:
         with pytest.raises(PrecisionLossError):
             weierstrass_prepare(TruncatedSeries(3, [9, 3, 9], 1), 6)
 
-    @pytest.mark.parametrize("precision", [0, -1])
+    @pytest.mark.parametrize("precision", [0, -1, 2.5, True])
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), precision)
@@ -435,17 +508,20 @@ class TestWeierstrass:
         assert h.coefficients == (1, 0)
 
 
-# Outputs of the division steps, recorded before slope factorization and
-# Weierstrass preparation shared one loop; any change to the loop's start,
-# caps, budget or stop test shows up here.
+# Outputs of the division steps; any change to the loop's start, caps,
+# budget or stop test shows up here.  The slope row was recorded before
+# slope factorization and Weierstrass preparation shared one loop.  The
+# Weierstrass rows were re-pinned when the loop moved to integer residues
+# and its output to residues modulo p^(h.tail); EARLIER_WEIERSTRASS_ROWS
+# keeps their Fraction outputs from before.
 DIVISION_STEP_TABLE = [
     (
         lambda: [x.coefficients for x in weierstrass_prepare(TruncatedSeries(3, [3, -1], 10), 8)],
-        [(3, -1), (1, 0)],
+        [(3, 6560), (1, 0)],
     ),
     (
         lambda: [x.coefficients for x in weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), 8)],
-        [(583325391, 50941), (1, Fraction(3, 50941), 0)],
+        [(3, 5014), (1, 4890, 0)],
     ),
     (
         lambda: [
@@ -457,9 +533,40 @@ DIVISION_STEP_TABLE = [
 ]
 
 
+EARLIER_WEIERSTRASS_ROWS = [
+    [(3, -1), (1, 0)],
+    [(583325391, 50941), (1, Fraction(3, 50941), 0)],
+]
+
+
 @pytest.mark.parametrize("call, expected", DIVISION_STEP_TABLE)
 def test_division_step_outputs_are_pinned(call, expected):
     assert call() == expected
+
+
+@pytest.mark.parametrize("row, earlier", zip(DIVISION_STEP_TABLE, EARLIER_WEIERSTRASS_ROWS))
+def test_repinned_weierstrass_rows_agree_with_earlier_ones(row, earlier):
+    # both rows are over Q_3 with minimal valuation 0 and h.tail = 8
+    for new, old in zip(row[1], earlier):
+        assert len(new) == len(old)
+        assert all(a == b or vp_rational(3, Fraction(a) - b) >= 8 for a, b in zip(new, old))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PadicPolynomial(5, [0.5, 1]),
+        lambda: PadicPolynomial(5, [1, True]),
+        lambda: TruncatedSeries(5, [0.5, 1], 4),
+        lambda: TruncatedSeries(5, [1, 1], 4.0),
+        lambda: TruncatedSeries(5, [1, 1], True),
+        lambda: resultant([0.5, 1], [1, 1]),
+        lambda: discriminant([1, 0, 1.0]),
+    ],
+)
+def test_inexact_coefficients_rejected(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
 
 
 class TestPrimitiveRescale:

@@ -274,6 +274,15 @@ class TestQuotientFiltration:
         with pytest.raises(InvalidArgumentError):
             quotient_filtration(group, frozenset({identity, transposition}))
 
+    # a set literal {0, 0.0} is {0}; a list keeps the float
+    @pytest.mark.parametrize("elements", [{0, 600}, {0, -1}, [0, 0.0], {0.0}, {True}])
+    def test_rejects_elements_that_are_not_indices(self, elements):
+        group = cyclotomic_group(3, 2)
+        with pytest.raises(InvalidArgumentError, match="integer indices"):
+            quotient_filtration(group, elements)
+        with pytest.raises(InvalidArgumentError, match="integer indices"):
+            subgroup_filtration(group, elements)
+
 
 class TestUpperNumbering:
     def test_cyclotomic_kernels(self):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvalidArgumentError
-from .numtheory import divisors, is_prime
+from .numtheory import _count, divisors, is_prime
 
 
 class BernoulliTable:
@@ -26,7 +26,7 @@ class BernoulliTable:
         self._values = [Fraction(1), Fraction(-1, 2)]
 
     def value(self, k: int) -> Fraction:
-        if k < 0:
+        if _count(k) < 0:
             raise InvalidArgumentError("Bernoulli numbers have non-negative index")
         if k > 1 and k % 2 == 1:
             return Fraction(0)
@@ -42,17 +42,22 @@ def bernoulli(k: int, table: BernoulliTable | None = None) -> Fraction:
     return (table or BernoulliTable()).value(k)
 
 
+def _check_power_sum(k, n):
+    if _count(k) < 0:
+        raise InvalidArgumentError("the exponent k must be non-negative")
+    if _count(n) < 1:
+        raise InvalidArgumentError("n must be positive")
+
+
 def power_sum(k: int, n: int) -> int:
     """S_k(n) = 1^k + 2^k + ... + (n-1)^k by direct summation."""
-    if n < 1:
-        raise InvalidArgumentError("n must be positive")
+    _check_power_sum(k, n)
     return sum(j**k for j in range(1, n))
 
 
 def power_sum_faulhaber(k: int, n: int, table: BernoulliTable | None = None) -> int:
     """S_k(n) evaluated through Bernoulli numbers; agrees with power_sum."""
-    if n < 1:
-        raise InvalidArgumentError("n must be positive")
+    _check_power_sum(k, n)
     table = table or BernoulliTable()
     acc = sum(
         comb(k, m) * table.value(m) * Fraction(n) ** (k + 1 - m) / (k + 1 - m)

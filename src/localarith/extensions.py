@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError
 from .numtheory import (
+    _count,
     divisors,
     euler_phi,
     multiplicative_order,
@@ -68,8 +69,8 @@ def orbit_count_oracle(g: int, q: int) -> int:
 def count_tame_extensions(q: int, e: int, f: int) -> int:
     """Number of isomorphism classes of extensions with ramification index
     e (prime to the residue characteristic) and residual degree f."""
-    p, _ = prime_power_decomposition(q)
-    if e < 1 or f < 1:
+    p, _ = prime_power_decomposition(_count(q))
+    if _count(e) < 1 or _count(f) < 1:
         raise InvalidArgumentError("e and f must be positive")
     if e % p == 0:
         raise InvalidArgumentError(

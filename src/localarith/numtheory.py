@@ -121,6 +121,64 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
+def _least_nonresidue(p: int) -> int:
+    """The least positive quadratic non-residue modulo an odd prime p.
+
+    Increasing r are tested by the Legendre symbol (r/p) = r^((p-1)/2) mod p;
+    the least non-residue is small, O(log^2 p) under GRH.
+    """
+    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A root r of r^2 = a mod p, for an odd prime p and a square a prime to p.
+
+    Tonelli-Shanks (Shanks 1973): write p - 1 = q 2^s with q odd; the
+    candidate a^((q+1)/2) is corrected by powers of z^q, z a non-residue,
+    until its error a^q lies in no smaller 2-power subgroup.  At most s
+    rounds of O(s) squarings, so O(log^2 p) multiplications mod p.
+    """
+    a %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return r
+    m, c = s, pow(_least_nonresidue(p), q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == m:
+            raise InvalidArgumentError(f"{a} is not a square modulo {p}")
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+def _inverse_mod_prime_power(u: int, p: int, M: int) -> int:
+    """The inverse of a unit u modulo p^M, in [0, p^M).
+
+    Starts from the inverse modulo p and doubles its precision with the
+    Newton step x <- x(2 - ux) mod p^k: if ux = 1 mod p^k then
+    u x(2 - ux) = 1 mod p^2k.  The cost is a few multiplications at the
+    final size, far below extended Euclid on numbers of thousands of bits.
+    """
+    steps = []
+    while M > 1:
+        steps.append(M)
+        M = (M + 1) // 2
+    x = pow(u % p, -1, p)
+    for k in reversed(steps):
+        mod = p**k
+        x = x * (2 - u % mod * x) % mod
+    return x
+
+
 def _exact(x):
     """x itself if it is an int or a Fraction; floats and bools never enter."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
@@ -132,6 +190,13 @@ def _precision(n) -> int:
     """n itself if it is an int of at least one digit; floats and bools never enter."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidArgumentError("precision must be at least one digit")
+    return n
+
+
+def _count(n) -> int:
+    """n itself if it is an int; floats and bools never enter."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidArgumentError(f"{n!r} is not an integer")
     return n
 
 

@@ -25,7 +25,18 @@ from .errors import (
     NotASquareError,
     PrecisionLossError,
 )
-from .numtheory import INFINITY, _exact, _precision, int_valuation, rational_valuation, require_prime
+from .numtheory import (
+    INFINITY,
+    _count,
+    _exact,
+    _inverse_mod_prime_power,
+    _least_nonresidue,
+    _precision,
+    _sqrt_mod_prime,
+    int_valuation,
+    rational_valuation,
+    require_prime,
+)
 from .polynomials import poly_derivative, poly_eval
 
 DEFAULT_PRECISION = 32
@@ -286,7 +297,7 @@ def expansion(x: PadicNumber, count: int) -> DigitExpansion:
         return DigitExpansion(x.p, 0, ())
     if x.is_inexact_zero:
         raise PrecisionLossError("digits of an inexact zero are unknown")
-    if count < 1 or count > x.precision:
+    if _count(count) < 1 or count > x.precision:
         raise InvalidArgumentError(f"count must be in [1, {x.precision}]")
     digits = []
     u = x.unit
@@ -309,7 +320,7 @@ def teichmuller(p: int, residue: int, precision: int = DEFAULT_PRECISION) -> Pad
     """
     require_prime(p)
     _precision(precision)
-    if residue % p == 0:
+    if _count(residue) % p == 0:
         raise InvalidArgumentError("residue must be a unit modulo p")
     modulus = p**precision
     y = residue % modulus
@@ -383,7 +394,7 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         if fa == 0 or int_valuation(fa, p) >= precision + t:
             break
         w = poly_eval(derivative, a) // p**t
-        delta = (fa // p**t) * pow(w, -1, modulus) % modulus
+        delta = (fa // p**t) * _inverse_mod_prime_power(w, p, M) % modulus
         a = (a - delta) % modulus
     else:
         raise HypothesisFailedError("Newton iteration failed to converge")
@@ -418,8 +429,10 @@ def is_square(x: PadicNumber) -> bool:
 def sqrt(x: PadicNumber) -> PadicNumber:
     """A square root of x, found by Newton lifting from a mod-p witness.
 
-    The result has relative precision N for odd p and N-1 for p = 2,
-    which is all the input determines.
+    For odd p the witness is the least residue root a0 = min(r, p - r) of
+    the unit, r found by Tonelli-Shanks in O(log^2 p) multiplications mod
+    p; for p = 2 the lift starts at 1.  The result has relative precision
+    N for odd p and N-1 for p = 2, which is all the input determines.
     """
     if not is_square(x):
         raise NotASquareError(f"{x!r} is not a square in Q_{x.p}")
@@ -428,7 +441,8 @@ def sqrt(x: PadicNumber) -> PadicNumber:
         root = newton_lift([-u, 0, 1], 1, p=2, precision=x.precision + 2)
         out_prec = x.precision - 1
     else:
-        a0 = next(r for r in range(1, p) if r * r % p == u % p)
+        r = _sqrt_mod_prime(u, p)
+        a0 = min(r, p - r)
         root = newton_lift([-u, 0, 1], a0, p=p, precision=x.precision)
         out_prec = x.precision
     return PadicNumber(p, x.valuation // 2, root.unit % p**out_prec, out_prec)
@@ -443,8 +457,7 @@ def square_class_basis(p: int) -> list[int]:
     require_prime(p)
     if p == 2:
         return [5, 3, 2]
-    b = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-    return [b, p]
+    return [_least_nonresidue(p), p]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Coefficients are exact rationals tagged with the prime p (ints and
 Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
-slope comparisons, and all linear algebra is either exact over Q or
-modular over Z/p^M with minimal-valuation pivoting.
+slope comparisons, resultants are fraction-free (Bareiss) determinants
+over Z after clearing each row's denominators, and the lifts solve
+linear systems over Z/p^M with minimal-valuation pivoting, inverting
+units modulo p^M by Newton doubling.
 
 The three lifting kernels share one representation, integer residues
 modulo one p^M per call: the factor lift (_lift_factorization) and the
@@ -29,7 +31,16 @@ from .errors import (
     InvalidArgumentError,
     PrecisionLossError,
 )
-from .numtheory import INFINITY, _exact, _precision, int_valuation, rational_valuation, require_prime
+from .numtheory import (
+    INFINITY,
+    _count,
+    _exact,
+    _inverse_mod_prime_power,
+    _precision,
+    int_valuation,
+    rational_valuation,
+    require_prime,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +122,7 @@ class PadicPolynomial:
         return [rational_valuation(c, self.p) for c in self.coefficients]
 
     def evaluate(self, x) -> Fraction:
-        return poly_eval(self.coefficients, Fraction(x))
+        return poly_eval(self.coefficients, Fraction(_exact(x)))
 
     def derivative(self) -> "PadicPolynomial":
         return PadicPolynomial(self.p, poly_derivative(self.coefficients))
@@ -180,8 +191,8 @@ def sylvester_matrix(g, h, m: int, n: int):
     """
     if m + n <= 0:
         raise InvalidArgumentError("resultant requires m + n > 0")
-    gc = [Fraction(c) for c in g] + [Fraction(0)] * (m + 1 - len(g))
-    hc = [Fraction(c) for c in h] + [Fraction(0)] * (n + 1 - len(h))
+    gc = [Fraction(_exact(c)) for c in g] + [Fraction(0)] * (m + 1 - len(g))
+    hc = [Fraction(_exact(c)) for c in h] + [Fraction(0)] * (n + 1 - len(h))
     size = m + n
     rows = []
     for i in range(size):
@@ -197,25 +208,39 @@ def sylvester_matrix(g, h, m: int, n: int):
 
 
 def _det(matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [row[:] for row in matrix]
-    size = len(a)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, size):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                for c in range(col, size):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    """Exact determinant of a square matrix of rationals, by fraction-free
+    elimination (Bareiss 1968).
+
+    Each row is scaled once by the lcm of its denominators, so the
+    elimination runs on integers: step k replaces every entry below and
+    right of the pivot by (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), an
+    exact division, so entries stay minors of the scaled matrix and never
+    outgrow Hadamard's bound.  A zero pivot is replaced by the first
+    nonzero entry below it, each swap flipping the sign.  The last pivot
+    is the determinant of the scaled matrix; dividing by the product of
+    the row scales gives the determinant.
+    """
+    a, scale = [], 1
+    for row in matrix:
+        d = math.lcm(*(c.denominator for c in row))
+        a.append([c.numerator * (d // c.denominator) for c in row])
+        scale *= d
+    size, sign, previous = len(a), 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k][k + 1 :]
+        for i in range(k + 1, size):
+            row, lead = a[i], a[i][k]
+            a[i][k + 1 :] = [
+                (x * pivot - lead * y) // previous for x, y in zip(row[k + 1 :], pivot_row)
+            ]
+        previous = pivot
+    return Fraction(sign * a[-1][-1], scale)
 
 
 def _coeffs_of(f):
@@ -335,7 +360,7 @@ def eisenstein_test(f: PadicPolynomial) -> bool:
 def cyclotomic(p: int, n: int) -> list[int]:
     """Coefficients of the p^n-th cyclotomic polynomial Phi_p(T^(p^(n-1)))."""
     require_prime(p)
-    if n < 1:
+    if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
     step = p ** (n - 1)
     out = [0] * ((p - 1) * step + 1)
@@ -354,11 +379,13 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
 
     Entries are integers; returns x, valid modulo p^(M - beta).  Pivots
     are chosen with minimal valuation, so the spent precision is exactly
-    beta.
+    beta.  Each pivot p^t u is inverted once, u by Newton doubling modulo
+    p^M, and the back substitution reuses that inverse.
     """
     mod = p**M
     size = len(matrix)
     a = [[matrix[i][j] % mod for j in range(size)] + [rhs[i] % mod] for i in range(size)]
+    pivots = []
     for col in range(size):
         best, best_v = None, M
         for r in range(col, size):
@@ -369,24 +396,24 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
             raise HypothesisFailedError("matrix is singular at this precision")
         if best != col:
             a[col], a[best] = a[best], a[col]
-        t, u = best_v, a[col][col] // p**best_v
-        inv_u = pow(u, -1, mod)
+        pivot_row, p_t = a[col], p**best_v
+        inv_u = _inverse_mod_prime_power(pivot_row[col] // p_t, p, M)
+        pivots.append((p_t, inv_u))
         for r in range(col + 1, size):
-            if a[r][col]:
-                factor = a[r][col] * inv_u % mod // p**t
-                for c in range(col, size + 1):
-                    a[r][c] = (a[r][c] - factor * a[col][c]) % mod
+            row = a[r]
+            if row[col]:
+                factor = row[col] * inv_u % mod // p_t
+                row[col:] = [(x - factor * y) % mod for x, y in zip(row[col:], pivot_row[col:])]
     xs = [0] * size
     for col in range(size - 1, -1, -1):
         acc = a[col][size]
         for c in range(col + 1, size):
             acc -= a[col][c] * xs[c]
         acc %= mod
-        t = int_valuation(a[col][col], p)
-        u = a[col][col] // p**t
-        if acc % p**t:
+        p_t, inv_u = pivots[col]
+        if acc % p_t:
             raise PrecisionLossError("solution is not integral at this precision")
-        xs[col] = acc // p**t * pow(u, -1, mod) % mod
+        xs[col] = acc // p_t * inv_u % mod
     return xs
 
 
@@ -496,14 +523,14 @@ def _lift_factorization(f, g0, h0, beta, precision):
     p = f.p
     s, t = g0.degree, h0.degree
     M = precision + 2 * beta + 2
-    mod = p**M
+    mod, done = p**M, p ** (precision + beta)
     f_i = _int_reps(p, M, f.coefficients)
     g = _int_reps(p, M, g0.coefficients)
     h = _int_reps(p, M, h0.coefficients)
     for _ in range(precision + 2):
         gh = poly_mul(g, h)
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        if _gauss_w(p, diff, 0) >= precision + beta:
+        if all(c % done == 0 for c in diff):
             break
         matrix = sylvester_matrix(g, h, s, t)
         rhs = [diff[s + t - 1 - i] for i in range(s + t)]
@@ -580,7 +607,7 @@ def _split_first_side(p, coeffs, n, C, target_w):
     # floored at 0 so the stop test runs even when target_w <= w_f
     budget = max(0, math.ceil((target_w - w_f) / delta)) + 4
     p_lead = p ** int_valuation(g[n], p)
-    inv_lead = pow(g[n] // p_lead, -1, mod)
+    inv_lead = _inverse_mod_prime_power(g[n] // p_lead, p, M)
     for _ in range(budget):
         gh = poly_mul(g, h)
         e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
@@ -732,7 +759,7 @@ def weierstrass_prepare(
     g, h = _split_first_side(p, coeffs, n_dist, 0, max(target, 0))
 
     mod = p ** max(1, target)
-    inv = pow(h[0], -1, mod)
+    inv = _inverse_mod_prime_power(h[0], p, max(1, target))
     g_out = [c * h[0] % mod * scale for c in g]
     h_out = [c * inv % mod for c in h]
     if len(g_out) - 1 != n_dist:

@@ -24,7 +24,7 @@ below each finite depth, so filtration queries step through those depths.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +33,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
-from .numtheory import INFINITY, int_valuation, require_prime
+from .numtheory import INFINITY, _count, int_valuation, require_prime
 
 MAX_VERIFIED_ORDER = 512
 
@@ -279,12 +279,22 @@ def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
     return out
 
 
-def is_subgroup(group: FilteredGroup, elements: frozenset[int]) -> bool:
+def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
+    """The given elements as a set of indices, each an int in [0, order)."""
+    elems = list(elements)
+    if any(type(x) is not int or not 0 <= x < group.order for x in elems):
+        raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
+    return frozenset(elems)
+
+
+def is_subgroup(group: FilteredGroup, elements) -> bool:
+    elements = _element_set(group, elements)
     return _greedy_generators(group.table, group.identity, elements) is not None
 
 
-def is_normal(group: FilteredGroup, elements: frozenset[int]) -> bool:
+def is_normal(group: FilteredGroup, elements) -> bool:
     """Conjugating H's generators by S suffices: conjugation by a product composes."""
+    elements = _element_set(group, elements)
     generators = _greedy_generators(group.table, group.identity, elements)
     if generators is None:
         return False
@@ -323,13 +333,20 @@ def herbrand_functions(group: FilteredGroup) -> tuple[PiecewiseLinear, Piecewise
     phi has slope |G_{m+1}| / |G_0| on [m, m+1] and slope 1 on [-1, 0];
     psi is its inverse and maps integers to integers.
     """
-    g0 = len(group.subgroup(0))
-    bps = [-1, 0] + [u for u in group.lower_jumps() if u > 0]
+    phi = _phi_of_depths(sorted(d for d in group.depths if d != INFINITY))
+    return phi, phi.inverse()
+
+
+def _phi_of_depths(finite) -> PiecewiseLinear:
+    """phi of a filtered group from the sorted depths of its nonidentity
+    elements: |G_n| = 1 + #{depth >= n + 1}, and G_0 is the whole group."""
+    g0 = len(finite) + 1
+    bps = [-1, 0] + sorted({d - 1 for d in finite if d > 1})
     vals = [Fraction(-1), Fraction(0)]
     for lo, hi in zip(bps[1:], bps[2:]):
-        vals.append(vals[-1] + Fraction((hi - lo) * len(group.subgroup(lo + 1)), g0))
-    phi = PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
-    return phi, phi.inverse()
+        order = g0 - bisect_left(finite, lo + 2)
+        vals.append(vals[-1] + Fraction((hi - lo) * order, g0))
+    return PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
 
 
 def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
@@ -350,14 +367,6 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 # ---------------------------------------------------------------------------
 # sub- and quotient filtrations
 # ---------------------------------------------------------------------------
-
-
-def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
-    """The given elements as a set of indices, each an int in [0, order)."""
-    elems = list(elements)
-    if any(type(x) is not int or not 0 <= x < group.order for x in elems):
-        raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
-    return frozenset(elems)
 
 
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
@@ -405,7 +414,8 @@ def quotient_with_projection(
     table = [[coset_of[group.table[a][b]] for b in reps] for a in reps]
     identity = coset_of[group.identity]
 
-    phi_h, _ = herbrand_functions(subgroup_filtration(group, h))
+    # H is a subgroup of the validated group and its depths are the restricted ones
+    phi_h = _phi_of_depths(sorted(group.depths[t] for t in h if t != group.identity))
     depths: list[int | float] = []
     for i, coset in enumerate(cosets):
         if i == identity:
@@ -507,7 +517,7 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     where G(s) is the kernel of reduction to (Z/p^sZ)^*.
     """
     require_prime(p)
-    if n < 1:
+    if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
     order = (p - 1) * p ** (n - 1)
     if order > MAX_VERIFIED_ORDER:

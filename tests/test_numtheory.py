@@ -1,0 +1,85 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from localarith import (
+    InvalidArgumentError,
+    PadicNumber,
+    bernoulli,
+    count_tame_extensions,
+    cyclotomic,
+    cyclotomic_group,
+    expansion,
+    power_sum,
+    power_sum_faulhaber,
+    teichmuller,
+)
+from localarith.numtheory import (
+    _inverse_mod_prime_power,
+    _least_nonresidue,
+    _sqrt_mod_prime,
+    is_prime,
+)
+
+ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 41, 10007, 2**61 - 1]),
+    M=st.integers(1, 700),
+    u=st.integers(1, 10**400),
+)
+def test_inverse_mod_prime_power(p, M, u):
+    if u % p == 0:
+        u += 1
+    x = _inverse_mod_prime_power(u, p, M)
+    assert 0 <= x < p**M
+    assert u * x % p**M == 1
+
+
+def test_inverse_of_a_multiple_of_p_raises():
+    with pytest.raises(ValueError):
+        _inverse_mod_prime_power(3 * 7, 7, 10)
+
+
+def test_tonelli_shanks_against_brute_force():
+    for p in ODD_PRIMES_BELOW_300:
+        least = {}
+        for r in range(1, p):
+            least.setdefault(r * r % p, r)
+        for a, r in least.items():
+            root = _sqrt_mod_prime(a + p * 12345, p)
+            assert min(root, p - root) == r
+        non_residues = sorted(set(range(1, p)) - set(least))
+        assert _least_nonresidue(p) == non_residues[0]
+        with pytest.raises(InvalidArgumentError):
+            _sqrt_mod_prime(non_residues[-1], p)
+
+
+# integer arguments that are counts, exponents or residues: floats and bools
+# never enter, and none of these raises a bare TypeError or returns a value
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bernoulli(True),
+        lambda: bernoulli(12.0),
+        lambda: power_sum(2.0, 3),
+        lambda: power_sum(2, 3.0),
+        lambda: power_sum(-1, 3),
+        lambda: power_sum_faulhaber(2.0, 3),
+        lambda: power_sum_faulhaber(-1, 3),
+        lambda: expansion(PadicNumber.from_rational(5, 7, 8), 2.5),
+        lambda: expansion(PadicNumber.from_rational(5, 7, 8), True),
+        lambda: cyclotomic_group(3, 2.0),
+        lambda: cyclotomic(3, 2.0),
+        lambda: count_tame_extensions(2, 3.0, 2),
+        lambda: count_tame_extensions(2, 3, 2.0),
+        lambda: count_tame_extensions(2.0, 3, 2),
+        lambda: teichmuller(5, True, 4),
+        lambda: teichmuller(5, 2.0, 4),
+    ],
+)
+def test_integer_arguments_reject_floats_and_bools(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

@@ -254,6 +254,25 @@ class TestSquares:
         assert square_class_basis(3) == [2, 3]
         assert square_class_basis(7) == [3, 7]
 
+    def test_sqrt_against_brute_force_below_300(self):
+        # every odd prime below 300, so p = 1 mod 8 and 2-adic orders of
+        # p - 1 up to 8 (p = 257) reach the Tonelli-Shanks loop, and every
+        # nonzero square residue; the root starts at the least residue root
+        rng = random.Random(300)
+        for p in range(3, 300):
+            if any(p % q == 0 for q in range(2, p)):
+                continue
+            least = {}
+            for r in range(1, p):
+                least.setdefault(r * r % p, r)
+            for a, r in least.items():
+                precision = rng.randint(1, 5)
+                unit = a + p * rng.randrange(p ** (precision - 1))
+                root = sqrt(PadicNumber(p, 2, unit, precision))
+                assert root.valuation == 1 and root.precision == precision
+                assert root.unit % p == r
+                assert (root.unit**2 - unit) % p**precision == 0
+
 
 class TestPthPowerOnUnits:
     def test_forward_example(self):

@@ -23,11 +23,12 @@ from localarith import (
     resultant_mn,
     root_valuations,
     slope_factorization,
+    sylvester_matrix,
     vp_rational,
     weierstrass_prepare,
 )
 from localarith.formats import parse_polynomial
-from localarith.polynomials import poly_add, poly_mul, poly_sub
+from localarith.polynomials import _det, poly_add, poly_mul, poly_sub
 
 EXP7 = parse_polynomial(
     "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/5040*T^7"
@@ -87,7 +88,64 @@ def random_poly(rng, degree, bound=40):
     return coeffs + [lead]
 
 
+def fraction_gauss_det(matrix) -> Fraction:
+    """Determinant by Gaussian elimination over Q, the sign flipped per row swap."""
+    a = [[Fraction(c) for c in row] for row in matrix]
+    size = len(a)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, size):
+            if a[r][col]:
+                factor = a[r][col] * inv
+                for c in range(col, size):
+                    a[r][c] -= factor * a[col][c]
+    return det
+
+
+def random_matrix(rng, size):
+    """Rational entries, a third of them 0; some have a zero leading pivot
+    or a row that is a combination of two others (singular)."""
+    def entry():
+        if rng.random() < 0.33:
+            return Fraction(0)
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    a = [[entry() for _ in range(size)] for _ in range(size)]
+    shape = rng.random()
+    if shape < 0.25:
+        a[0][0] = Fraction(0)
+    elif shape < 0.45 and size >= 3:
+        i, j, k = rng.sample(range(size), 3)
+        x, y = entry(), entry()
+        a[k] = [x * u + y * v for u, v in zip(a[i], a[j])]
+    return a
+
+
 class TestResultant:
+    def test_bareiss_matches_fraction_elimination(self, rng):
+        singular = 0
+        for _ in range(400):
+            a = random_matrix(rng, rng.randint(1, 7))
+            expected = fraction_gauss_det(a)
+            singular += expected == 0
+            got = _det(a)
+            assert isinstance(got, Fraction) and got == expected
+        assert singular > 40
+
+    def test_bareiss_sign_of_row_swaps(self):
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert _det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert _det([[0, 2], [0, 3]]) == 0
+
     def test_layout_examples(self):
         assert resultant([0, 1], [-1, 1]) == -1  # res(T, T-1)
         assert resultant([-1, 1], [-1, 0, 1]) == 0  # common root
@@ -562,6 +620,10 @@ def test_repinned_weierstrass_rows_agree_with_earlier_ones(row, earlier):
         lambda: TruncatedSeries(5, [1, 1], True),
         lambda: resultant([0.5, 1], [1, 1]),
         lambda: discriminant([1, 0, 1.0]),
+        lambda: sylvester_matrix([0.5, 1], [1, 1], 1, 1),
+        lambda: sylvester_matrix([1, 1], [1, True], 1, 1),
+        lambda: PadicPolynomial(5, [1, 1]).evaluate(0.5),
+        lambda: PadicPolynomial(5, [1, 1]).evaluate(True),
     ],
 )
 def test_inexact_coefficients_rejected(build):

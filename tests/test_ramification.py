@@ -282,6 +282,36 @@ class TestQuotientFiltration:
             quotient_filtration(group, elements)
         with pytest.raises(InvalidArgumentError, match="integer indices"):
             subgroup_filtration(group, elements)
+        with pytest.raises(InvalidArgumentError, match="integer indices"):
+            is_subgroup(group, elements)
+        with pytest.raises(InvalidArgumentError, match="integer indices"):
+            is_normal(group, elements)
+
+    def test_quotient_reads_phi_of_the_subgroup_from_the_parent(self, monkeypatch):
+        # phi_H comes from H's depths in the validated parent: building the
+        # quotient validates the quotient table and no table for H
+        built = []
+
+        class Recording(FilteredGroup):
+            def __init__(self, table, identity, depths):
+                built.append(len(table))
+                super().__init__(table, identity, depths)
+
+        group = cyclotomic_group(2, 10)
+        monkeypatch.setattr(ramification, "FilteredGroup", Recording)
+        for elements, order in [(range(512), 1), (cyclotomic_reduction_kernel(2, 10, 3), 4)]:
+            built.clear()
+            quotient, _ = ramification.quotient_with_projection(group, elements)
+            assert quotient.order == order
+            assert built == [order]
+
+    def test_phi_of_depths_matches_the_rebuilt_subgroup(self):
+        for p, n in [(2, 4), (3, 3), (5, 2)]:
+            group = cyclotomic_group(p, n)
+            for h in all_subgroups(group):
+                depths = sorted(group.depths[t] for t in h if t != group.identity)
+                rebuilt, _ = herbrand_functions(subgroup_filtration(group, h))
+                assert ramification._phi_of_depths(depths) == rebuilt
 
 
 class TestUpperNumbering:

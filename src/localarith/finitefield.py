@@ -11,6 +11,17 @@ external tables.
 Polynomials over GF(q) are immutable coefficient tuples (ascending),
 normalized so the leading coefficient is nonzero; the zero polynomial is
 the empty tuple and has degree -1.
+
+Factoring and the irreducibility test run on private kernels over plain
+ascending lists of element codes (remainder, product, the q-power
+Frobenius map and a monic gcd), the same for every q; see von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14.  ``factor_monic``
+splits off squarefree parts (Yun 1976, with a p-th root for the part
+whose multiplicities p divides), groups their factors by degree (the
+distinct-degree split gcd(f, T^(q^d) - T)), and separates factors of
+one degree by Berlekamp's deterministic algorithm (Berlekamp 1967).
+``FqPoly.is_irreducible`` is Ben-Or's test (Ben-Or 1981): the
+distinct-degree loop stopped at its first factor.
 """
 
 from __future__ import annotations
@@ -18,13 +29,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvalidArgumentError
-from .numtheory import prime_power_decomposition
+from .numtheory import _count, prime_power_decomposition
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def FiniteField(q: int) -> "_FiniteField":
     """Return the (cached) field with q elements."""
-    return _FiniteField(q)
+    return _FiniteField(_count(q))
 
 
 class _FiniteField:
@@ -51,11 +62,6 @@ class _FiniteField:
             a = a * self.p + c % self.p
         return a
 
-    def element(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise InvalidArgumentError(f"{a} is not an element code of GF({self.q})")
-        return a
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -67,9 +73,6 @@ class _FiniteField:
         if self.degree == 1:
             return -a % self.p
         return self.encode(-x for x in self.coeffs(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
@@ -90,6 +93,15 @@ class _FiniteField:
                     prod[i - self.degree + j] = (prod[i - self.degree + j] - c * mod[j]) % self.p
         return self.encode(prod[: self.degree])
 
+    def axpy(self, xs, c: int, ys) -> list[int]:
+        """The codes x + c*y for x, y in zip(xs, ys): the one vector
+        operation the GF(q)[T] kernels below are written in."""
+        if self.degree == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        add, mul = self.add, self.mul
+        return [add(x, mul(c, y)) for x, y in zip(xs, ys)]
+
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -104,6 +116,8 @@ class _FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
+        if self.degree == 1:
+            return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
     def multiplicative_generator(self) -> int:
@@ -127,6 +141,218 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     return next(g.coeffs[:-1] for g in monic_polys(FiniteField(p), m) if g.is_irreducible())
 
 
+# ---------------------------------------------------------------------------
+# kernels on ascending lists of element codes, normalized (no trailing zero)
+# ---------------------------------------------------------------------------
+
+
+def _strip(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, c: int, b, F) -> list[int]:
+    """a + c*b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    out[: len(b)] = F.axpy(out[: len(b)], c, b)
+    return _strip(out)
+
+
+def _mul(a, b, F) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    m = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + m] = F.axpy(out[i : i + m], x, b)
+    return out
+
+
+def _divmod(a, f, F) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic f."""
+    r, k = list(a), len(a) - len(f)
+    q = [0] * (k + 1)
+    while k >= 0:
+        c = r.pop()
+        if c:  # r[k:] is one shorter than f, so zip drops f's monic lead
+            q[k] = c
+            r[k:] = F.axpy(r[k:], F.neg(c), f)
+        k -= 1
+    return q, _strip(r)
+
+
+def _mulmod(a, b, f, F) -> list[int]:
+    return _divmod(_mul(a, b, F), f, F)[1]
+
+
+def _monic(a, F) -> list[int]:
+    if not a or a[-1] == 1:
+        return a
+    return F.axpy([0] * len(a), F.inv(a[-1]), a)
+
+
+def _gcd(a, b, F) -> list[int]:
+    """The monic gcd (zero only if a = b = 0)."""
+    while len(b) > 1:
+        b = _monic(b, F)
+        a, b = b, _divmod(a, b, F)[1]
+    return [1] if b else _monic(a, F)
+
+
+def _xpow(e: int, f, F) -> list[int]:
+    """T^e mod f, squaring down from the top bits of e until T^e has at
+    most the degree of a product of two remainders."""
+    if e < 2 * len(f) - 2:
+        return _divmod([0] * e + [1], f, F)[1]
+    half = _xpow(e // 2, f, F)
+    square = _mulmod(half, half, f, F)
+    return _mulmod(square, [0, 1], f, F) if e & 1 else square
+
+
+def _derivative(a, F) -> list[int]:
+    # the integer i is the element code i mod p of the prime field
+    return _strip([F.mul(i % F.p, c) for i, c in enumerate(a)][1:])
+
+
+def _frobenius_rows(rows, n: int, f, F) -> list[list[int]]:
+    """rows, grown to T^(q i) mod f for 0 <= i < n; it starts as [[1]]."""
+    while len(rows) < n:
+        rows.append(_xpow(F.q, f, F) if len(rows) == 1 else _mulmod(rows[-1], rows[1], f, F))
+    return rows
+
+
+def _frobenius(h, rows, f, F) -> list[int]:
+    """h^q mod f for h reduced mod f.  Since c^q = c in GF(q),
+    h^q = sum h_i T^(q i): the matrix of rows T^(q i) mod f, grown as h needs."""
+    acc = [0] * (len(f) - 1)
+    for c, row in zip(h, _frobenius_rows(rows, len(h), f, F)):
+        if c:
+            acc[: len(row)] = F.axpy(acc[: len(row)], c, row)
+    return _strip(acc)
+
+
+def _squarefree_parts(f, F):
+    """Yield (a, e): squarefree monic a with f = prod a^e, for a monic f.
+
+    Yun's loop (Yun 1976) on the derivative extracts, in step k, the
+    product A_k of the squarefree factors whose multiplicity is k modulo
+    p (and prime to p); f / prod A_k^k is then a p-th power, whose root
+    is decomposed again with exponents multiplied by p.  A factor of
+    multiplicity p + 1 thus shows up once in A_1 and once in the root.
+    """
+    scale = 1
+    while len(f) > 1:
+        df = _derivative(f, F)
+        u = _gcd(f, df, F)
+        b, c = _divmod(f, u, F)[0], _divmod(df, u, F)[0]
+        k = 1
+        while len(b) > 1:
+            d = _add(c, F.neg(1), _derivative(b, F), F)
+            a = _gcd(b, d, F)
+            if len(a) > 1:
+                yield a, k * scale
+                for _ in range(k):
+                    f = _divmod(f, a, F)[0]
+            b, c = _divmod(b, a, F)[0], _divmod(d, a, F)[0]
+            k += 1
+        # f = sum c_j T^(p j) now; its p-th root has the coefficients c_j^(1/p)
+        root = F.p ** (F.degree - 1)
+        f = [F.pow(c, root) for c in f[:: F.p]]
+        scale *= F.p
+
+
+def _distinct_degree(f, rows, F):
+    """Yield (g, d): g the product of the irreducible factors of degree d
+    of a monic squarefree f, d increasing; rows are f's Frobenius rows.
+
+    h runs through T^(q^d) mod f, and gcd(rest, h - T) collects the
+    factors of degree d, those of lower degree being divided out of rest
+    already.  The first yield alone is Ben-Or's test for any monic f of
+    degree >= 2: it is (f, deg f) exactly when f is irreducible.
+    """
+    rest, h, d = f, [0, 1], 0
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        h = _frobenius(h, rows, f, F)
+        g = _gcd(rest, _add(h, F.neg(1), [0, 1], F), F)
+        if len(g) > 1:
+            yield g, d
+            rest = _divmod(rest, g, F)[0]
+    if len(rest) > 1:
+        yield rest, len(rest) - 1
+
+
+def _berlekamp(g, d, rows, F) -> list[list[int]]:
+    """The irreducible factors of a monic squarefree g whose factors all
+    have degree d (Berlekamp 1967); rows are Frobenius rows of a multiple of g.
+
+    The v with v^q = v mod g form a space with one dimension per factor;
+    gcd(g, v - s), over a basis of it and over s in GF(q), separates
+    every pair of factors.  Deterministic, and the same in every
+    characteristic.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    # left kernel of Q - I: eliminate column by column on [Q - I | identity]
+    pending = []
+    for i in range(n):
+        row = _divmod(rows[i], g, F)[1]
+        row += [0] * (2 * n - len(row))
+        row[i] = F.add(row[i], F.neg(1))
+        row[n + i] = 1
+        pending.append(row)
+    for j in range(n):
+        k = next((k for k, row in enumerate(pending) if row[j]), None)
+        if k is not None:
+            pivot = pending.pop(k)
+            scale = F.neg(F.inv(pivot[j]))
+            for row in pending:
+                if row[j]:
+                    row[:] = F.axpy(row, F.mul(row[j], scale), pivot)
+    basis = [_strip(row[n:]) for row in pending]
+    factors = [g]
+    for v in basis:
+        if len(v) < 2:
+            continue
+        for s in range(F.q):
+            split = []
+            for u in factors:
+                if len(u) - 1 > d:
+                    w = _gcd(u, _add(v, F.neg(s), [1], F), F)
+                    if 1 < len(w) < len(u):
+                        split += [w, _divmod(u, w, F)[0]]
+                        continue
+                split.append(u)
+            factors = split
+            if len(factors) == n // d:
+                return factors
+    return factors
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+
+def _common_field(*polys: "FqPoly"):
+    """The field of the polynomials, which must all share it."""
+    field = polys[0].field
+    if any(g.field is not field for g in polys):
+        raise InvalidArgumentError("all polynomials must share one field")
+    return field
+
+
+def _wrap(field, codes) -> "FqPoly":
+    """An FqPoly of normalized element codes, without re-validating them."""
+    poly = object.__new__(FqPoly)
+    poly.field = field
+    poly.coeffs = tuple(codes)
+    return poly
+
+
 class FqPoly:
     """Immutable polynomial over a finite field, coefficients ascending."""
 
@@ -134,10 +360,7 @@ class FqPoly:
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        cs = [field.element(int(c) % field.q if isinstance(c, int) else c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_strip([_count(c) % field.q for c in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -163,41 +386,24 @@ class FqPoly:
         return hash((id(self.field), self.coeffs))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(
-            self.field, [self.field.add(self[i], other[i]) for i in range(n)]
-        )
+        F = _common_field(self, other)
+        return _wrap(F, _add(self.coeffs, 1, other.coeffs, F))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(
-            self.field, [self.field.sub(self[i], other[i]) for i in range(n)]
-        )
+        F = _common_field(self, other)
+        return _wrap(F, _add(self.coeffs, F.neg(1), other.coeffs, F))
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field)
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = self.field.add(out[i + j], self.field.mul(a, b))
-        return FqPoly(self.field, out)
+        F = _common_field(self, other)
+        return _wrap(F, _mul(self.coeffs, other.coeffs, F))
 
     def __divmod__(self, other):
+        F = _common_field(self, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - other.degree)
         inv_lead = F.inv(other.coeffs[-1])
-        for i in range(len(rem) - other.degree - 1, -1, -1):
-            c = F.mul(rem[i + other.degree], inv_lead)
-            if c:
-                q[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return FqPoly(F, q), FqPoly(F, rem)
+        q, r = _divmod(self.coeffs, _monic(list(other.coeffs), F), F)
+        return _wrap(F, F.axpy([0] * len(q), inv_lead, q)), _wrap(F, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -214,18 +420,18 @@ class FqPoly:
     def monic(self) -> "FqPoly":
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.field.inv(self.coeffs[-1])
-        return FqPoly(self.field, [self.field.mul(c, inv) for c in self.coeffs])
+        return _wrap(self.field, _monic(list(self.coeffs), self.field))
 
     def is_irreducible(self) -> bool:
-        """Trial division by all monic polynomials of degree <= deg/2."""
-        if self.degree < 1:
-            return False
-        for d in range(1, self.degree // 2 + 1):
-            for g in monic_polys(self.field, d):
-                if (self % g).is_zero():
-                    return False
-        return True
+        """Ben-Or's test (Ben-Or 1981): f of degree n is irreducible iff
+        gcd(f, T^(q^d) - T) = 1 for every d <= n/2, since a reducible f has
+        a factor of degree at most n/2.  The distinct-degree loop of
+        ``factor_monic``, stopped at its first factor."""
+        n = len(self.coeffs) - 1
+        if n < 2:
+            return n == 1
+        F = self.field
+        return next(_distinct_degree(_monic(list(self.coeffs), F), [[1]], F))[1] == n
 
     def divides(self, other: "FqPoly") -> bool:
         return (other % self).is_zero()
@@ -254,7 +460,7 @@ def monic_polys(field, degree: int):
         for _ in range(degree):
             low.append(c % field.q)
             c //= field.q
-        yield FqPoly(field, tuple(low) + (1,))
+        yield _wrap(field, low + [1])
 
 
 def monic_irreducibles(field, max_degree: int):
@@ -266,26 +472,26 @@ def monic_irreducibles(field, max_degree: int):
 
 
 def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
-    """Factor a nonzero polynomial into monic irreducibles by trial division.
+    """Factor a nonzero polynomial into monic irreducibles.
 
     The unit leading coefficient is discarded; the returned dict maps each
-    monic irreducible factor to its multiplicity.  Candidates come in
-    increasing degree, so a reducible candidate never divides what is
-    left: its irreducible factors, all of lower degree, are gone by then.
+    monic irreducible factor to its multiplicity, in ``monic_polys`` order:
+    by degree, then by element code read from the top coefficient down.
+
+    Three deterministic stages on element-code lists (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 14): squarefree parts by
+    Yun's algorithm with a p-th root step, a distinct-degree split of each
+    part by gcd(part, T^(q^d) - T), and Berlekamp's algorithm on each
+    distinct-degree block that holds more than one factor.
     """
     if poly.is_zero():
         raise InvalidArgumentError("cannot factor the zero polynomial")
-    work = poly.monic()
-    factors: dict[FqPoly, int] = {}
-    d = 1
-    while work.degree >= 1:
-        if d > work.degree // 2:
-            # whatever is left has no divisor of degree <= deg/2, so it is irreducible
-            factors[work] = factors.get(work, 0) + 1
-            break
-        for g in monic_polys(poly.field, d):
-            while g.divides(work):
-                factors[g] = factors.get(g, 0) + 1
-                work = work // g
-        d += 1
-    return factors
+    F = poly.field
+    multiplicity: dict[tuple[int, ...], int] = {}
+    for part, e in _squarefree_parts(_monic(list(poly.coeffs), F), F):
+        rows = [[1]]
+        for block, d in _distinct_degree(part, rows, F):
+            for g in _berlekamp(block, d, _frobenius_rows(rows, len(block) - 1, part, F), F):
+                multiplicity[tuple(g)] = multiplicity.get(tuple(g), 0) + e
+    order = sorted(multiplicity, key=lambda g: (len(g), g[::-1]))
+    return {_wrap(F, g): multiplicity[g] for g in order}

@@ -204,12 +204,25 @@ def int_valuation(n: int, p: int) -> int | float:
     """Exponent of p in n; n = 0 gives +infinity."""
     if n == 0:
         return INFINITY
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    if n % p:
+        return 0
+    return _split_power(n, p)[0]
+
+
+def _split_power(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) for n divisible by p and v = v_p(n), in O(log v) divisions.
+
+    After one p, the p^2-part comes from the same split with base p^2,
+    which leaves at most one more p: the divisors are p, p^2, p^4, ...
+    up to about p^v and back down.
+    """
+    n //= p
+    w = 0
+    if n % (p * p) == 0:
+        w, n = _split_power(n, p * p)
+    if n % p:
+        return 2 * w + 1, n
+    return 2 * w + 2, n // p
 
 
 def rational_valuation(x, p: int) -> int | float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .finitefield import FqPoly, factor_monic
+from .finitefield import FqPoly, _common_field, factor_monic
 from .numtheory import (
     INFINITY,
     _exact,
@@ -154,10 +154,13 @@ def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
 
 def ff_valuation(place: FunctionFieldPlace, num: FqPoly, den: FqPoly | None = None) -> int | float:
     """Valuation at a place of the rational function num/den over GF(q)."""
+    field = _common_field(num, *(g for g in (den, place.poly) if g is not None))
+    if place.q != field.q:
+        raise InvalidArgumentError("all polynomials must share one field")
     if den is None or den.is_zero():
         if den is not None:
             raise InvalidArgumentError("denominator must be nonzero")
-        den = FqPoly(num.field, (1,))
+        den = FqPoly(field, (1,))
     if num.is_zero():
         return INFINITY
     if not place.is_finite:
@@ -176,7 +179,7 @@ def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaRepor
     """Verify sum over places of deg(place) * v_place(x) = 0 for x = num/den."""
     if num.is_zero():
         raise InvalidArgumentError("the sum formula concerns nonzero functions")
-    field = num.field
+    field = num.field if den is None else _common_field(num, den)
     if den is None:
         den = FqPoly(field, (1,))
     if den.is_zero():
@@ -212,7 +215,7 @@ class GaussParameter:
     C: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "C", Fraction(self.C))
+        object.__setattr__(self, "C", Fraction(_exact(self.C)))
 
 
 def gauss_valuation(C, coeff_valuations) -> tuple[Fraction, frozenset[int]]:
@@ -223,7 +226,7 @@ def gauss_valuation(C, coeff_valuations) -> tuple[Fraction, frozenset[int]]:
     infimum is attained more than once exactly when -C is a side slope of
     the Newton polygon.
     """
-    C = Fraction(C.C if isinstance(C, GaussParameter) else C)
+    C = Fraction(_exact(C.C if isinstance(C, GaussParameter) else C))
     best = None
     attaining: set[int] = set()
     for j, v in enumerate(coeff_valuations):
@@ -255,6 +258,15 @@ def weak_approximation(targets) -> Fraction:
     through weights z^r/(1+z^r) needs a limit in r and is deliberately
     not used.
     """
+    try:
+        targets = [(place, x, eps) for place, x, eps in targets]
+    except (TypeError, ValueError) as exc:  # an entry that is not a triple
+        raise InvalidArgumentError("each target is a triple (RationalPlace, x, eps)") from exc
+    for place, x, eps in targets:
+        if not isinstance(place, RationalPlace):
+            raise InvalidArgumentError(f"{place!r} is not a RationalPlace")
+        _exact(x)
+        _exact(eps)
     places = [t[0] for t in targets]
     if len(set(places)) != len(places):
         raise InvalidArgumentError("places must be pairwise distinct")

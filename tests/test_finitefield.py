@@ -1,9 +1,72 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localarith import FiniteField, FqPoly, factor_monic, monic_irreducibles
 from localarith.errors import InvalidArgumentError
+from localarith.finitefield import monic_polys
+
+# -- trial-division oracles --------------------------------------------------
+
+
+def trial_is_irreducible(f):
+    """No monic divisor of degree 1..deg/2."""
+    if f.degree < 1:
+        return False
+    return not any(
+        (f % g).is_zero() for d in range(1, f.degree // 2 + 1) for g in monic_polys(f.field, d)
+    )
+
+
+def trial_factor_monic(poly):
+    """Divide out monic candidates in increasing degree and code order: a
+    reducible candidate never divides what is left, its factors being gone."""
+    work = poly.monic()
+    factors = {}
+    d = 1
+    while work.degree >= 1:
+        if d > work.degree // 2:
+            factors[work] = factors.get(work, 0) + 1
+            break
+        for g in monic_polys(poly.field, d):
+            while (work % g).is_zero():
+                factors[g] = factors.get(g, 0) + 1
+                work = work // g
+        d += 1
+    return factors
+
+
+def power(f, e):
+    out = FqPoly(f.field, [1])
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+# total degree per q that keeps the trial-division oracle fast
+MAX_DEGREE = {2: 14, 3: 10, 4: 8, 5: 7, 7: 6, 8: 6, 9: 6}
+
+
+@st.composite
+def factorable(draw):
+    """A unit times monic factors with multiplicities, sometimes a p-th power."""
+    q = draw(st.sampled_from(sorted(MAX_DEGREE)))
+    field = FiniteField(q)
+    poly = FqPoly(field, [draw(st.integers(1, q - 1))])
+    budget = MAX_DEGREE[q]
+    inseparable = draw(st.booleans())
+    if inseparable:
+        budget //= field.p
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(1, 4))
+        e = draw(st.sampled_from([1, 1, 2, 3, field.p, field.p + 1]))
+        if poly.degree + d * e > budget:
+            break
+        low = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+        poly = poly * power(FqPoly(field, low + [1]), e)
+    return power(poly, field.p) if inseparable else poly
 
 
 class TestFieldConstruction:
@@ -12,6 +75,29 @@ class TestFieldConstruction:
         assert FiniteField(4).modulus == (1, 1)  # x^2 + x + 1
         assert FiniteField(8).modulus == (1, 1, 0)  # x^3 + x + 1
         assert FiniteField(9).modulus == (1, 0)  # x^2 + 1
+
+    def test_moduli_pinned_up_to_3_to_the_5(self):
+        pinned = {
+            4: (1, 1), 8: (1, 1, 0), 9: (1, 0), 16: (1, 1, 0, 0), 25: (2, 0),
+            27: (1, 2, 0), 32: (1, 0, 1, 0, 0), 49: (1, 0), 64: (1, 1, 0, 0, 0, 0),
+            81: (2, 1, 0, 0), 121: (1, 0), 125: (1, 1, 0), 128: (1, 1, 0, 0, 0, 0, 0),
+            169: (2, 0), 243: (1, 2, 0, 0, 0),
+        }
+        for q in range(2, 3**5 + 1):
+            try:
+                field = FiniteField(q)
+            except InvalidArgumentError:
+                assert q not in pinned
+                continue
+            assert field.modulus == pinned.get(q)
+            if field.modulus is not None:
+                assert trial_is_irreducible(FqPoly(FiniteField(field.p), field.modulus + (1,)))
+
+    @pytest.mark.parametrize("q", [4.0, True, "4", 2.5])
+    def test_rejects_inexact_order(self, q):
+        with pytest.raises(InvalidArgumentError):
+            FiniteField(q)
+        assert FiniteField(4).q == 4
 
     def test_prime_field(self):
         f = FiniteField(7)
@@ -55,6 +141,61 @@ class TestPolynomials:
         f2 = FiniteField(2)
         assert FqPoly(f2, [1, 1, 1]).is_irreducible()  # T^2+T+1
         assert not FqPoly(f2, [1, 0, 1]).is_irreducible()  # (T+1)^2
+
+    @pytest.mark.parametrize("q, top", [(2, 8), (3, 5), (4, 3), (5, 3), (9, 3)])
+    def test_irreducibility_matches_trial_division(self, q, top):
+        field = FiniteField(q)
+        for d in range(top + 1):
+            for g in monic_polys(field, d):
+                assert g.is_irreducible() == trial_is_irreducible(g), g
+                scaled = g * FqPoly(field, [q - 1])
+                assert scaled.is_irreducible() == trial_is_irreducible(g), scaled
+
+    @settings(max_examples=300, deadline=None)
+    @given(factorable())
+    def test_factor_matches_trial_division(self, poly):
+        assert list(factor_monic(poly).items()) == list(trial_factor_monic(poly).items())
+
+    @pytest.mark.parametrize(
+        "q, base, e",
+        [
+            (3, [1, 0, 1], 3),  # (T^2 + 1)^3, multiplicity p
+            (3, [1, 0, 1], 4),  # multiplicity p + 1
+            (4, [2, 3, 1], 2),  # p-th powers, f' = 0
+            (8, [5, 0, 1, 1], 2),
+            (9, [4, 1], 3),
+            (9, [2, 7, 1], 3),
+            (2, [1, 1], 9),
+        ],
+    )
+    def test_factor_inseparable(self, q, base, e):
+        field = FiniteField(q)
+        poly = power(FqPoly(field, base), e) * FqPoly(field, [0, 1])
+        assert list(factor_monic(poly).items()) == list(trial_factor_monic(poly).items())
+
+    def test_factor_twelve_plus_twelve_over_gf2(self):
+        field = FiniteField(2)
+        rng = random.Random(12)
+        irreducibles = []
+        while len(irreducibles) < 2:
+            g = FqPoly(field, [1] + [rng.randrange(2) for _ in range(11)] + [1])
+            if g.is_irreducible() and g not in irreducibles:
+                irreducibles.append(g)
+        assert all(trial_is_irreducible(g) for g in irreducibles)
+        factors = factor_monic(irreducibles[0] * irreducibles[1])
+        assert factors == {g: 1 for g in irreducibles}
+        assert list(factors) == sorted(irreducibles, key=lambda g: g.coeffs[::-1])
+
+    def test_mixed_fields_rejected(self):
+        a, b = FqPoly(FiniteField(4), [1, 1]), FqPoly(FiniteField(2), [1, 1])
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b), lambda: a % b):
+            with pytest.raises(InvalidArgumentError, match="share one field"):
+                op()
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1], [True, 1], [1, False], [0.5]])
+    def test_rejects_inexact_coefficients(self, coeffs):
+        with pytest.raises(InvalidArgumentError):
+            FqPoly(FiniteField(3), coeffs)
 
     def test_factor_roundtrip(self):
         f3 = FiniteField(3)

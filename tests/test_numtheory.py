@@ -15,9 +15,11 @@ from localarith import (
     teichmuller,
 )
 from localarith.numtheory import (
+    INFINITY,
     _inverse_mod_prime_power,
     _least_nonresidue,
     _sqrt_mod_prime,
+    int_valuation,
     is_prime,
 )
 
@@ -36,6 +38,29 @@ def test_inverse_mod_prime_power(p, M, u):
     x = _inverse_mod_prime_power(u, p, M)
     assert 0 <= x < p**M
     assert u * x % p**M == 1
+
+
+def digit_valuation(n, p):
+    """v_p(n) by stripping one p at a time: the reference for int_valuation."""
+    if n == 0:
+        return INFINITY
+    v, n = 0, abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 41, 10007, 2**61 - 1]),
+    v=st.integers(0, 700),
+    m=st.integers(-(10**60), 10**60),
+)
+def test_int_valuation_matches_the_digit_loop(p, v, m):
+    n = m * p**v
+    assert int_valuation(n, p) == digit_valuation(n, p)
+    assert int_valuation(m, p) == digit_valuation(m, p)
 
 
 def test_inverse_of_a_multiple_of_p_raises():

@@ -8,6 +8,7 @@ from localarith import (
     FiniteField,
     FqPoly,
     FunctionFieldPlace,
+    GaussParameter,
     INFINITY,
     InvalidArgumentError,
     PadicNumber,
@@ -122,6 +123,18 @@ class TestFunctionFieldValuations:
     def test_zero_gives_infinity(self):
         assert ff_valuation(FunctionFieldPlace.infinite(2), _poly(2, [])) == INFINITY
 
+    @pytest.mark.parametrize(
+        "place, num, den",
+        [
+            (FunctionFieldPlace.finite(_poly(3, [0, 1])), _poly(5, [0, 1]), None),
+            (FunctionFieldPlace.infinite(3), _poly(5, [0, 1]), None),
+            (FunctionFieldPlace.finite(_poly(5, [0, 1])), _poly(5, [0, 1]), _poly(3, [1, 1])),
+        ],
+    )
+    def test_mixed_fields_rejected(self, place, num, den):
+        with pytest.raises(InvalidArgumentError, match="share one field"):
+            ff_valuation(place, num, den)
+
 
 class TestSumFormula:
     def test_monic_irreducible(self):
@@ -140,6 +153,10 @@ class TestSumFormula:
         entries = {str(place): v for place, v in report.entries}
         assert entries == {"T": 2, "1 + T": -1, "inf": -1}
         assert report.holds
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="share one field"):
+            sum_formula_check(_poly(4, [1, 1]), _poly(2, [1, 1]))
 
     def test_random_functions(self, rng):
         for q in (2, 3, 4):
@@ -163,6 +180,13 @@ class TestGaussValuation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gauss_valuation(0, [INFINITY, INFINITY])
+
+    @pytest.mark.parametrize("C", [0.5, True])
+    def test_inexact_parameter_rejected(self, C):
+        with pytest.raises(InvalidArgumentError):
+            gauss_valuation(C, [1, 2])
+        with pytest.raises(InvalidArgumentError):
+            GaussParameter(C)
 
     def test_product_additivity(self, rng):
         for _ in range(150):
@@ -210,6 +234,20 @@ class TestWeakApproximation:
                     (RationalPlace.finite(2), Fraction(1), Fraction(1)),
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [(5, 1, 1)],
+            [5],
+            [(RationalPlace.finite(5), 1)],
+            [(RationalPlace.finite(5), 0.5, Fraction(1, 5))],
+            [(RationalPlace.infinite(), 1, 0.1)],
+        ],
+    )
+    def test_malformed_targets_rejected(self, targets):
+        with pytest.raises(InvalidArgumentError):
+            weak_approximation(targets)
 
     def test_bad_denominator_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -445,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, prec=False):
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--prec", type=int, default=None, help="relative precision in digits")
+        if prec:
+            sp.add_argument("--prec", type=int, default=None, help="relative precision in digits")
 
     sp = sub.add_parser("vp", help="p-adic valuation of a rational")
     sp.add_argument("-p", type=int, required=True)
@@ -489,26 +490,26 @@ def build_parser() -> argparse.ArgumentParser:
     spe.add_argument("-p", type=int, required=True)
     spe.add_argument("x")
     spe.add_argument("--digits", type=int, default=10)
-    common(spe)
+    common(spe, prec=True)
     spe.set_defaults(func=_cmd_padic_eval)
 
     sp = sub.add_parser("sqrt", help="square root in Q_p")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("x")
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_sqrt)
 
     sp = sub.add_parser("teichmuller", help="multiplicative lift of a residue")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("residue", type=int)
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_teichmuller)
 
     sp = sub.add_parser("lift", help="Newton root lifting")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--start", required=True)
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_lift)
 
     sp = sub.add_parser("polygon", help="Newton polygon of a polynomial")
@@ -524,14 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g0", required=True)
     sp.add_argument("--h0", required=True)
     sp.add_argument("--alpha", type=int, default=0)
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_factor_lift)
 
     sp = sub.add_parser("slope-factor", help="factor by Newton polygon slopes")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("poly", nargs="?", default=None)
     sp.add_argument("--file", default=None)
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_slope_factor)
 
     sp = sub.add_parser("weierstrass", help="Weierstrass preparation of a truncated series")
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("poly", nargs="?", default=None, help="stored coefficients as a polynomial")
     sp.add_argument("--file", default=None)
     sp.add_argument("--tail", type=int, required=True, help="valuation bound for the tail")
-    common(sp)
+    common(sp, prec=True)
     sp.set_defaults(func=_cmd_weierstrass)
 
     sp = sub.add_parser("resultant", help="resultant or discriminant")
@@ -583,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reproduce", help="regenerate the reference tables")
     sp.add_argument("--all", action="store_true")
-    common(sp)
     sp.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -596,7 +596,13 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit writes to the closed pipe again; send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,15 +103,15 @@ class TameExtensionDescriptor:
     r: int
 
     def __post_init__(self):
-        p, _ = prime_power_decomposition(self.q)
-        if self.e < 1 or self.f < 1:
+        p, _ = prime_power_decomposition(_count(self.q))
+        if _count(self.e) < 1 or _count(self.f) < 1:
             raise InvalidArgumentError("e and f must be positive")
         if self.e % p == 0:
             raise InvalidArgumentError(
                 f"e = {self.e} is divisible by the residue characteristic {p}: "
                 "the descriptor only covers tame ramification"
             )
-        if not 0 <= self.r < max(1, self.class_count):
+        if not 0 <= _count(self.r) < max(1, self.class_count):
             raise InvalidArgumentError(
                 f"r must lie in [0, {self.class_count})"
             )

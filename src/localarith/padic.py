@@ -29,7 +29,6 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
-    _inverse_mod_prime_power,
     _least_nonresidue,
     _precision,
     _sqrt_mod_prime,
@@ -46,7 +45,18 @@ class PadicNumber:
     __slots__ = ("p", "valuation", "unit", "precision")
 
     def __init__(self, p, valuation, unit, precision):
-        # use the classmethod constructors; this does no normalization
+        """The nonzero value unit * p^valuation + O(p^(valuation + precision)).
+
+        unit must be an int in [1, p^precision) prime to p; zero() and
+        zero_at() build the zeros, from_rational normalizes a rational.
+        """
+        require_prime(p)
+        _precision(precision)
+        _count(valuation)
+        if _count(unit) % p == 0 or not 0 < unit < p**precision:
+            raise InvalidArgumentError(
+                f"unit must lie in [1, {p}^{precision}) and be prime to {p}"
+            )
         self.p = p
         self.valuation = valuation
         self.unit = unit
@@ -57,13 +67,13 @@ class PadicNumber:
     @classmethod
     def zero(cls, p: int) -> "PadicNumber":
         require_prime(p)
-        return cls(p, INFINITY, None, INFINITY)
+        return _padic(p, INFINITY, None, INFINITY)
 
     @classmethod
     def zero_at(cls, p: int, abs_precision: int) -> "PadicNumber":
         """O(p^a): indistinguishable from zero below absolute precision a."""
         require_prime(p)
-        return cls(p, abs_precision, None, 0)
+        return _padic(p, abs_precision, None, 0)
 
     @classmethod
     def from_rational(cls, p: int, x, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -78,7 +88,7 @@ class PadicNumber:
         num = abs(x.numerator) // p**vn * (1 if x > 0 else -1)
         den = x.denominator // p**vd
         unit = num * pow(den, -1, p**precision) % p**precision
-        return cls(p, v, unit, precision)
+        return _padic(p, v, unit, precision)
 
     @classmethod
     def _from_integer_at(cls, p, n: int, v, abs_precision) -> "PadicNumber":
@@ -91,7 +101,7 @@ class PadicNumber:
             return cls.zero_at(p, abs_precision)
         t = int_valuation(n, p)
         unit = n // p**t % p ** (rel - t)
-        return cls(p, v + t, unit, rel - t)
+        return _padic(p, v + t, unit, rel - t)
 
     # -- predicates -------------------------------------------------------
 
@@ -176,7 +186,7 @@ class PadicNumber:
             live = other if self.unit is None else self
             if live.unit is None or live.valuation >= cap:
                 return PadicNumber.zero_at(self.p, cap)
-            return PadicNumber(self.p, live.valuation, live.unit % self.p ** (cap - live.valuation), cap - live.valuation)
+            return _padic(self.p, live.valuation, live.unit % self.p ** (cap - live.valuation), cap - live.valuation)
         v = min(self.valuation, other.valuation)
         n = self.unit * self.p ** (self.valuation - v) + other.unit * self.p ** (
             other.valuation - v
@@ -188,7 +198,7 @@ class PadicNumber:
     def __neg__(self):
         if self.unit is None:
             return self
-        return PadicNumber(self.p, self.valuation, self.p**self.precision - self.unit, self.precision)
+        return _padic(self.p, self.valuation, self.p**self.precision - self.unit, self.precision)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -208,7 +218,7 @@ class PadicNumber:
         if self.unit is None or other.unit is None:
             return PadicNumber.zero_at(self.p, self.valuation + other.valuation)
         n = min(self.precision, other.precision)
-        return PadicNumber(
+        return _padic(
             self.p,
             self.valuation + other.valuation,
             self.unit * other.unit % self.p**n,
@@ -232,7 +242,7 @@ class PadicNumber:
         if self.is_inexact_zero:
             return PadicNumber.zero_at(self.p, self.valuation - other.valuation)
         n = min(self.precision, other.precision)
-        return PadicNumber(
+        return _padic(
             self.p,
             self.valuation - other.valuation,
             self.unit * pow(other.unit, -1, self.p**n) % self.p**n,
@@ -260,6 +270,16 @@ class PadicNumber:
         if self.is_inexact_zero:
             return f"O({self.p}^{self.valuation})"
         return f"{self.unit}*{self.p}^{self.valuation} + O({self.p}^{self.absolute_precision})"
+
+
+def _padic(p, valuation, unit, precision) -> PadicNumber:
+    """PadicNumber without the checks, for values that already satisfy them."""
+    x = object.__new__(PadicNumber)
+    x.p = p
+    x.valuation = valuation
+    x.unit = unit
+    x.precision = precision
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +335,14 @@ def expansion(x: PadicNumber, count: int) -> DigitExpansion:
 def teichmuller(p: int, residue: int, precision: int = DEFAULT_PRECISION) -> PadicNumber:
     """The unique (p-1)-st root of unity congruent to ``residue`` mod p.
 
-    Computed by iterating y <- y^p mod p^N to its fixed point, which each
-    step reaches one digit deeper; at most N iterations are needed.
+    Newton lifts the root of x^(p-1) = 1 from the residue, about
+    log2(N) rounds; p - 1 is prime to p, so all N digits are exact.
     """
     require_prime(p)
     _precision(precision)
     if _count(residue) % p == 0:
         raise InvalidArgumentError("residue must be a unit modulo p")
-    modulus = p**precision
-    y = residue % modulus
-    for _ in range(precision + 1):
-        y_next = pow(y, p, modulus)
-        if y_next == y:
-            break
-        y = y_next
-    return PadicNumber(p, 0, y, precision)
+    return _unit_root(p, p - 1, 1, residue % p, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +399,50 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
             "cannot certify v(f(a0)) > 2v(f'(a0)) at the precision of a0"
         )
 
-    M = precision + 2 * t + 1
-    modulus = p**M
-    a = a_int % modulus
-    for _ in range(2 * precision + 4):
-        fa = poly_eval(coeffs, a) % modulus
-        if fa == 0 or int_valuation(fa, p) >= precision + t:
-            break
-        w = poly_eval(derivative, a) // p**t
-        delta = (fa // p**t) * _inverse_mod_prime_power(w, p, M) % modulus
-        a = (a - delta) % modulus
-    else:
-        raise HypothesisFailedError("Newton iteration failed to converge")
-    return PadicNumber._from_integer_at(p, a % p**precision, 0, precision)
+    def values(a, mod):
+        return poly_eval(coeffs, a), poly_eval(derivative, a)
+
+    return PadicNumber._from_integer_at(p, _newton(p, a_int, values, t, precision), 0, precision)
+
+
+def _newton(p, a, values, t, target):
+    """The root near a of f, modulo p^target, by a <- a - f(a)/f'(a).
+
+    ``values(a, mod)`` returns (f(a), f'(a)); t = v(f'(a)) and v(f(a)) > 2t.
+    Runs on residues mod p^(target + 2t + 1) until v(f(a)) >= target + t,
+    where a is the root mod p^target.  The inverse s of f'(a)/p^t starts
+    mod p and takes one Newton step s <- s(2 - s f'(a)/p^t) per round,
+    which doubles its digits; each round raises e = v(f(a)) - 2t by at
+    least min(e, digits of s), so e doubles from about round log2(e_0) on.
+    """
+    M = target + 2 * t + 1
+    modulus, done, p_t = p**M, p ** (target + t), p**t
+    a %= modulus
+    fa, dfa = values(a, modulus)
+    s = pow(dfa // p_t, -1, p)
+    for _ in range(2 * target + 4):
+        fa %= modulus
+        if fa % done == 0:
+            return a % p**target
+        a = (a - fa // p_t * s) % modulus
+        fa, dfa = values(a, modulus)
+        s = s * (2 - dfa // p_t * s) % modulus
+    raise HypothesisFailedError("Newton iteration failed to converge")
+
+
+def _unit_root(p, k, c, a0, N):
+    """The root near a0 of x^k = c, for a unit c known modulo p^N.
+
+    Requires v(a0^k - c) > 2 v_p(k).  The root is a unit known to
+    N - v_p(k) digits, which is all that c mod p^N determines.
+    """
+    t = int_valuation(k, p)
+
+    def values(a, mod):
+        y = pow(a, k - 1, mod)
+        return a * y - c, k * y
+
+    return _padic(p, 0, _newton(p, a0, values, t, N - t), N - t)
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +475,15 @@ def sqrt(x: PadicNumber) -> PadicNumber:
 
     For odd p the witness is the least residue root a0 = min(r, p - r) of
     the unit, r found by Tonelli-Shanks in O(log^2 p) multiplications mod
-    p; for p = 2 the lift starts at 1.  The result has relative precision
-    N for odd p and N-1 for p = 2, which is all the input determines.
+    p; for p = 2 the lift starts at 1.  The result has N - v_p(2) digits
+    (N for odd p, N-1 for p = 2), which is all the input determines.
     """
     if not is_square(x):
         raise NotASquareError(f"{x!r} is not a square in Q_{x.p}")
     p, u = x.p, x.unit
-    if p == 2:
-        root = newton_lift([-u, 0, 1], 1, p=2, precision=x.precision + 2)
-        out_prec = x.precision - 1
-    else:
-        r = _sqrt_mod_prime(u, p)
-        a0 = min(r, p - r)
-        root = newton_lift([-u, 0, 1], a0, p=p, precision=x.precision)
-        out_prec = x.precision
-    return PadicNumber(p, x.valuation // 2, root.unit % p**out_prec, out_prec)
+    r = _sqrt_mod_prime(u, p) if p > 2 else 1
+    root = _unit_root(p, 2, u, min(r, p - r), x.precision)
+    return _padic(p, x.valuation // 2, root.unit, root.precision)
 
 
 def square_class_basis(p: int) -> list[int]:
@@ -509,35 +547,30 @@ def pth_power_on_units(
     Valid for n > 1/(p-1): n >= 1 for odd p, n >= 2 for p = 2.  The case
     p = 2, n = 1 is excluded: squaring on U_1 is neither injective nor
     surjective (the kernel is generated by -1).
+
+    The inverse Newton lifts x^p = u from a0 = 1 + p^n((u-1)/p^(n+1) mod p),
+    where v(a0^p - u) >= n + 2.  As x^p mod p^(N+1) pins x mod p^N, u is read
+    to N + 1 digits; a PadicNumber u with fewer raises PrecisionLossError.
     """
     require_prime(p)
+    _precision(precision)
+    if _count(n) < 1:
+        raise InvalidArgumentError("n must be at least 1")
     if p == 2 and n == 1:
         raise ExcludedCaseError(
             "p=2, n=1 excluded: squaring U_1 -> U_2 is neither injective nor surjective"
         )
-    if n < 1:
-        raise InvalidArgumentError("n must be at least 1")
     if direction not in ("forward", "inverse"):
         raise InvalidArgumentError("direction must be 'forward' or 'inverse'")
-    modulus = p**precision
-    u_int = _unit_representative(p, u, precision)
-    level = n if direction == "forward" else n + 1
+    inverse = direction == "inverse"
+    u_int = _unit_representative(p, u, precision + inverse)
+    level = n + inverse
     if u_int != 1 and int_valuation(u_int - 1, p) < level:
         raise InvalidArgumentError(
             f"u is not in U_{level}: its filtration level is "
             f"{int_valuation(u_int - 1, p)}"
         )
-
-    if direction == "forward":
-        return PadicNumber(p, 0, pow(u_int, p, modulus), precision)
-
-    # digit-by-digit lift of the p-th root inside U_n: after the step for
-    # exponent m, x^p = u holds modulo p^(m+1)
-    x = 1
-    for m in range(n + 1, precision):
-        diff = (u_int - pow(x, p, p ** (m + 1))) % p ** (m + 1)
-        d = diff // p**m % p
-        x = x * (1 + d * p ** (m - 1)) % modulus
-    if pow(x, p, modulus) != u_int:
-        raise HypothesisFailedError("p-th root lifting failed")  # unreachable for valid input
-    return PadicNumber(p, 0, x, precision)
+    if not inverse:
+        return _padic(p, 0, pow(u_int, p, p**precision), precision)
+    a0 = 1 + p**n * ((u_int - 1) // p ** (n + 1) % p)
+    return _unit_root(p, p, u_int, a0, precision + 1)

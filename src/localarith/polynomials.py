@@ -191,18 +191,24 @@ def sylvester_matrix(g, h, m: int, n: int):
     """
     if m + n <= 0:
         raise InvalidArgumentError("resultant requires m + n > 0")
-    gc = [Fraction(_exact(c)) for c in g] + [Fraction(0)] * (m + 1 - len(g))
-    hc = [Fraction(_exact(c)) for c in h] + [Fraction(0)] * (n + 1 - len(h))
-    size = m + n
+    zero = Fraction(0)
+    gc = [Fraction(_exact(c)) for c in g] + [zero] * (m + 1 - len(g))
+    hc = [Fraction(_exact(c)) for c in h] + [zero] * (n + 1 - len(h))
+    return _sylvester(gc, hc, m, n, zero)
+
+
+def _sylvester(gc, hc, m, n, zero=0):
+    """sylvester_matrix on coefficient lists of lengths >= m + 1 and
+    >= n + 1, entries taken as they are; ``zero`` fills the rest."""
     rows = []
-    for i in range(size):
+    for i in range(m + n):
         row = []
         for j in range(n):
             k = m - i + j
-            row.append(gc[k] if 0 <= k <= m else Fraction(0))
+            row.append(gc[k] if 0 <= k <= m else zero)
         for j in range(m):
             k = n - i + j
-            row.append(hc[k] if 0 <= k <= n else Fraction(0))
+            row.append(hc[k] if 0 <= k <= n else zero)
         rows.append(row)
     return rows
 
@@ -532,9 +538,8 @@ def _lift_factorization(f, g0, h0, beta, precision):
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
         if all(c % done == 0 for c in diff):
             break
-        matrix = sylvester_matrix(g, h, s, t)
         rhs = [diff[s + t - 1 - i] for i in range(s + t)]
-        x = _solve_mod_prime_power(p, M, [[int(c) for c in row] for row in matrix], rhs)
+        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
         delta = list(reversed(x[:t]))  # added to H
         gamma = list(reversed(x[t:]))  # added to G
         g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]

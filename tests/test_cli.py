@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from localarith.formats import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_all.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +151,38 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--prec", "0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vp", "-p", "2", "12", "--prec", "5"],
+            ["bernoulli", "12", "--prec", "5"],
+            ["reproduce", "--all", "--format", "json"],
+        ],
+    )
+    def test_options_the_command_ignores_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["vp", "-p", "2", "12"], ["reproduce", "--all"]])
+    def test_closed_stdout_exits_quietly(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "localarith.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0 and proc.stderr == b""
 
     def test_missing_polynomial_file(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")

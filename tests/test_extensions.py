@@ -92,6 +92,14 @@ class TestClassification:
         with pytest.raises(InvalidArgumentError):
             TameExtensionDescriptor(2, 3, 2, 5)  # r out of range
 
+    @pytest.mark.parametrize(
+        "args",
+        [(2, 3.0, 2, 0), (4, 3, True, 0), (2, 3, 2, 1.0), (2.0, 3, 2, 0), (True, 3, 2, 0)],
+    )
+    def test_descriptor_rejects_floats_and_bools(self, args):
+        with pytest.raises(InvalidArgumentError):
+            TameExtensionDescriptor(*args)
+
     def test_stacked_invariants_multiply(self):
         inner = TameExtensionDescriptor(2, 3, 2, 0)
         outer_e, outer_f = 5, 2

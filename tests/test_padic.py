@@ -38,6 +38,31 @@ class TestRepresentation:
         with pytest.raises(InvalidArgumentError):
             PadicNumber.from_rational(3, 1, 4) + PadicNumber.from_rational(5, 1, 4)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (5, 0, 5, 3),  # not a unit
+            (5, 0, 1.0, 3),
+            (5, 0, True, 3),
+            (5, 0, 0, 3),
+            (5, 0, 125, 3),  # beyond p^N
+            (5, 0, -1, 3),
+            (5, 0, 1, 0),
+            (5, 0, 1, 2.0),
+            (5, 0.0, 1, 3),
+            (5, None, 1, 3),
+            (4, 0, 1, 3),
+            (5.0, 0, 1, 3),
+        ],
+    )
+    def test_constructor_keeps_the_invariant(self, args):
+        with pytest.raises(InvalidArgumentError):
+            PadicNumber(*args)
+
+    def test_constructor_accepts_a_unit(self):
+        x = PadicNumber(5, -2, 124, 3)
+        assert (x.valuation, x.unit, x.precision) == (-2, 124, 3)
+
 
 class TestRingOps:
     def test_two_plus_three_is_five(self):
@@ -220,6 +245,23 @@ class TestNewtonLift:
             diff = root.as_fraction() - a0
             assert diff == 0 or vp_rational(p, diff) >= bound
 
+    def test_close_roots_and_deep_starts(self):
+        # f = (T - a0)(T - a0 + p^j d) + p^k c: t = v(f'(a0)) = j, and a start
+        # k digits deep, which the carried inverse of f'/p^t must catch up with
+        rng = random.Random(3)
+        for _ in range(200):
+            p = rng.choice([2, 3, 5, 7])
+            j = rng.randint(1, 3)
+            k = rng.randint(2 * j + 1, 40)
+            a0 = rng.randrange(-50, 50)
+            d = 1 if p == 2 else rng.randrange(1, p)
+            f = [a0 * (a0 - p**j * d) + p**k * rng.randrange(1, p), -(2 * a0 - p**j * d), 1]
+            precision = rng.randint(j, 50)
+            root = newton_lift(f, a0, p=p, precision=precision).residue(precision)
+            value = f[0] + f[1] * root + root * root
+            assert vp_rational(p, value) >= precision + j
+            assert (root - a0) % p ** min(precision, k - j) == 0
+
 
 class TestSquares:
     def test_fifteen_not_square_in_q2(self):
@@ -283,6 +325,28 @@ class TestPthPowerOnUnits:
         x = pth_power_on_units(3, 1, "inverse", 10, 3)
         assert pow(x.residue(3), 3, 27) == 10
         assert x.residue(2) == 4
+        # the cube root of 10 in Z_3 is 13 mod 27: all three digits are set
+        assert x.residue(3) == 13
+
+    def test_inverse_pins_every_digit(self):
+        # x in U_n with x^p = u mod p^(N+1) is unique mod p^N
+        rng = random.Random(11)
+        for p in (2, 3, 5, 7, 11):
+            for _ in range(60):
+                n = rng.randint(2 if p == 2 else 1, 4)
+                precision = rng.randint(2, 8)
+                u = 1 + p ** (n + 1) * rng.randrange(p ** (precision + 1))
+                x = pth_power_on_units(p, n, "inverse", u, precision)
+                assert x.precision == precision
+                assert (pow(x.unit, p, p ** (precision + 1)) - u) % p ** (precision + 1) == 0
+                assert (x.unit - 1) % p ** min(n, precision) == 0
+
+    def test_inverse_reads_one_more_digit_of_a_padic_u(self):
+        u = PadicNumber.from_rational(3, 10, 3)
+        with pytest.raises(PrecisionLossError):
+            pth_power_on_units(3, 1, "inverse", u, 3)
+        u = PadicNumber.from_rational(3, 10, 4)
+        assert pth_power_on_units(3, 1, "inverse", u, 3).residue(3) == 13
 
     def test_excluded_case(self):
         with pytest.raises(ExcludedCaseError):
@@ -302,6 +366,11 @@ class TestPthPowerOnUnits:
                     # returns u up to the last digit
                     assert (back - u) % p**4 == 0
                     assert pow(back, p, modulus) == fwd
+
+    @pytest.mark.parametrize("n", [0, True, 1.5])
+    def test_level_must_be_a_positive_int(self, n):
+        with pytest.raises(InvalidArgumentError):
+            pth_power_on_units(3, n, "forward", 4, 3)
 
     def test_wrong_filtration_level_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -7,32 +7,27 @@ cyclotomic ramification data, tame extension counts) deterministically.
 
 Exit codes: 0 success, 2 invalid input, 3 hypothesis failed,
 4 precision loss.
+
+Each handler imports the library modules it uses when it runs: a call is
+one fresh process, and loading modules the command never touches would be
+most of its cost.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import extensions as ext
-from . import padic as pad
-from . import polynomials as pol
-from . import ramification as ram
-from . import valuations as val
-from .bernoulli import BernoulliTable
-from .bernoulli import bernoulli as bernoulli_number
-from .bernoulli import staudt_clausen
 from .errors import (
     HypothesisFailedError,
     InvalidArgumentError,
     LocalArithError,
     PrecisionLossError,
 )
-from .finitefield import FiniteField, FqPoly
 from .formats import (
     format_polynomial,
     format_rational,
@@ -40,7 +35,7 @@ from .formats import (
     parse_rational,
     polynomial_to_json,
 )
-from .numtheory import INFINITY
+from .numtheory import DEFAULT_PRECISION, INFINITY, prime_power_decomposition
 
 
 def _default_precision(args) -> int:
@@ -52,7 +47,7 @@ def _default_precision(args) -> int:
             return int(env)
         except ValueError as exc:
             raise InvalidArgumentError(f"PADIC_PREC={env!r} is not an integer") from exc
-    return pad.DEFAULT_PRECISION
+    return DEFAULT_PRECISION
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -75,14 +70,16 @@ def _read_poly_arg(args) -> list[Fraction]:
     return parse_polynomial(args.poly)
 
 
-def _describe_padic(x: pad.PadicNumber, digit_count: int = 10) -> tuple[str, dict]:
+def _describe_padic(x: PadicNumber, digit_count: int = 10) -> tuple[str, dict]:
+    from .padic import expansion
+
     if x.is_exact_zero:
         return "0", {"p": x.p, "zero": True}
     if x.is_inexact_zero:
         text = f"O({x.p}^{x.valuation})"
         return text, {"p": x.p, "zero_mod": str(x.valuation)}
     count = min(digit_count, x.precision)
-    digits = pad.expansion(x, count)
+    digits = expansion(x, count)
     text = (
         f"{x.unit}*{x.p}^{x.valuation} + O({x.p}^{x.absolute_precision})"
         f"  digits {digits} ..."
@@ -99,6 +96,8 @@ def _describe_padic(x: pad.PadicNumber, digit_count: int = 10) -> tuple[str, dic
 
 
 def _parse_ff_poly(q: int, text: str) -> FqPoly:
+    from .finitefield import FiniteField, FqPoly
+
     field = FiniteField(q)
     coeffs = parse_polynomial(text)
     out = []
@@ -117,14 +116,18 @@ def _parse_ff_poly(q: int, text: str) -> FqPoly:
 
 
 def _cmd_vp(args) -> int:
-    v = val.vp_rational(args.p, parse_rational(args.x))
+    from .valuations import vp_rational
+
+    v = vp_rational(args.p, parse_rational(args.x))
     text = "inf" if v == INFINITY else str(v)
     _emit(args, text, {"p": args.p, "x": args.x, "valuation": text})
     return 0
 
 
 def _cmd_product_formula(args) -> int:
-    report = val.product_formula_report(parse_rational(args.x))
+    from .valuations import product_formula_report
+
+    report = product_formula_report(parse_rational(args.x))
     lines = [f"{place}: {format_rational(a)}" for place, a in report.entries]
     lines.append(f"product: {format_rational(report.product)}")
     payload = {
@@ -139,19 +142,23 @@ def _cmd_product_formula(args) -> int:
 
 
 def _cmd_ff_val(args) -> int:
+    from .valuations import FunctionFieldPlace, ff_valuation
+
     num = _parse_ff_poly(args.q, args.num)
     den = _parse_ff_poly(args.q, args.den) if args.den else None
     if args.place == "inf":
-        place = val.FunctionFieldPlace.infinite(args.q)
+        place = FunctionFieldPlace.infinite(args.q)
     else:
-        place = val.FunctionFieldPlace.finite(_parse_ff_poly(args.q, args.place))
-    v = val.ff_valuation(place, num, den)
+        place = FunctionFieldPlace.finite(_parse_ff_poly(args.q, args.place))
+    v = ff_valuation(place, num, den)
     text = "inf" if v == INFINITY else str(v)
     _emit(args, text, {"q": args.q, "place": str(place), "valuation": text})
     return 0
 
 
 def _cmd_weak_approx(args) -> int:
+    from .valuations import RationalPlace, weak_approximation
+
     targets = []
     for spec_str in args.target:
         try:
@@ -163,23 +170,27 @@ def _cmd_weak_approx(args) -> int:
                 "with place a prime or inf"
             ) from exc
         place = (
-            val.RationalPlace.infinite()
+            RationalPlace.infinite()
             if prime is None
-            else val.RationalPlace.finite(prime)
+            else RationalPlace.finite(prime)
         )
         targets.append((place, parse_rational(x_s), parse_rational(eps_s)))
-    y = val.weak_approximation(targets)
+    y = weak_approximation(targets)
     _emit(args, format_rational(y), {"y": format_rational(y)})
     return 0
 
 
 def _cmd_bernoulli(args) -> int:
-    b = bernoulli_number(args.k)
+    from .bernoulli import bernoulli
+
+    b = bernoulli(args.k)
     _emit(args, format_rational(b), {"k": args.k, "value": format_rational(b)})
     return 0
 
 
 def _cmd_staudt_clausen(args) -> int:
+    from .bernoulli import staudt_clausen
+
     sc = staudt_clausen(args.k)
     text = (
         f"W={sc.integer_part} denominator={sc.denominator} "
@@ -196,33 +207,41 @@ def _cmd_staudt_clausen(args) -> int:
 
 
 def _cmd_padic_eval(args) -> int:
-    x = pad.PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
+    from .padic import PadicNumber
+
+    x = PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
     text, payload = _describe_padic(x, args.digits)
     _emit(args, text, payload)
     return 0
 
 
 def _cmd_sqrt(args) -> int:
-    x = pad.PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
-    root = pad.sqrt(x)
+    from .padic import PadicNumber, sqrt
+
+    x = PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
+    root = sqrt(x)
     text, payload = _describe_padic(root)
     _emit(args, text, payload)
     return 0
 
 
 def _cmd_teichmuller(args) -> int:
-    w = pad.teichmuller(args.p, args.residue, _default_precision(args))
+    from .padic import teichmuller
+
+    w = teichmuller(args.p, args.residue, _default_precision(args))
     text, payload = _describe_padic(w)
     _emit(args, text, payload)
     return 0
 
 
 def _cmd_lift(args) -> int:
+    from .padic import newton_lift
+
     coeffs = parse_polynomial(args.poly)
     start = parse_rational(args.start)
     if start.denominator != 1:
         raise InvalidArgumentError("the starting point must be an integer")
-    root = pad.newton_lift(coeffs, int(start), p=args.p, precision=_default_precision(args))
+    root = newton_lift(coeffs, int(start), p=args.p, precision=_default_precision(args))
     text, payload = _describe_padic(root)
     _emit(args, text, payload)
     return 0
@@ -233,8 +252,10 @@ def _format_sides(sides) -> str:
 
 
 def _cmd_polygon(args) -> int:
-    f = pol.PadicPolynomial(args.p, _read_poly_arg(args))
-    polygon = pol.newton_polygon(f)
+    from .polynomials import PadicPolynomial, newton_polygon
+
+    f = PadicPolynomial(args.p, _read_poly_arg(args))
+    polygon = newton_polygon(f)
     text = _format_sides(polygon.sides)
     payload = {
         "type": [[l, format_rational(s)] for l, s in polygon.sides],
@@ -246,11 +267,13 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_factor_lift(args) -> int:
+    from .polynomials import PadicPolynomial, hensel_lift_factors
+
     p = args.p
-    f = pol.PadicPolynomial(p, parse_polynomial(args.f))
-    g0 = pol.PadicPolynomial(p, parse_polynomial(args.g0))
-    h0 = pol.PadicPolynomial(p, parse_polynomial(args.h0))
-    g, h = pol.hensel_lift_factors(f, g0, h0, args.alpha, _default_precision(args))
+    f = PadicPolynomial(p, parse_polynomial(args.f))
+    g0 = PadicPolynomial(p, parse_polynomial(args.g0))
+    h0 = PadicPolynomial(p, parse_polynomial(args.h0))
+    g, h = hensel_lift_factors(f, g0, h0, args.alpha, _default_precision(args))
     text = f"g = {format_polynomial(g.coefficients)}\nh = {format_polynomial(h.coefficients)}"
     payload = {
         "g": polynomial_to_json(g.coefficients),
@@ -261,8 +284,10 @@ def _cmd_factor_lift(args) -> int:
 
 
 def _cmd_slope_factor(args) -> int:
-    f = pol.PadicPolynomial(args.p, _read_poly_arg(args))
-    factors = pol.slope_factorization(f, _default_precision(args))
+    from .polynomials import PadicPolynomial, slope_factorization
+
+    f = PadicPolynomial(args.p, _read_poly_arg(args))
+    factors = slope_factorization(f, _default_precision(args))
     lines = []
     payload_factors = []
     for poly, (length, slope) in factors:
@@ -282,9 +307,11 @@ def _cmd_slope_factor(args) -> int:
 
 
 def _cmd_weierstrass(args) -> int:
+    from .polynomials import TruncatedSeries, weierstrass_prepare
+
     coeffs = _read_poly_arg(args)
-    series = pol.TruncatedSeries(args.p, coeffs, args.tail)
-    g, h = pol.weierstrass_prepare(series, _default_precision(args))
+    series = TruncatedSeries(args.p, coeffs, args.tail)
+    g, h = weierstrass_prepare(series, _default_precision(args))
     text = (
         f"g = {format_polynomial(g.coefficients)}\n"
         f"h = {format_polynomial(h.coefficients)} + O(T^{h.truncation + 1}; "
@@ -300,25 +327,29 @@ def _cmd_weierstrass(args) -> int:
 
 
 def _cmd_resultant(args) -> int:
+    from .polynomials import discriminant, resultant
+
     g = parse_polynomial(args.g)
     if args.discriminant:
-        r = pol.discriminant(g)
+        r = discriminant(g)
     else:
         if args.h is None:
             raise InvalidArgumentError("a second polynomial is required")
-        r = pol.resultant(g, parse_polynomial(args.h))
+        r = resultant(g, parse_polynomial(args.h))
     _emit(args, format_rational(r), {"value": format_rational(r)})
     return 0
 
 
 def _cmd_eisenstein(args) -> int:
-    f = pol.PadicPolynomial(args.p, _read_poly_arg(args))
-    ok = pol.eisenstein_test(f)
+    from .polynomials import PadicPolynomial, eisenstein_test
+
+    f = PadicPolynomial(args.p, _read_poly_arg(args))
+    ok = eisenstein_test(f)
     _emit(args, "true" if ok else "false", {"eisenstein": ok})
     return 0
 
 
-def _ramification_payload(report: ram.RamificationReport) -> dict:
+def _ramification_payload(report: RamificationReport) -> dict:
     return {
         "lower_jumps": list(report.lower_jumps),
         "upper_jumps": [format_rational(v) for v in report.upper_jumps],
@@ -330,8 +361,10 @@ def _ramification_payload(report: ram.RamificationReport) -> dict:
 
 
 def _cmd_ramification_cyclotomic(args) -> int:
-    group = ram.cyclotomic_group(args.p, args.n)
-    report = ram.different_discriminant(group, args.residual_degree)
+    from .ramification import cyclotomic_group, different_discriminant
+
+    group = cyclotomic_group(args.p, args.n)
+    report = different_discriminant(group, args.residual_degree)
     text = (
         f"order {group.order}\n"
         f"lower jumps {','.join(str(u) for u in report.lower_jumps) or '-'}\n"
@@ -344,14 +377,18 @@ def _cmd_ramification_cyclotomic(args) -> int:
 
 
 def _cmd_extensions_count(args) -> int:
-    c = ext.count_tame_extensions(args.q, args.e, args.f)
+    from .extensions import count_tame_extensions
+
+    c = count_tame_extensions(args.q, args.e, args.f)
     _emit(args, str(c), {"q": args.q, "e": args.e, "f": args.f, "count": c})
     return 0
 
 
 def _cmd_extensions_classify(args) -> int:
-    d = ext.TameExtensionDescriptor(args.q, args.e, args.f, args.r)
-    c = ext.classify_tame(d)
+    from .extensions import TameExtensionDescriptor, classify_tame
+
+    d = TameExtensionDescriptor(args.q, args.e, args.f, args.r)
+    c = classify_tame(d)
     lines = [f"galois {str(c.galois).lower()}", f"abelian {str(c.abelian).lower()}"]
     payload = {
         "q": args.q,
@@ -387,6 +424,11 @@ EXP7_COEFFS = "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/
 
 
 def reproduce_lines() -> list[str]:
+    from .bernoulli import BernoulliTable
+    from .extensions import count_tame_extensions
+    from .polynomials import PadicPolynomial, newton_polygon
+    from .ramification import cyclotomic_group, different_discriminant
+
     lines = ["# Bernoulli numbers B_k = N_k/D_k for even k in [2, 20]"]
     table = BernoulliTable()
     for k in range(2, 21, 2):
@@ -394,12 +436,12 @@ def reproduce_lines() -> list[str]:
         lines.append(f"k={k} N={b.numerator} D={b.denominator}")
     lines.append("")
     lines.append("# Newton polygon type of the degree-7 exponential truncation over Q_2")
-    f = pol.PadicPolynomial(2, parse_polynomial(EXP7_COEFFS))
-    lines.append(_format_sides(pol.newton_polygon(f).sides))
+    f = PadicPolynomial(2, parse_polynomial(EXP7_COEFFS))
+    lines.append(_format_sides(newton_polygon(f).sides))
     lines.append("")
     lines.append("# Ramification of the p^n-th roots of unity over Q_p")
     for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]:
-        report = ram.different_discriminant(ram.cyclotomic_group(p, n))
+        report = different_discriminant(cyclotomic_group(p, n))
         lower = ",".join(str(u) for u in report.lower_jumps)
         upper = ",".join(format_rational(v) for v in report.upper_jumps)
         lines.append(
@@ -410,10 +452,10 @@ def reproduce_lines() -> list[str]:
     lines.append("# Tame extension counts (residue size q, index e, residual degree f)")
     for q in (2, 3, 4, 5):
         for e in (2, 3, 4, 5, 6):
-            if e % FiniteField(q).p == 0:
+            if e % prime_power_decomposition(q)[0] == 0:
                 continue
             for f_deg in (1, 2, 3):
-                c = ext.count_tame_extensions(q, e, f_deg)
+                c = count_tame_extensions(q, e, f_deg)
                 lines.append(f"q={q} e={e} f={f_deg} count={c}")
     return lines
 
@@ -594,27 +636,37 @@ def run(argv=None) -> int:
     return args.func(args)
 
 
+def _silence(stream) -> None:
+    # the flush at exit writes to the closed pipe again; send it nowhere
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _fail(code: int, message: str) -> int:
+    """Report an error on stderr and return its exit code, which stays the
+    same when nobody reads stderr any more."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _silence(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         code = run(argv)
         sys.stdout.flush()  # a reader that left shows up here, not at exit
         return code
     except BrokenPipeError:
-        # the flush at exit writes to the closed pipe again; send it nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence(sys.stdout)
         return 0
     except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
     except HypothesisFailedError as exc:
-        print(f"hypothesis failed: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"hypothesis failed: {exc}")
     except PrecisionLossError as exc:
-        print(f"precision loss: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, f"precision loss: {exc}")
     except LocalArithError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
 
 
 if __name__ == "__main__":

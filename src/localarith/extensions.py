@@ -24,8 +24,11 @@ from .numtheory import (
     multiplicative_order,
     prime_power_decomposition,
 )
-from .polynomials import PadicPolynomial, eisenstein_test, root_valuations
 from .ramification import FilteredGroup
+
+# padic and polynomials are imported by the one function each that uses them,
+# so counting and classifying extensions load neither; PadicPolynomial in
+# annotations is polynomials.PadicPolynomial.
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +274,8 @@ def eisenstein_invariants(phi: PadicPolynomial) -> EisensteinInvariants:
     """Invariants of the totally ramified extension defined by an
     Eisenstein polynomial: e = deg, f = 1, root valuation 1/e, and the
     norm of the root (-1)^e * phi(0) after making phi monic."""
+    from .polynomials import eisenstein_test, root_valuations
+
     if not eisenstein_test(phi):
         raise InvalidArgumentError("the polynomial is not Eisenstein")
     e = phi.degree

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import InvalidArgumentError
 
 INFINITY = float("inf")
+DEFAULT_PRECISION = 32  # relative p-adic precision, in digits, when none is given
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -24,6 +25,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite below 41^2 has a prime factor below 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -242,3 +245,26 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
         raise InvalidArgumentError(f"{q} is not a prime power")
     ((p, m),) = factors.items()
     return p, m
+
+
+# ascending coefficient sequences, shared by padic and polynomials (here so
+# that padic need not load polynomials)
+
+
+def _trim(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def poly_eval(a, x):
+    """a(x) by Horner's rule, a an ascending coefficient sequence."""
+    acc = 0 * x
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_derivative(a):
+    return _trim([i * c for i, c in enumerate(a)][1:])

@@ -26,6 +26,7 @@ from .errors import (
     PrecisionLossError,
 )
 from .numtheory import (
+    DEFAULT_PRECISION,
     INFINITY,
     _count,
     _exact,
@@ -33,12 +34,11 @@ from .numtheory import (
     _precision,
     _sqrt_mod_prime,
     int_valuation,
+    poly_derivative,
+    poly_eval,
     rational_valuation,
     require_prime,
 )
-from .polynomials import poly_derivative, poly_eval
-
-DEFAULT_PRECISION = 32
 
 
 class PadicNumber:

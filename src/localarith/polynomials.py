@@ -37,7 +37,10 @@ from .numtheory import (
     _exact,
     _inverse_mod_prime_power,
     _precision,
+    _trim,
     int_valuation,
+    poly_derivative,
+    poly_eval,
     rational_valuation,
     require_prime,
 )
@@ -47,13 +50,6 @@ from .numtheory import (
 # exact polynomial helpers over Q and Z (ascending coefficient sequences;
 # integer inputs give integer results)
 # ---------------------------------------------------------------------------
-
-
-def _trim(coeffs):
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
 
 
 def poly_add(a, b):
@@ -79,17 +75,6 @@ def poly_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-def poly_eval(a, x):
-    acc = 0 * x
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(a):
-    return _trim([i * c for i, c in enumerate(a)][1:])
 
 
 def poly_scale(a, c):

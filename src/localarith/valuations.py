@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .finitefield import FqPoly, _common_field, factor_monic
 from .numtheory import (
     INFINITY,
     _exact,
@@ -25,6 +24,9 @@ from .numtheory import (
     rational_valuation,
     require_prime,
 )
+
+# The GF(q)(T) functions import finitefield when they run, so callers working
+# over Q never load it; FqPoly in annotations is finitefield.FqPoly.
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,8 @@ def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
 
 def ff_valuation(place: FunctionFieldPlace, num: FqPoly, den: FqPoly | None = None) -> int | float:
     """Valuation at a place of the rational function num/den over GF(q)."""
+    from .finitefield import FqPoly, _common_field
+
     field = _common_field(num, *(g for g in (den, place.poly) if g is not None))
     if place.q != field.q:
         raise InvalidArgumentError("all polynomials must share one field")
@@ -177,6 +181,8 @@ class SumFormulaReport:
 
 def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaReport:
     """Verify sum over places of deg(place) * v_place(x) = 0 for x = num/den."""
+    from .finitefield import FqPoly, _common_field, factor_monic
+
     if num.is_zero():
         raise InvalidArgumentError("the sum formula concerns nonzero functions")
     field = num.field if den is None else _common_field(num, den)

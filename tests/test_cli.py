@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from localarith.cli import main
+from localarith.cli import build_parser, main
 from localarith.formats import (
     format_polynomial,
     parse_polynomial,
@@ -24,6 +25,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_process(argv, **kwargs):
+    """``python -m localarith.cli argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "localarith.cli", *argv], env=env, timeout=60, **kwargs
+    )
 
 
 class TestFormats:
@@ -168,21 +178,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["vp", "-p", "2", "12"], ["reproduce", "--all"]])
     def test_closed_stdout_exits_quietly(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to stdout fails with EPIPE
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "localarith.cli", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=60,
-            )
+            proc = cli_process(argv, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert proc.returncode == 0 and proc.stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["vp", "-p", "4", "12"], 2),
+            (["sqrt", "-p", "2", "15"], 3),
+            (["weierstrass", "-p", "3", "9 + 3*T + 9*T^2", "--tail", "1"], 4),
+        ],
+    )
+    def test_closed_stderr_keeps_the_exit_code(self, argv, expected):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the error message cannot be written
+        try:
+            proc = cli_process(argv, stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected and proc.stdout == b""
 
     def test_missing_polynomial_file(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")
@@ -231,3 +250,145 @@ class TestReproduce:
         _, first, _ = run_cli(capsys, "reproduce", "--all")
         _, second, _ = run_cli(capsys, "reproduce", "--all")
         assert first == second
+
+
+# Malformed and edge inputs, with the exit code each must give: 0 success,
+# 2 invalid input, 3 hypothesis failed, 4 precision loss.
+FUZZ_ROWS = [
+    (["vp", "-p", "4", "12"], 2),
+    (["vp", "-p", "-3", "12"], 2),
+    (["vp", "-p", "1", "12"], 2),
+    (["vp", "-p", "2", "1/0"], 2),
+    (["vp", "-p", "2", ""], 2),
+    (["vp", "-p", "2", "2^100000"], 2),
+    (["vp", "-p", "2", "0"], 0),
+    (["vp", "-p", "1000003", str(1000003**300)], 0),
+    (["product-formula", "0"], 2),
+    (["product-formula", "abc"], 2),
+    (["ff-val", "-q", "6", "--place", "T", "T"], 2),
+    (["ff-val", "-q", "4", "--place", "T", "7*T"], 2),
+    (["ff-val", "-q", "2", "--place", "T^2+1", "T"], 2),
+    (["ff-val", "-q", "2", "--place", "inf", "T", "0"], 2),
+    (["ff-val", "-q", "2", "--place", "T", "1/2*T"], 2),
+    (["ff-val", "-q", "2", "--place", "T+1", "1 + T^200"], 0),
+    (["weak-approx", "2:1"], 2),
+    (["weak-approx", "4:1:1/2"], 2),
+    (["weak-approx", "2:1:0"], 2),
+    (["weak-approx", "inf:1:1/10", "inf:2:1/10"], 2),
+    (["bernoulli", "-2"], 2),
+    (["bernoulli", "300"], 0),
+    (["staudt-clausen", "3"], 2),
+    (["staudt-clausen", "0"], 2),
+    (["padic", "eval", "-p", "6", "1/2"], 2),
+    (["padic", "eval", "-p", "3", "1/3", "--digits", "0"], 2),
+    (["padic", "eval", "-p", "3", "1/3", "--prec", "0"], 2),
+    (["padic", "eval", "-p", "2", "1/3", "--prec", "2000"], 0),
+    (["sqrt", "-p", "2", "15"], 3),
+    (["sqrt", "-p", "7", "0"], 2),
+    (["sqrt", "-p", "7", "3", "--prec", "-1"], 2),
+    (["teichmuller", "-p", "7", "7"], 2),
+    (["teichmuller", "-p", "9", "2"], 2),
+    (["teichmuller", "-p", "7", "3", "--prec", "500"], 0),
+    (["lift", "-p", "7", "--poly", "T^2 - 2", "--start", "1"], 3),
+    (["lift", "-p", "7", "--poly", "T^2 - 2", "--start", "1/2"], 2),
+    (["lift", "-p", "7", "--poly", "", "--start", "3"], 2),
+    (["polygon", "-p", "2", "0"], 2),
+    (["polygon", "-p", "2"], 2),
+    (["polygon", "-p", "2", ""], 2),
+    (["polygon", "-p", "2", "T^"], 2),
+    (["polygon", "-p", "2", "1 + T^5000"], 0),
+    (["factor-lift", "-p", "7", "--f", "T^2 - 2", "--g0", "T - 3", "--h0", "T - 3"], 3),
+    (["factor-lift", "-p", "7", "--f", "", "--g0", "T - 3", "--h0", "T + 3"], 2),
+    (["slope-factor", "-p", "2", "0"], 2),
+    (["slope-factor", "-p", "6", "1 + T"], 2),
+    (["weierstrass", "-p", "3", "3 + T", "--tail", "-1"], 4),
+    (["weierstrass", "-p", "3", "", "--tail", "5"], 2),
+    (["resultant", "T^2 + 1"], 2),
+    (["resultant", "", "--discriminant"], 2),
+    (["resultant", "1", "--discriminant"], 2),
+    (["resultant", "0", "T"], 2),
+    (["resultant", "1 + T^40", "2 + T^30"], 0),
+    (["eisenstein", "-p", "4", "T^2 + 2"], 2),
+    (["eisenstein", "-p", "2", "0"], 2),
+    (["ramification", "cyclotomic", "-p", "4", "-n", "2"], 2),
+    (["ramification", "cyclotomic", "-p", "2", "-n", "0"], 2),
+    (["ramification", "cyclotomic", "-p", "2", "-n", "40"], 2),
+    (["ramification", "cyclotomic", "-p", "3", "-n", "2", "--residual-degree", "0"], 2),
+    (["extensions", "count", "-q", "6", "-e", "2", "-f", "1"], 2),
+    (["extensions", "count", "-q", "3", "-e", "3", "-f", "1"], 2),
+    (["extensions", "count", "-q", "3", "-e", "0", "-f", "1"], 2),
+    (["extensions", "count", "-q", "7", "-e", "60", "-f", "6"], 0),
+    (["extensions", "classify", "-q", "3", "-e", "2", "-f", "1", "-r", "5"], 2),
+    (["extensions", "classify", "-q", "1", "-e", "2", "-f", "1", "-r", "0"], 2),
+    (["reproduce"], 2),
+]
+
+# rejected by the argument parser: usage lines, then one error line
+PARSER_ROWS = [
+    [],
+    ["frobnicate"],
+    ["padic"],
+    ["vp", "-p", "two", "12"],
+    ["vp", "-p", "2", "12", "--format", "xml"],
+    ["bernoulli", "x"],
+    ["extensions", "count", "-q", "3", "-e", "x", "-f", "1"],
+]
+
+
+def _subcommand(argv):
+    return " ".join(argv[:2] if argv[0] in ("padic", "ramification", "extensions") else argv[:1])
+
+
+def _leaves(parser, prefix=()):
+    """The subcommand paths of a parser, in the order they were added."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*prefix, name))
+            return
+    yield " ".join(prefix)
+
+
+def _first_rows(rows):
+    first = {}
+    for argv, code in rows:
+        first.setdefault(_subcommand(argv), (argv, code))
+    return list(first.values())
+
+
+FIRST_ROWS = _first_rows(FUZZ_ROWS)  # one per subcommand, for a fresh process each
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, expected", FUZZ_ROWS, ids=lambda v: str(v)[:60])
+    def test_in_process(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("argv", PARSER_ROWS, ids=str)
+    def test_parser_rejects(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("localarith") and ": error: " in last
+
+    def test_every_subcommand_has_rows(self):
+        assert [_subcommand(argv) for argv, _ in FIRST_ROWS] == list(_leaves(build_parser()))
+
+    # a fresh process imports each handler's modules for the first time; that
+    # must not turn an input error into an ImportError or a NameError
+    @pytest.mark.parametrize("argv, expected", FIRST_ROWS, ids=lambda v: str(v)[:60])
+    def test_in_a_fresh_process(self, argv, expected):
+        proc = cli_process(argv, capture_output=True, text=True)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        if expected:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1

@@ -63,6 +63,15 @@ def test_int_valuation_matches_the_digit_loop(p, v, m):
     assert int_valuation(m, p) == digit_valuation(m, p)
 
 
+def test_is_prime_against_a_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(-5, n)] == [False] * 5 + sieve
+
+
 def test_inverse_of_a_multiple_of_p_raises():
     with pytest.raises(ValueError):
         _inverse_mod_prime_power(3 * 7, 7, 10)

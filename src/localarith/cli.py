@@ -100,14 +100,9 @@ def _parse_ff_poly(q: int, text: str) -> FqPoly:
 
     field = FiniteField(q)
     coeffs = parse_polynomial(text)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvalidArgumentError("GF(q)[T] coefficients must be integers")
-        out.append(int(c) % field.p if field.degree == 1 else int(c))
-    if field.degree > 1 and any(not 0 <= c < q for c in out):
-        raise InvalidArgumentError(f"coefficient codes must lie in [0, {q})")
-    return FqPoly(field, out)
+    if any(c.denominator != 1 for c in coeffs):
+        raise InvalidArgumentError("GF(q)[T] coefficients must be integers")
+    return FqPoly(field, [int(c) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

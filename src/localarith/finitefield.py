@@ -6,30 +6,32 @@ polynomial modulo a fixed irreducible.  The modulus is chosen
 deterministically as the least monic irreducible of degree m, ordering
 candidates by their integer code; this pins down GF(4) = GF(2)[x]/(x^2+x+1),
 GF(8) = GF(2)[x]/(x^3+x+1), GF(9) = GF(3)[x]/(x^2+1), and so on, with no
-external tables.
+external tables.  Over a prime field any integer stands for its residue
+mod p; over GF(p^m), m > 1, a code outside [0, q) is rejected.
 
 Polynomials over GF(q) are immutable coefficient tuples (ascending),
 normalized so the leading coefficient is nonzero; the zero polynomial is
 the empty tuple and has degree -1.
 
 Factoring and the irreducibility test run on private kernels over plain
-ascending lists of element codes (remainder, product, the q-power
-Frobenius map and a monic gcd), the same for every q; see von zur
+ascending lists of element codes (remainder, product, powering, the
+q-power Frobenius map and a monic gcd), the same for every q; see von zur
 Gathen and Gerhard, *Modern Computer Algebra*, ch. 14.  ``factor_monic``
 splits off squarefree parts (Yun 1976, with a p-th root for the part
 whose multiplicities p divides), groups their factors by degree (the
 distinct-degree split gcd(f, T^(q^d) - T)), and separates factors of
-one degree by Berlekamp's deterministic algorithm (Berlekamp 1967).
+one degree by equal-degree splitting (Cantor and Zassenhaus 1981).
 ``FqPoly.is_irreducible`` is Ben-Or's test (Ben-Or 1981): the
 distinct-degree loop stopped at its first factor.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from .errors import InvalidArgumentError
-from .numtheory import _count, prime_power_decomposition
+from .numtheory import _count, factorint, prime_power_decomposition
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -41,12 +43,19 @@ def FiniteField(q: int) -> "_FiniteField":
 class _FiniteField:
     def __init__(self, q: int):
         p, m = prime_power_decomposition(q)
-        self.q = q
-        self.p = p
-        self.degree = m
-        self.modulus = None if m == 1 else _least_irreducible(p, m)
+        self.q, self.p, self.degree = q, p, m
+        # the least monic irreducible of degree m over GF(p), ascending, without its lead
+        self.modulus = None if m == 1 else next(
+            g.coeffs[:-1] for g in monic_polys(FiniteField(p), m) if g.is_irreducible()
+        )
 
     # -- element codecs -------------------------------------------------
+
+    def element(self, a) -> int:
+        """The code of a: an integer mod p in a prime field, else a code in [0, q)."""
+        if self.degree == 1 or 0 <= _count(a) < self.q:
+            return _count(a) % self.q
+        raise InvalidArgumentError(f"element codes of GF({self.q}) must lie in [0, {self.q})")
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digits of the element code, constant term first."""
@@ -121,24 +130,13 @@ class _FiniteField:
         return self.pow(a, self.q - 2)
 
     def multiplicative_generator(self) -> int:
-        """Least element code generating GF(q)^*."""
-        for g in range(2, self.q) if self.q > 2 else [1]:
-            x, n = g, 1
-            while x != 1:
-                x = self.mul(x, g)
-                n += 1
-            if n == self.q - 1:
-                return g
-        return 1
+        """Least element code generating GF(q)^*: the least g with
+        g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        cofactors = [(self.q - 1) // r for r in factorint(self.q - 1)]
+        return next(g for g in range(1, self.q) if all(self.pow(g, e) != 1 for e in cofactors))
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Coefficients (ascending, without the monic lead) of the least
-    monic irreducible of degree m over GF(p)."""
-    return next(g.coeffs[:-1] for g in monic_polys(FiniteField(p), m) if g.is_irreducible())
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +199,15 @@ def _gcd(a, b, F) -> list[int]:
     return [1] if b else _monic(a, F)
 
 
-def _xpow(e: int, f, F) -> list[int]:
-    """T^e mod f, squaring down from the top bits of e until T^e has at
-    most the degree of a product of two remainders."""
-    if e < 2 * len(f) - 2:
-        return _divmod([0] * e + [1], f, F)[1]
-    half = _xpow(e // 2, f, F)
-    square = _mulmod(half, half, f, F)
-    return _mulmod(square, [0, 1], f, F) if e & 1 else square
+def _powmod(a, e: int, f, F) -> list[int]:
+    """a^e mod f for e >= 1, squaring from the top bit of e down."""
+    a = _divmod(a, f, F)[1]
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, f, F)
+        if bit == "1":
+            out = _mulmod(out, a, f, F)
+    return out
 
 
 def _derivative(a, F) -> list[int]:
@@ -216,18 +215,14 @@ def _derivative(a, F) -> list[int]:
     return _strip([F.mul(i % F.p, c) for i, c in enumerate(a)][1:])
 
 
-def _frobenius_rows(rows, n: int, f, F) -> list[list[int]]:
-    """rows, grown to T^(q i) mod f for 0 <= i < n; it starts as [[1]]."""
-    while len(rows) < n:
-        rows.append(_xpow(F.q, f, F) if len(rows) == 1 else _mulmod(rows[-1], rows[1], f, F))
-    return rows
-
-
 def _frobenius(h, rows, f, F) -> list[int]:
-    """h^q mod f for h reduced mod f.  Since c^q = c in GF(q),
-    h^q = sum h_i T^(q i): the matrix of rows T^(q i) mod f, grown as h needs."""
+    """h^q mod f for h reduced mod f.  Since c^q = c in GF(q), h^q = sum
+    h_i T^(q i): the matrix of f's Frobenius rows T^(q i) mod f, which
+    start as [[1]] and grow as h needs."""
+    while len(rows) < len(h):
+        rows.append(_powmod([0, 1], F.q, f, F) if len(rows) == 1 else _mulmod(rows[-1], rows[1], f, F))
     acc = [0] * (len(f) - 1)
-    for c, row in zip(h, _frobenius_rows(rows, len(h), f, F)):
+    for c, row in zip(h, rows):
         if c:
             acc[: len(row)] = F.axpy(acc[: len(row)], c, row)
     return _strip(acc)
@@ -284,52 +279,35 @@ def _distinct_degree(f, rows, F):
         yield rest, len(rest) - 1
 
 
-def _berlekamp(g, d, rows, F) -> list[list[int]]:
+def _equal_degree(g, d, rows, f, F, rng) -> list[list[int]]:
     """The irreducible factors of a monic squarefree g whose factors all
-    have degree d (Berlekamp 1967); rows are Frobenius rows of a multiple of g.
+    have degree d (Cantor and Zassenhaus 1981; von zur Gathen and Gerhard,
+    Alg. 14.8); g divides f, and rows are f's Frobenius rows.
 
-    The v with v^q = v mod g form a space with one dimension per factor;
-    gcd(g, v - s), over a basis of it and over s in GF(q), separates
-    every pair of factors.  Deterministic, and the same in every
-    characteristic.
+    For a random a mod g, the trace c = a + a^q + ... + a^(q^(d-1)) is an
+    element of GF(q) modulo each factor, and b = c^((q-1)/2) for odd q, or
+    the absolute trace c + c^2 + ... + c^(2^(m-1)) for q = 2^m, is 1 modulo
+    about half of them; gcd(g, b - 1) then splits g.
     """
-    n = len(g) - 1
-    if n == d:
+    if len(g) - 1 == d:
         return [g]
-    # left kernel of Q - I: eliminate column by column on [Q - I | identity]
-    pending = []
-    for i in range(n):
-        row = _divmod(rows[i], g, F)[1]
-        row += [0] * (2 * n - len(row))
-        row[i] = F.add(row[i], F.neg(1))
-        row[n + i] = 1
-        pending.append(row)
-    for j in range(n):
-        k = next((k for k, row in enumerate(pending) if row[j]), None)
-        if k is not None:
-            pivot = pending.pop(k)
-            scale = F.neg(F.inv(pivot[j]))
-            for row in pending:
-                if row[j]:
-                    row[:] = F.axpy(row, F.mul(row[j], scale), pivot)
-    basis = [_strip(row[n:]) for row in pending]
-    factors = [g]
-    for v in basis:
-        if len(v) < 2:
-            continue
-        for s in range(F.q):
-            split = []
-            for u in factors:
-                if len(u) - 1 > d:
-                    w = _gcd(u, _add(v, F.neg(s), [1], F), F)
-                    if 1 < len(w) < len(u):
-                        split += [w, _divmod(u, w, F)[0]]
-                        continue
-                split.append(u)
-            factors = split
-            if len(factors) == n // d:
-                return factors
-    return factors
+    while True:
+        a = _strip([rng.randrange(F.q) for _ in range(len(g) - 1)])
+        c = t = a
+        for _ in range(d - 1):  # t^q mod f, reduced mod g, is t^q mod g
+            t = _divmod(_frobenius(t, rows, f, F), g, F)[1]
+            c = _add(c, 1, t, F)
+        if F.p == 2:
+            b = t = c
+            for _ in range(F.degree - 1):
+                t = _mulmod(t, t, g, F)
+                b = _add(b, 1, t, F)
+        else:
+            b = _powmod(c, (F.q - 1) // 2, g, F)
+        u = _gcd(g, _add(b, F.neg(1), [1], F), F)
+        if 1 < len(u) < len(g):
+            v = _divmod(g, u, F)[0]
+            return _equal_degree(u, d, rows, f, F, rng) + _equal_degree(v, d, rows, f, F, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +338,7 @@ class FqPoly:
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        self.coeffs = tuple(_strip([_count(c) % field.q for c in coeffs]))
+        self.coeffs = tuple(_strip([field.element(c) for c in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -376,11 +354,7 @@ class FqPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FqPoly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, FqPoly) and self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
@@ -412,6 +386,7 @@ class FqPoly:
         return divmod(self, other)[0]
 
     def evaluate(self, x: int) -> int:
+        x = self.field.element(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = self.field.add(self.field.mul(acc, x), c)
@@ -423,10 +398,8 @@ class FqPoly:
         return _wrap(self.field, _monic(list(self.coeffs), self.field))
 
     def is_irreducible(self) -> bool:
-        """Ben-Or's test (Ben-Or 1981): f of degree n is irreducible iff
-        gcd(f, T^(q^d) - T) = 1 for every d <= n/2, since a reducible f has
-        a factor of degree at most n/2.  The distinct-degree loop of
-        ``factor_monic``, stopped at its first factor."""
+        """Ben-Or's test: gcd(f, T^(q^d) - T) = 1 for every d <= deg(f)/2,
+        the distinct-degree loop of ``factor_monic`` stopped at its first factor."""
         n = len(self.coeffs) - 1
         if n < 2:
             return n == 1
@@ -437,38 +410,25 @@ class FqPoly:
         return (other % self).is_zero()
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("T" if c == 1 else f"{c}*T")
-            else:
-                terms.append(f"T^{i}" if c == 1 else f"{c}*T^{i}")
-        return " + ".join(terms)
+        terms = [
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("T" if i == 1 else f"T^{i}")
+            for i, c in enumerate(self.coeffs)
+            if c
+        ]
+        return " + ".join(terms) or "0"
 
 
 def monic_polys(field, degree: int):
     """Yield all monic polynomials of the given degree, lex order on codes."""
-    for code in range(field.q**degree):
-        low = []
-        c = code
-        for _ in range(degree):
-            low.append(c % field.q)
-            c //= field.q
-        yield _wrap(field, low + [1])
+    q = field.q
+    for code in range(q**degree):
+        yield _wrap(field, [code // q**i % q for i in range(degree)] + [1])
 
 
 def monic_irreducibles(field, max_degree: int):
     """Yield monic irreducibles of degree 1..max_degree in increasing degree."""
     for d in range(1, max_degree + 1):
-        for g in monic_polys(field, d):
-            if g.is_irreducible():
-                yield g
+        yield from (g for g in monic_polys(field, d) if g.is_irreducible())
 
 
 def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
@@ -478,20 +438,20 @@ def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
     monic irreducible factor to its multiplicity, in ``monic_polys`` order:
     by degree, then by element code read from the top coefficient down.
 
-    Three deterministic stages on element-code lists (von zur Gathen and
-    Gerhard, *Modern Computer Algebra*, ch. 14): squarefree parts by
-    Yun's algorithm with a p-th root step, a distinct-degree split of each
-    part by gcd(part, T^(q^d) - T), and Berlekamp's algorithm on each
-    distinct-degree block that holds more than one factor.
+    Squarefree parts (Yun), their distinct-degree blocks and
+    Cantor-Zassenhaus equal-degree splitting of each block, as in the
+    module docstring.  The splitting draws from a fixed-seed generator and
+    the factorization is unique, so the output is deterministic.
     """
     if poly.is_zero():
         raise InvalidArgumentError("cannot factor the zero polynomial")
     F = poly.field
+    rng = random.Random(0)
     multiplicity: dict[tuple[int, ...], int] = {}
     for part, e in _squarefree_parts(_monic(list(poly.coeffs), F), F):
         rows = [[1]]
         for block, d in _distinct_degree(part, rows, F):
-            for g in _berlekamp(block, d, _frobenius_rows(rows, len(block) - 1, part, F), F):
+            for g in _equal_degree(block, d, rows, part, F, rng):
                 multiplicity[tuple(g)] = multiplicity.get(tuple(g), 0) + e
     order = sorted(multiplicity, key=lambda g: (len(g), g[::-1]))
     return {_wrap(F, g): multiplicity[g] for g in order}

@@ -546,17 +546,14 @@ def _lift_factorization(f, g0, h0, beta, precision):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_w(p, ints, C):
-    """min_j (j*C + v(c_j)), the Gauss valuation with w(T) = C; 0 gives +inf."""
-    return min(
-        (j * C + int_valuation(c, p) for j, c in enumerate(ints) if c),
-        default=INFINITY,
-    )
+def _gauss_w(p, ints, a, b):
+    """min_j (j*a + b*v(c_j)): b times the Gauss valuation with w(T) = a/b; 0 gives +inf."""
+    return min((j * a + b * int_valuation(c, p) for j, c in enumerate(ints) if c), default=INFINITY)
 
 
-def _crop(p, ints, C, cap):
-    """Reduce each c_j modulo p^ceil(cap - j*C): the digits of w-weight >= cap go."""
-    return _trim([c % p ** max(0, math.ceil(cap - j * C)) for j, c in enumerate(ints)])
+def _crop(p, ints, a, b, cap):
+    """Reduce each c_j modulo p^ceil((cap - j*a)/b): the digits of weight >= cap go."""
+    return _trim([c % p ** max(0, (cap - j * a + b - 1) // b) for j, c in enumerate(ints)])
 
 
 def _split_first_side(p, coeffs, n, C, target_w):
@@ -571,37 +568,39 @@ def _split_first_side(p, coeffs, n, C, target_w):
     w(e) >= target_w.  Everything runs on integer residues modulo one p^M:
     dividing by G is long division by the unit part of its leading
     coefficient after an exact division by p^v(lead), and each coefficient
-    c_j is kept modulo p^ceil(cap - j*C).  Slope factorization runs this
-    with C = -slope of the first polygon side, Weierstrass preparation with
-    C = 0.
+    c_j is kept modulo p^ceil(cap - j*C).  All weights are scaled by b, the
+    denominator of C = a/b, so they are integers.  Slope factorization runs
+    this with C = -slope of the first polygon side, Weierstrass preparation
+    with C = 0.
     """
-    deg = len(coeffs) - 1
-    M = math.ceil(target_w + max(0, -deg * C)) + 2
+    a, b = Fraction(C).numerator, Fraction(C).denominator
+    target, deg = math.ceil(target_w * b), len(coeffs) - 1
+    M = (target + max(0, -deg * a) + b - 1) // b + 2
     mod = p**M
     f = _int_reps(p, M, coeffs)
     c_g = min(int_valuation(f[0], p), int_valuation(f[n], p))
-    w_f = _gauss_w(p, f, C)
+    w_f = _gauss_w(p, f, a, b)
     # digits dropped from G re-enter the product through H (w = c_G) and
     # those dropped from H through G (w = w(f) - c_G), so both caps drop
     # only mass of w-weight >= target_w + 2
-    cap_g = target_w + 2 - c_g
-    cap_h = target_w + 2 - w_f + c_g
-    g = _crop(p, [c // p**c_g for c in f[: n + 1]], C, cap_g)
+    cap_g = target + b * (2 - c_g)
+    cap_h = target + b * (2 + c_g) - w_f
+    g = _crop(p, [c // p**c_g for c in f[: n + 1]], a, b, cap_g)
     h = [p**c_g]
-    w_tail = _gauss_w(p, [0] * (n + 1) + f[n + 1 :], C)
+    w_tail = _gauss_w(p, [0] * (n + 1) + f[n + 1 :], a, b)
     if w_tail == INFINITY:
         return g, h
     delta = w_tail - w_f
     if delta <= 0:
         raise PrecisionLossError("cannot certify the side gap at this precision")
     # floored at 0 so the stop test runs even when target_w <= w_f
-    budget = max(0, math.ceil((target_w - w_f) / delta)) + 4
+    budget = max(0, (target - w_f + delta - 1) // delta) + 4
     p_lead = p ** int_valuation(g[n], p)
     inv_lead = _inverse_mod_prime_power(g[n] // p_lead, p, M)
     for _ in range(budget):
         gh = poly_mul(g, h)
         e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
-        if _gauss_w(p, e, C) >= target_w:
+        if _gauss_w(p, e, a, b) >= target:
             break
         q = [0] * (deg - n + 1)
         for i in range(deg - n, -1, -1):
@@ -610,8 +609,8 @@ def _split_first_side(p, coeffs, n, C, target_w):
             q[i] = c = e[i + n] // p_lead * inv_lead % mod
             for j, y in enumerate(g):
                 e[i + j] = (e[i + j] - c * y) % mod
-        g = _crop(p, poly_add(g, [c // p**c_g for c in e[:n]]), C, cap_g)
-        h = _crop(p, poly_add(h, q), C, cap_h)
+        g = _crop(p, poly_add(g, [c // p**c_g for c in e[:n]]), a, b, cap_g)
+        h = _crop(p, poly_add(h, q), a, b, cap_h)
     else:
         raise PrecisionLossError("division steps exceeded their budget")
     return g, h

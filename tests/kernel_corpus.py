@@ -16,6 +16,7 @@ its result with the record.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -193,20 +194,13 @@ def _slope_calls():
         yield "slope_factorization", {"p": p, "coeffs": _padic_coeffs(rng, p, [4, 3, 1, 1, 1, 0]),
                                       "precision": 16}
     # the truncated exponential over Q_2 and Q_3 at the larger precisions
-    exp7 = [format_rational(Fraction(1, _factorial(j))) for j in range(8)]
+    exp7 = [format_rational(Fraction(1, math.factorial(j))) for j in range(8)]
     for p, n in ((2, 64), (2, 128), (3, 32)):
         yield "slope_factorization", {"p": p, "coeffs": exp7, "precision": n}
     # pure polygon, f(0) = 0 and a precision below 1
     yield "slope_factorization", {"p": 3, "coeffs": ["3", "1"], "precision": 8}
     yield "slope_factorization", {"p": 3, "coeffs": ["0", "1", "1"], "precision": 8}
     yield "slope_factorization", {"p": 3, "coeffs": ["9", "1", "1"], "precision": 0}
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _weierstrass_calls():

@@ -38,6 +38,18 @@ def trial_factor_monic(poly):
     return factors
 
 
+def stepping_generator(field):
+    """The least code whose powers run through all of GF(q)^*, by stepping
+    through the powers of each candidate."""
+    for g in range(1, field.q):
+        x, n = g, 1
+        while x != 1:
+            x = field.mul(x, g)
+            n += 1
+        if n == field.q - 1:
+            return g
+
+
 def power(f, e):
     out = FqPoly(f.field, [1])
     for _ in range(e):
@@ -116,6 +128,14 @@ class TestFieldConstruction:
                     assert f.mul(a, b) == f.mul(b, a)
                 if a:
                     assert f.mul(a, f.inv(a)) == 1
+
+    def test_multiplicative_generator_matches_stepping_oracle(self):
+        for q in range(2, 3**5 + 1):
+            try:
+                field = FiniteField(q)
+            except InvalidArgumentError:
+                continue
+            assert field.multiplicative_generator() == stepping_generator(field), q
 
     def test_multiplicative_generator(self):
         for q in (3, 4, 5, 8, 9):
@@ -197,6 +217,22 @@ class TestPolynomials:
         with pytest.raises(InvalidArgumentError):
             FqPoly(FiniteField(3), coeffs)
 
+    @pytest.mark.parametrize("q, code", [(9, -1), (9, 9), (9, 10), (4, 4), (16, -3)])
+    def test_rejects_out_of_range_codes(self, q, code):
+        field = FiniteField(q)
+        with pytest.raises(InvalidArgumentError, match="must lie in"):
+            FqPoly(field, [code, 1])
+        with pytest.raises(InvalidArgumentError, match="must lie in"):
+            FqPoly(field, [0, 1]).evaluate(code)
+
+    def test_prime_field_reduces_integers(self):
+        field = FiniteField(7)
+        assert FqPoly(field, [-1, 8, 14]) == FqPoly(field, [6, 1])
+        assert FqPoly(field, [0, 1]).evaluate(12) == 5
+        assert FqPoly(field, [0, 1]).evaluate(-1) == 6
+        with pytest.raises(InvalidArgumentError):
+            FqPoly(field, [0, 1]).evaluate(0.5)
+
     def test_factor_roundtrip(self):
         f3 = FiniteField(3)
         cases = [FqPoly(f3, [0, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 1]) * FqPoly(f3, [1, 0, 1])]
@@ -218,7 +254,19 @@ class TestPolynomials:
                     rebuilt = rebuilt * g
             assert rebuilt == poly
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "q, d", [(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 16) for d in range(1, 8) if q**d <= 128]
+    )
+    def test_factor_field_polynomial(self, q, d):
+        """T^(q^d) - T is the product of every monic irreducible of degree
+        dividing d: equal-degree blocks of many factors in both the odd
+        and the even trace branch."""
+        field = FiniteField(q)
+        poly = FqPoly(field, [0, field.neg(1)] + [0] * (q**d - 2) + [1])
+        expected = {g: 1 for g in monic_irreducibles(field, d) if d % g.degree == 0}
+        assert list(factor_monic(poly).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 10007])
     def test_factor_agrees_with_sympy(self, p):
         sympy = pytest.importorskip("sympy")
         T = sympy.Symbol("T")

@@ -26,12 +26,18 @@ from localarith import (
     FqPoly,
     PadicPolynomial,
     TruncatedSeries,
+    discriminant,
     factor_monic,
+    hensel_lift_factors,
+    refine_factorization,
+    resultant,
     slope_factorization,
+    vp_rational,
     weierstrass_prepare,
 )
 from localarith.errors import LocalArithError
 from localarith.formats import format_rational, parse_rational, polynomial_to_json
+from localarith.polynomials import poly_mul
 
 FACTOR_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 101, 1009, 10007)
 # total degree per field, sized so the whole corpus re-runs in well under a second
@@ -74,12 +80,34 @@ def _weierstrass_prepare(p, coeffs, tail, precision):
     return [_poly_json(g.coefficients), _poly_json(h.coefficients), h.tail]
 
 
+def _hensel_lift_factors(p, f, g0, h0, alpha, precision):
+    polys = (PadicPolynomial(p, _rationals(x)) for x in (f, g0, h0))
+    return [_poly_json(x.coefficients) for x in hensel_lift_factors(*polys, alpha, precision)]
+
+
+def _refine_factorization(p, f, g, h, precision):
+    polys = (PadicPolynomial(p, _rationals(x)) for x in (f, g, h))
+    return [_poly_json(x.coefficients) for x in refine_factorization(*polys, precision)]
+
+
+def _resultant(g, h):
+    return format_rational(resultant(_rationals(g), _rationals(h)))
+
+
+def _discriminant(g):
+    return format_rational(discriminant(_rationals(g)))
+
+
 KERNELS = {
     "factor_monic": _factor_monic,
     "is_irreducible": _is_irreducible,
     "field": _field,
     "slope_factorization": _slope_factorization,
     "weierstrass_prepare": _weierstrass_prepare,
+    "hensel_lift_factors": _hensel_lift_factors,
+    "refine_factorization": _refine_factorization,
+    "resultant": _resultant,
+    "discriminant": _discriminant,
 }
 
 
@@ -197,6 +225,15 @@ def _slope_calls():
     exp7 = [format_rational(Fraction(1, math.factorial(j))) for j in range(8)]
     for p, n in ((2, 64), (2, 128), (3, 32)):
         yield "slope_factorization", {"p": p, "coeffs": exp7, "precision": n}
+    # the same shapes at N = 512
+    yield "slope_factorization", {"p": 2, "coeffs": exp7, "precision": 512}
+    yield "slope_factorization", {"p": 3, "coeffs": exp7, "precision": 512}
+    for p in PADIC_PRIMES:
+        yield "slope_factorization", {"p": p, "coeffs": _padic_coeffs(rng, p, [4, 3, 1, 1, 1, 0]),
+                                      "precision": 512}
+        n = rng.randint(3, 6)
+        vals = [rng.randint(0, 5) for _ in range(n + 1)]
+        yield "slope_factorization", {"p": p, "coeffs": _padic_coeffs(rng, p, vals), "precision": 512}
     # pure polygon, f(0) = 0 and a precision below 1
     yield "slope_factorization", {"p": 3, "coeffs": ["3", "1"], "precision": 8}
     yield "slope_factorization", {"p": 3, "coeffs": ["0", "1", "1"], "precision": 8}
@@ -216,12 +253,91 @@ def _weierstrass_calls():
                                           "precision": rng.choice([1, 4, 16, 40])}
     yield "weierstrass_prepare", {"p": 3, "coeffs": ["3", "1", "3"], "tail": 128, "precision": 128}
     yield "weierstrass_prepare", {"p": 5, "coeffs": ["0", "0"], "tail": 4, "precision": 4}
+    for p in (2, 3):
+        vals = [1, 2, 0, 1, 3, 2, 4]
+        yield "weierstrass_prepare", {"p": p, "coeffs": _padic_coeffs(rng, p, vals), "tail": 600,
+                                      "precision": 512}
+
+
+def _poly_text(coeffs):
+    return [format_rational(c) for c in coeffs]
+
+
+def _integer_poly(rng, p, degree, lead):
+    return [rng.randint(-p**3, p**3) for _ in range(degree)] + [lead]
+
+
+def _lift_calls():
+    rng = random.Random(14)
+    for p in PADIC_PRIMES:
+        for shape in range(8):
+            # monic pairs (shape 4 one digit short of the congruence), then a
+            # leading coefficient p on one side, then on both
+            lead_g = 1 if shape < 5 else p
+            lead_h = p if shape == 7 else 1
+            g0 = _integer_poly(rng, p, rng.randint(1, 3), lead_g)
+            h0 = _integer_poly(rng, p, rng.randint(1, 3), lead_h)
+            if shape % 2:
+                g0, h0 = h0, g0
+            gh = poly_mul(g0, h0)
+            beta = vp_rational(p, resultant(g0, h0))
+            alpha = min(beta, 3) + rng.randint(0, 1)
+            depth = 2 * alpha + 1 - (shape == 4)
+            noise = [p**depth * rng.randint(-p, p) for _ in range(len(gh) - 1)]
+            f = [a + b for a, b in zip(gh, noise + [0])]
+            precision = rng.choice([1, 4, 16, 64])
+            yield "hensel_lift_factors", {"p": p, "f": _poly_text(f), "g0": _poly_text(g0),
+                                          "h0": _poly_text(h0), "alpha": alpha, "precision": precision}
+            # refine: the defect depth around 2 v(res), on both sides of the hypothesis
+            depth = 2 * min(beta, 3) + rng.randint(0, 3)
+            noise = [p**depth * rng.randint(-p, p) for _ in range(len(gh) - 1)]
+            f = [a + b for a, b in zip(gh, noise + [0])]
+            yield "refine_factorization", {"p": p, "f": _poly_text(f), "g": _poly_text(g0),
+                                           "h": _poly_text(h0), "precision": precision}
+        # exact products, one with a common factor (res = 0)
+        g0 = _integer_poly(rng, p, 2, 1)
+        yield "refine_factorization", {"p": p, "f": _poly_text(poly_mul(g0, g0)), "g": _poly_text(g0),
+                                       "h": _poly_text(g0), "precision": 8}
+        yield "hensel_lift_factors", {"p": p, "f": _poly_text(poly_mul(g0, g0)), "g0": _poly_text(g0),
+                                      "h0": _poly_text(g0), "alpha": 1, "precision": 8}
+        h0 = _integer_poly(rng, p, 1, 1)
+        yield "hensel_lift_factors", {"p": p, "f": _poly_text(poly_mul(g0, h0)), "g0": _poly_text(g0),
+                                      "h0": _poly_text(h0), "alpha": 3, "precision": 8}
+        # leading terms that differ, precision below 1
+        f = poly_mul(g0, h0)
+        yield "hensel_lift_factors", {"p": p, "f": _poly_text(f[:-1] + [2 * f[-1]]), "g0": _poly_text(g0),
+                                      "h0": _poly_text(h0), "alpha": 0, "precision": 8}
+        yield "refine_factorization", {"p": p, "f": _poly_text(f), "g": _poly_text(g0),
+                                       "h": _poly_text(h0), "precision": 0}
+    # a coprime monic pair lifted to N = 512
+    g0, h0 = [-2, 1, 1], [3, 0, 1]
+    f = [a + 7**3 * b for a, b in zip(poly_mul(g0, h0), [1, 2, 3, 4, 0])]
+    yield "hensel_lift_factors", {"p": 7, "f": _poly_text(f), "g0": _poly_text(g0), "h0": _poly_text(h0),
+                                  "alpha": 1, "precision": 512}
+    yield "refine_factorization", {"p": 7, "f": _poly_text(f), "g": _poly_text(g0), "h": _poly_text(h0),
+                                   "precision": 512}
+
+
+def _resultant_calls():
+    rng = random.Random(15)
+
+    def poly(degree):
+        return _poly_text([Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7))) for _ in range(degree)]
+                          + [Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.choice((1, 5)))])
+    for _ in range(30):
+        yield "resultant", {"g": poly(rng.randint(0, 5)), "h": poly(rng.randint(0, 5))}
+    for _ in range(15):
+        yield "discriminant", {"g": poly(rng.randint(1, 6))}
+    yield "resultant", {"g": ["0"], "h": ["1", "1"]}
+    yield "discriminant", {"g": ["3"]}
 
 
 def calls():
     yield from _finite_field_calls()
     yield from _slope_calls()
     yield from _weierstrass_calls()
+    yield from _lift_calls()
+    yield from _resultant_calls()
 
 
 def main() -> None:

@@ -8,16 +8,13 @@ over Z after clearing each row's denominators, and the lifts solve
 linear systems over Z/p^M with minimal-valuation pivoting, inverting
 units modulo p^M by Newton doubling.
 
-The three lifting kernels share one representation, integer residues
-modulo one p^M per call: the factor lift (_lift_factorization) and the
-side split (_split_first_side), which slope factorization and Weierstrass
-preparation both run.  Slope factorization divides out the content p^c
-and splits the primitive polynomial, with each split's target set by the
-precision and by the polygon's height, so every cofactor keeps its
-leading vertex; the first factor gets p^c back.  Outputs carry canonical
-integer residues: lifted factors modulo p^N, slope factors modulo the
-power their split needs, and the Weierstrass factors h and g / p^w(f)
-modulo p^(h.tail) after normalizing h(0) = 1.
+Factor lifting, slope factorization and Weierstrass preparation run one
+engine, _lift: Newton steps on f = G*H in a Gauss valuation w(T) = C,
+with a Newton-updated cofactor p^beta / H mod G, on integer residues
+modulo one p^M per call, so the rounds grow like log(precision).  Outputs
+are canonical residues of the true factors: lifted factors modulo p^N,
+slope factors modulo the power their split needs, and the Weierstrass
+factors h and g / p^w(f) modulo p^(h.tail) after normalizing h(0) = 1.
 """
 
 from __future__ import annotations
@@ -421,6 +418,79 @@ def _int_reps(p, M, coeffs):
 
 
 # ---------------------------------------------------------------------------
+# the lifting engine: Newton steps on a factorization and on a cofactor
+# ---------------------------------------------------------------------------
+
+
+def _gauss_w(p, ints, a, b):
+    """min_j (j*a + b*v(c_j)): b times the Gauss valuation with w(T) = a/b; 0 gives +inf."""
+    return min((j * a + b * int_valuation(c, p) for j, c in enumerate(ints) if c), default=INFINITY)
+
+
+def _crop(p, ints, a, b, cap):
+    """Reduce each c_j modulo p^ceil((cap - j*a)/b): the digits of weight >= cap go."""
+    return _trim([c % p ** max(0, (cap - j * a + b - 1) // b) for j, c in enumerate(ints)])
+
+
+def _divmod(x, g, p_lead, inv_lead, mod):
+    """(x div g, x mod g) modulo mod = p^M; lead(g) = p_lead * u, inv_lead = 1/u."""
+    x, n = list(x), len(g) - 1
+    q = [0] * max(0, len(x) - n)
+    for i in range(len(q) - 1, -1, -1):
+        if x[i + n] % p_lead:
+            raise PrecisionLossError("the side factor does not divide the defect")
+        q[i] = c = x[i + n] // p_lead * inv_lead % mod
+        for j, y in enumerate(g):
+            x[i + j] = (x[i + j] - c * y) % mod
+    return q, x[:n]
+
+
+def _lift(p, f, g, h, t, beta, C, target):
+    """The factors of f near g*h for the Gauss valuation w(T) = C, once
+    w(f - g*h) >= target (von zur Gathen-Gerhard, Modern Computer Algebra,
+    Alg. 15.10).
+
+    g must be regular (its leading term attains w(g)), so reducing modulo
+    g lowers no weight and its leading coefficient stays fixed; t*h =
+    p^beta (1 + eps) mod g with w(eps) > 0, and the caller certifies that
+    the first step converges.  Each round, e = f - g*h,
+    dg = (t*e mod g) / p^beta, dh = (e - h*dg) div g, then t takes the
+    Newton step t -= t*(t*h mod g - p^beta) mod g / p^beta, so the excess
+    weight of e and w(eps) both double.  Weights are scaled by b, C = a/b;
+    g, h and t keep target - w(g) - w(h) + 2 (scaled) above their weights.
+    """
+    a, b = Fraction(C).numerator, Fraction(C).denominator
+    v_lead = rational_valuation(g[-1], p)
+    M = (target + max(0, -(len(f) - 1) * a) + b - 1) // b + 2 * (beta + v_lead) + 5
+    mod, p_beta, p_lead = p**M, p**beta, p**v_lead
+    f, g, h, t = (_int_reps(p, M, x) for x in (f, g, h, t))
+    w_g, w_h = _gauss_w(p, g, a, b), _gauss_w(p, h, a, b)
+    rel = max(0, target - w_g - w_h) + 2 * b
+    cap_g, cap_h, cap_t = w_g + rel, w_h + rel, _gauss_w(p, t, a, b) + rel
+    g = _crop(p, g, a, b, cap_g)
+    inv_lead = _inverse_mod_prime_power(g[-1] // p_lead, p, M)
+
+    def unscale(xs):
+        if any(c % p_beta for c in xs):
+            raise PrecisionLossError("the cofactor step is not integral at this precision")
+        return [c // p_beta for c in xs]
+
+    for _ in range(target.bit_length() + 5):
+        gh = poly_mul(g, h)
+        e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
+        if _gauss_w(p, e, a, b) >= target:
+            return g, h
+        dg = unscale(_divmod(poly_mul(t, e), g, p_lead, inv_lead, mod)[1])
+        dh = _divmod(poly_sub(e, poly_mul(h, dg)), g, p_lead, inv_lead, mod)[0]
+        g = _crop(p, poly_add(g, dg), a, b, cap_g)
+        h = _crop(p, poly_add(h, dh), a, b, cap_h)
+        r = poly_sub(_divmod(poly_mul(t, h), g, p_lead, inv_lead, mod)[1], [p_beta])
+        dt = unscale(_divmod(poly_mul(t, r), g, p_lead, inv_lead, mod)[1])
+        t = _crop(p, poly_sub(t, dt), a, b, cap_t)
+    raise PrecisionLossError("lifting did not converge within its round budget")
+
+
+# ---------------------------------------------------------------------------
 # Hensel lifting of factorizations (discrete valuation version)
 # ---------------------------------------------------------------------------
 
@@ -459,7 +529,7 @@ def hensel_lift_factors(
     defect0 = poly_sub(f.coefficients, poly_mul(g0.coefficients, h0.coefficients))
     if any(rational_valuation(c, p) < 2 * alpha + 1 for c in defect0):
         raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-    return _lift_factorization(f, g0, h0, beta, precision)
+    return refine_factorization(f, g0, h0, precision)
 
 
 def refine_factorization(
@@ -473,11 +543,13 @@ def refine_factorization(
     Checks that precision >= 1, that f, G and H share one prime, that f
     and G*H have the same leading term and, unless f = G*H exactly, that
     w(f - GH) > 2 v(res(G, H)) (the discriminant variant
-    w(f - GH) > v(dis(f)) implies it).  Returns
-    the true factors of f near G, H with the leading terms of G, H;
-    their other coefficients are reduced to canonical residues in
-    [0, p^precision), so the pair is the one hensel_lift_factors returns.
-    The lift is quadratic, about log2(precision) rounds.
+    w(f - GH) > v(dis(f)) implies it) and that G or H is regular, its
+    leading coefficient of least valuation.  The lift is _lift at C = 0,
+    dividing by a regular factor, its cofactor from one Sylvester solve:
+    about log2(precision) rounds.  Returns the true factors of f near
+    G, H with the leading terms of G, H; their other coefficients are
+    reduced to canonical residues in [0, p^precision), so the pair is the
+    one hensel_lift_factors returns.
     """
     _precision(precision)
     p = f.p
@@ -490,130 +562,33 @@ def refine_factorization(
     beta = rational_valuation(res, p)
     defect0 = poly_sub(f.coefficients, poly_mul(big_g.coefficients, big_h.coefficients))
     w0 = min((rational_valuation(c, p) for c in defect0), default=INFINITY)
-    if w0 == INFINITY:
-        # nothing to lift: v(res) would only size the working modulus
-        return _lift_factorization(f, big_g, big_h, 0, precision)
-    if beta == INFINITY or w0 <= 2 * beta:
-        raise HypothesisFailedError(
-            f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
-        )
-    return _lift_factorization(f, big_g, big_h, beta, precision)
-
-
-def _lift_factorization(f, g0, h0, beta, precision):
-    """The factors of f near g0, h0, reduced modulo p^precision, given
-    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
-
-    Each round solves the Sylvester system of the current pair modulo
-    p^M for the defect, of valuation w.  The correction has valuation
-    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
-    v(res) stays beta.  Once w >= precision + beta every later correction
-    is 0 mod p^precision, so the reduced pair is that of the true factors,
-    whatever the starting pair.
-    """
-    p = f.p
-    s, t = g0.degree, h0.degree
-    M = precision + 2 * beta + 2
-    mod, done = p**M, p ** (precision + beta)
-    f_i = _int_reps(p, M, f.coefficients)
-    g = _int_reps(p, M, g0.coefficients)
-    h = _int_reps(p, M, h0.coefficients)
-    for _ in range(precision + 2):
-        gh = poly_mul(g, h)
-        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        if all(c % done == 0 for c in diff):
-            break
-        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
-        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
-        delta = list(reversed(x[:t]))  # added to H
-        gamma = list(reversed(x[t:]))  # added to G
-        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
-        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
-    else:
-        raise HypothesisFailedError("factor lifting failed to converge")
-
-    modN = p**precision
-    g_out = [c % modN for c in g]
-    h_out = [c % modN for c in h]
-    # restore the exact leading terms (reduction may have changed them)
-    g_out[-1] = g0.coefficients[-1]
-    h_out[-1] = h0.coefficients[-1]
-    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+    pair = [list(big_g.coefficients), list(big_h.coefficients)]
+    # f = G*H exactly: nothing to lift, whatever res(G, H) is
+    if w0 != INFINITY:
+        if beta == INFINITY or w0 <= 2 * beta:
+            raise HypothesisFailedError(
+                f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
+            )
+        regular = [rational_valuation(x[-1], p) == min(rational_valuation(c, p) for c in x) for x in pair]
+        if not any(regular):
+            raise HypothesisFailedError("neither factor has its leading coefficient of least valuation")
+        divisor, other = pair if regular[0] else pair[::-1]
+        m, n, M = len(divisor) - 1, len(other) - 1, 2 * beta + 2
+        sylvester = _sylvester(_int_reps(p, M, divisor), _int_reps(p, M, other), m, n)
+        x = _solve_mod_prime_power(p, M, sylvester, [0] * (m + n - 1) + [p**beta])
+        lifted = _lift(p, f.coefficients, divisor, other, x[::-1][:m], beta, 0, precision + beta)
+        pair = list(lifted if regular[0] else lifted[::-1])
+    out = []
+    for lifted, start in zip(pair, (big_g, big_h)):
+        cs = _int_reps(p, precision, lifted)
+        cs[-1] = start.coefficients[-1]  # reduction may have changed the leading term
+        out.append(PadicPolynomial(p, cs))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
 # slope factorization
 # ---------------------------------------------------------------------------
-
-
-def _gauss_w(p, ints, a, b):
-    """min_j (j*a + b*v(c_j)): b times the Gauss valuation with w(T) = a/b; 0 gives +inf."""
-    return min((j * a + b * int_valuation(c, p) for j, c in enumerate(ints) if c), default=INFINITY)
-
-
-def _crop(p, ints, a, b, cap):
-    """Reduce each c_j modulo p^ceil((cap - j*a)/b): the digits of weight >= cap go."""
-    return _trim([c % p ** max(0, (cap - j * a + b - 1) // b) for j, c in enumerate(ints)])
-
-
-def _split_first_side(p, coeffs, n, C, target_w):
-    """Split f = G*H with G of degree n, for the Gauss valuation w(T) = C.
-
-    f is p-integral and w(f) is attained at degree n but at no higher
-    degree; up to degree n its least valuation is c_G = min(v(f_0), v(f_n)),
-    at one end of the first side.  G starts as the primitive low part
-    (f cut after degree n) / p^c_G and H as p^c_G.  Each round divides the
-    defect e = f - G*H by G, adds the quotient to H and the remainder,
-    exactly divided by p^c_G, to G, and gains w(f - f_n) - w(f) > 0, until
-    w(e) >= target_w.  Everything runs on integer residues modulo one p^M:
-    dividing by G is long division by the unit part of its leading
-    coefficient after an exact division by p^v(lead), and each coefficient
-    c_j is kept modulo p^ceil(cap - j*C).  All weights are scaled by b, the
-    denominator of C = a/b, so they are integers.  Slope factorization runs
-    this with C = -slope of the first polygon side, Weierstrass preparation
-    with C = 0.
-    """
-    a, b = Fraction(C).numerator, Fraction(C).denominator
-    target, deg = math.ceil(target_w * b), len(coeffs) - 1
-    M = (target + max(0, -deg * a) + b - 1) // b + 2
-    mod = p**M
-    f = _int_reps(p, M, coeffs)
-    c_g = min(int_valuation(f[0], p), int_valuation(f[n], p))
-    w_f = _gauss_w(p, f, a, b)
-    # digits dropped from G re-enter the product through H (w = c_G) and
-    # those dropped from H through G (w = w(f) - c_G), so both caps drop
-    # only mass of w-weight >= target_w + 2
-    cap_g = target + b * (2 - c_g)
-    cap_h = target + b * (2 + c_g) - w_f
-    g = _crop(p, [c // p**c_g for c in f[: n + 1]], a, b, cap_g)
-    h = [p**c_g]
-    w_tail = _gauss_w(p, [0] * (n + 1) + f[n + 1 :], a, b)
-    if w_tail == INFINITY:
-        return g, h
-    delta = w_tail - w_f
-    if delta <= 0:
-        raise PrecisionLossError("cannot certify the side gap at this precision")
-    # floored at 0 so the stop test runs even when target_w <= w_f
-    budget = max(0, (target - w_f + delta - 1) // delta) + 4
-    p_lead = p ** int_valuation(g[n], p)
-    inv_lead = _inverse_mod_prime_power(g[n] // p_lead, p, M)
-    for _ in range(budget):
-        gh = poly_mul(g, h)
-        e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
-        if _gauss_w(p, e, a, b) >= target:
-            break
-        q = [0] * (deg - n + 1)
-        for i in range(deg - n, -1, -1):
-            if e[i + n] % p_lead:
-                raise PrecisionLossError("the side factor does not divide the defect")
-            q[i] = c = e[i + n] // p_lead * inv_lead % mod
-            for j, y in enumerate(g):
-                e[i + j] = (e[i + j] - c * y) % mod
-        g = _crop(p, poly_add(g, [c // p**c_g for c in e[:n]]), a, b, cap_g)
-        h = _crop(p, poly_add(h, q), a, b, cap_h)
-    else:
-        raise PrecisionLossError("division steps exceeded their budget")
-    return g, h
 
 
 def slope_factorization(
@@ -625,15 +600,19 @@ def slope_factorization(
     i-th type entry, and their product agrees with f coefficientwise
     modulo p^precision (exact check; PrecisionLossError if the working
     slack was insufficient).  The content p^c, c the least vertex
-    valuation, is divided out, and _split_first_side splits the primitive
-    polynomial one side at a time with w(T) = C = -slope.  Each split's
-    target is the larger of precision - c plus slack plus max(0, deg*C),
-    which the product check needs, and the polygon's height
-    max_j (j*C + v_j) + 1, attained at its ends, so every cofactor keeps
-    its leading vertex.  The first factor is p^c times a primitive integer
-    polynomial, the others are primitive integer polynomials; coefficient
-    j of each is a canonical residue modulo p^ceil(cap - j*C), with the
-    cap of the split that produced it.
+    valuation, is divided out, and _lift splits the work (at first the
+    primitive polynomial) one side at a time with w(T) = C = -slope: G
+    of the side's length n starts as (the work cut after degree n) / p^c_G,
+    c_G the least valuation at its ends, and keeps that leading
+    coefficient; the cofactor is the next work.  Each split's target is
+    the larger of precision - c plus slack plus max(0, deg*C), which the
+    product check needs, and the polygon's height max_j (j*C + v_j) + 1,
+    so every cofactor keeps its leading vertex.  Factor i is the true pure
+    factor with that leading coefficient (taken from the true cofactor),
+    reduced coefficientwise to canonical residues modulo p^ceil(cap - j*C),
+    cap = target + 2 - c_G for G and target + 2 + c_G - v(work(0)) for the
+    last factor: a higher precision gives the same residues to more digits.
+    The first factor is p^c times a primitive integer polynomial.
     """
     _precision(precision)
     if f.coefficients[0] == 0:
@@ -647,14 +626,31 @@ def slope_factorization(
     c = int(min(y for _, y in polygon.vertices))
     content = Fraction(p) ** c
     work = [a / content for a in f.coefficients]
+    splits, (x_r, y_r) = polygon.sides[:-1], polygon.vertices[-1]
+    # every split runs `reach` digits above its work's weight: 2 beyond the
+    # largest relative target, plus deg * (C_first - C_last), the most a
+    # cofactor's error can lose when a later split weighs it with its own C
+    reach = max(
+        max(precision - c + slack + max(0, (x - x_r) * gamma), y_r - y + (x - x_r) * gamma + 1)
+        for (x, y), (_, gamma) in zip(polygon.vertices, splits)
+    )
+    reach += 2 + (x_r - splits[0][0]) * (splits[-1][1] - splits[0][1])
     factors = []
-    for length, gamma in polygon.sides[:-1]:
+    for length, gamma in splits:
         deg, C = len(work) - 1, -gamma
+        a, b = C.numerator, C.denominator
+        v0, v_top = rational_valuation(work[0], p), rational_valuation(work[-1], p)
         relative = precision - c + slack + max(0, deg * C)
-        height = max(rational_valuation(work[0], p), rational_valuation(work[-1], p) + deg * C)
-        g, work = _split_first_side(p, work, length, C, max(relative, height + 1))
-        factors.append(g)
-    factors.append(work)
+        cap = math.ceil(max(relative, max(v0, v_top + deg * C) + 1) * b) + 2 * b
+        c_g = min(v0, rational_valuation(work[length], p))
+        if min(j * C + rational_valuation(x, p) for j, x in enumerate(work) if j > length and x) <= v0:
+            raise PrecisionLossError("cannot certify the side gap at this precision")
+        # t = p^lam keeps the cofactor integral when C > 0
+        lam = max(0, math.ceil((length - 1) * C))
+        low = [Fraction(x) / p**c_g for x in work[: length + 1]]
+        g, work = _lift(p, work, low, [p**c_g], [p**lam], c_g + lam, C, math.ceil((v0 + reach) * b))
+        factors.append(_crop(p, g, a, b, cap - b * c_g))
+    factors.append(_crop(p, work, a, b, cap + b * (c_g - v0)))
     factors[0] = [a * content for a in factors[0]]
 
     product = [Fraction(1)]
@@ -719,12 +715,12 @@ def weierstrass_prepare(
     coefficient valuation is attained; it must be certified by the tail
     bound, otherwise PrecisionLossError is raised.  The product matches f
     coefficientwise modulo p^min(precision, tail).  After scaling f to
-    minimal valuation 0 this is the split of _split_first_side for the
-    Gauss valuation w(T) = 0, started from f cut after the distinguished
-    degree, on integer residues; it is normalized by the inverse of h(0)
-    modulo p^t, t = h.tail = min(precision, tail) - w(f).  The
-    coefficients of h and of g / p^w(f) come back as canonical residues
-    modulo p^max(1, t).
+    minimal valuation 0 this is _lift at w(T) = 0, started from g = f cut
+    after the distinguished degree, h = 1 and cofactor 1, on integer
+    residues; it is normalized by the inverse of h(0) modulo p^t,
+    t = h.tail = min(precision, tail) - w(f).  The coefficients of h and
+    of g / p^w(f) come back as canonical residues modulo p^max(1, t): those
+    of the true factors, which are unique under h(0) = 1.
     """
     _precision(precision)
     p = f.p
@@ -745,7 +741,7 @@ def weierstrass_prepare(
     coeffs = [c / scale for c in f.coefficients]
     target = min(precision, f.tail) - w
     # below w = 0 there is nothing to divide: the first stop test ends the loop
-    g, h = _split_first_side(p, coeffs, n_dist, 0, max(target, 0))
+    g, h = _lift(p, coeffs, coeffs[: n_dist + 1], [1], [1], 0, 0, max(target, 0))
 
     mod = p ** max(1, target)
     inv = _inverse_mod_prime_power(h[0], p, max(1, target))

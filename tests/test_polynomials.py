@@ -27,6 +27,7 @@ from localarith import (
     vp_rational,
     weierstrass_prepare,
 )
+from localarith import polynomials
 from localarith.formats import parse_polynomial
 from localarith.polynomials import _det, poly_add, poly_mul, poly_sub
 
@@ -44,6 +45,23 @@ def is_pure_of(coeffs, p, side):
     return vp_rational(p, coeffs[-1]) == v0 + length * slope and all(
         c == 0 or vp_rational(p, c) >= v0 + j * slope for j, c in enumerate(coeffs)
     )
+
+
+def slope_moduli(f, precision):
+    """(c, ks): the content exponent of f and, per slope factor, the exponents
+    k_j of the moduli p^k_j its coefficients are reduced by (the first factor
+    divided by p^c), as slope_factorization's docstring states them."""
+    polygon = newton_polygon(f)
+    c = min(y for _, y in polygon.vertices)
+    x_r, y_r = polygon.vertices[-1]
+    u, ks = polygon.vertices[0][1] - c, []  # u = v(work(0)) at each split
+    for (x, y), (x1, y1), (length, gamma) in zip(polygon.vertices, polygon.vertices[1:], polygon.sides[:-1]):
+        deg, C = x_r - x, -gamma
+        target = max(precision - c + 8 + max(0, deg * C), max(u, u + y_r - y + deg * C) + 1)
+        c_g = min(u, u + y1 - y)
+        ks.append([math.ceil(target - j * C) + 2 - c_g for j in range(length + 1)])
+        u, last = c_g, [math.ceil(target - j * C) + 2 + c_g - u for j in range(x_r - x1 + 1)]
+    return c, ks + [last]
 
 
 def product_agrees(f, factors, p, precision):
@@ -80,6 +98,18 @@ def pure_factor_products(draw):
         f = poly_mul(f, factor)
     sides = sorted(((length, Fraction(rise, length)) for length, rise in shapes), key=lambda s: s[1])
     return p, draw(st.integers(1, 60)), sides, PadicPolynomial(p, f)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of polynomials.<name> from here on, in a one-item list."""
+    calls, inner = [0], getattr(polynomials, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(polynomials, name, counted)
+    return calls
 
 
 def random_poly(rng, degree, bound=40):
@@ -442,6 +472,33 @@ class TestRefineFactorization:
         )
         assert reduced == lifted
 
+    def test_non_monic_factor_lifts_by_dividing_by_the_other(self):
+        # 3T + 1 is not regular (its least valuation is not at the lead), T + 1 is
+        f = PadicPolynomial(3, [28, 4, 3])
+        g0, h0 = PadicPolynomial(3, [1, 3]), PadicPolynomial(3, [1, 1])
+        expected = (PadicPolynomial(3, [23005, 3]), PadicPolynomial(3, [51382, 1]))
+        assert hensel_lift_factors(f, g0, h0, 0, 10) == expected
+        assert refine_factorization(f, g0, h0, 10) == expected
+
+    def test_neither_factor_regular_rejected(self):
+        g0, h0 = PadicPolynomial(3, [1, 3]), PadicPolynomial(3, [2, 3])
+        f = g0 * h0 + PadicPolynomial(3, [3**5])
+        with pytest.raises(HypothesisFailedError, match="neither factor"):
+            hensel_lift_factors(f, g0, h0, 1, 10)
+        with pytest.raises(HypothesisFailedError, match="neither factor"):
+            refine_factorization(f, g0, h0, 10)
+
+    @pytest.mark.parametrize("precision", [16, 128, 1024])
+    def test_rounds_grow_like_log_precision(self, monkeypatch, precision):
+        # beta = v(res(T - 1, T - 4)) = 1: the lift must reach precision + 1.
+        # Each round makes five products; refine and hensel make one more each.
+        g0, h0 = PadicPolynomial(3, [-1, 1]), PadicPolynomial(3, [-4, 1])
+        f = g0 * h0 + PadicPolynomial(3, [27 * 5, 27 * 7])
+        products, solves = count_calls(monkeypatch, "poly_mul"), count_calls(monkeypatch, "_solve_mod_prime_power")
+        hensel_lift_factors(f, g0, h0, 1, precision)
+        assert products[0] <= 5 * (math.ceil(math.log2(precision)) + 2) + 3
+        assert solves[0] == 1
+
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root
         with pytest.raises(HypothesisFailedError):
@@ -524,6 +581,30 @@ class TestSlopeFactorization:
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), precision)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pure_factor_products())
+    def test_factors_are_residues_of_the_true_factors(self, case):
+        # the output at precision + 16 reduces to the output at precision
+        p, precision, _, f = case
+        c, moduli = slope_moduli(f, precision)
+        content = Fraction(p) ** c
+        shallow, deep = slope_factorization(f, precision), slope_factorization(f, precision + 16)
+        for i, ((g, _), (big, _), ks) in enumerate(zip(shallow, deep, moduli)):
+            scale = content if i == 0 else 1
+            assert [x / scale for x in g.coefficients] == [
+                y / scale % p**k for y, k in zip(big.coefficients, ks)
+            ]
+
+    def test_rounds_grow_like_log_precision(self, monkeypatch):
+        # the old division loop gained a fixed gap per round: 183 products at
+        # N = 32 and 2103 at N = 512 on this input
+        products = count_calls(monkeypatch, "poly_mul")
+        f = PadicPolynomial(2, EXP7)
+        slope_factorization(f, 32)
+        at_32, products[0] = products[0], 0
+        slope_factorization(f, 512)
+        assert products[0] <= 2 * at_32
 
 
 class TestWeierstrass:

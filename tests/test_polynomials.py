@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -647,12 +649,13 @@ class TestWeierstrass:
         assert h.coefficients == (1, 0)
 
 
-# Outputs of the division steps; any change to the loop's start, caps,
-# budget or stop test shows up here.  The slope row was recorded before
-# slope factorization and Weierstrass preparation shared one loop.  The
-# Weierstrass rows were re-pinned when the loop moved to integer residues
-# and its output to residues modulo p^(h.tail); EARLIER_WEIERSTRASS_ROWS
-# keeps their Fraction outputs from before.
+# Outputs of the lifting engine on small splits.  The Weierstrass rows
+# were re-pinned when the split moved to integer residues and its output
+# to residues modulo p^(h.tail); EARLIER_WEIERSTRASS_ROWS keeps their
+# Fraction outputs from before.  The slope row was re-pinned when slope
+# factors became the true factors' residues; EARLIER_SLOPE_ROW keeps the
+# linear division loop's output, whose digits in the last two places of
+# each modulus were not the true factor's.
 DIVISION_STEP_TABLE = [
     (
         lambda: [x.coefficients for x in weierstrass_prepare(TruncatedSeries(3, [3, -1], 10), 8)],
@@ -667,9 +670,11 @@ DIVISION_STEP_TABLE = [
             (g.coefficients, side)
             for g, side in slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), 8)
         ],
-        [((1335386, 1), (1, -1)), ((761765, 106406, 1), (2, 0))],
+        [((811098, 1), (1, -1)), ((237477, 237478, 1), (2, 0))],
     ),
 ]
+
+EARLIER_SLOPE_ROW = [((1335386, 1), (1, -1)), ((761765, 106406, 1), (2, 0))]
 
 
 EARLIER_WEIERSTRASS_ROWS = [
@@ -689,6 +694,43 @@ def test_repinned_weierstrass_rows_agree_with_earlier_ones(row, earlier):
     for new, old in zip(row[1], earlier):
         assert len(new) == len(old)
         assert all(a == b or vp_rational(3, Fraction(a) - b) >= 8 for a, b in zip(new, old))
+
+
+def agrees_with_earlier(f, precision, earlier, factors):
+    """The linear loop stopped once the defect reached each split's target,
+    two digits short of the moduli, and handed its cofactor on with no
+    margin, which cost later factors one more digit: earlier factors agree
+    with the true ones modulo p^(k_j - 3)."""
+    p = f.p
+    c, moduli = slope_moduli(f, precision)
+    for i, ((old, old_side), (new, side), ks) in enumerate(zip(earlier, factors, moduli)):
+        scale = Fraction(p) ** c if i == 0 else 1
+        assert old_side == side and len(old) == len(new)
+        for x, y, k in zip(old, new, ks):
+            assert x == y or vp_rational(p, (Fraction(x) - Fraction(y)) / scale) >= k - 3
+    return True
+
+
+def test_repinned_slope_row_agrees_with_the_earlier_one():
+    f = PadicPolynomial(2, [2, 1, 0, 1])
+    assert agrees_with_earlier(f, 8, EARLIER_SLOPE_ROW, DIVISION_STEP_TABLE[2][1])
+
+
+def test_repinned_corpus_slope_rows_agree_with_earlier_ones():
+    golden = Path(__file__).parent / "golden"
+    current = {}
+    for line in (golden / "kernels.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        current[json.dumps([record["kernel"], record["args"]], sort_keys=True)] = record
+    earlier = [json.loads(line) for line in (golden / "slope_rows_linear_loop.jsonl").read_text().splitlines()]
+    assert len(earlier) == 42
+    for record in earlier:
+        now = current[json.dumps([record["kernel"], record["args"]], sort_keys=True)]
+        args = record["args"]
+        f = PadicPolynomial(args["p"], [Fraction(c) for c in args["coeffs"]])
+        old = [(g, (n, Fraction(s))) for g, n, s in record["result"]]
+        new = [(g, (n, Fraction(s))) for g, n, s in now["result"]]
+        assert old != new and agrees_with_earlier(f, args["precision"], old, new)
 
 
 @pytest.mark.parametrize(

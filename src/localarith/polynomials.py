@@ -418,7 +418,8 @@ def _int_reps(p, M, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# the lifting engine: Newton steps on a factorization and on a cofactor
+# lifting: one Newton engine for factor lifts, slope splits and Weierstrass
+# preparation, then Hensel lifting of factorizations (discrete valuations)
 # ---------------------------------------------------------------------------
 
 
@@ -427,9 +428,15 @@ def _gauss_w(p, ints, a, b):
     return min((j * a + b * int_valuation(c, p) for j, c in enumerate(ints) if c), default=INFINITY)
 
 
-def _crop(p, ints, a, b, cap):
-    """Reduce each c_j modulo p^ceil((cap - j*a)/b): the digits of weight >= cap go."""
-    return _trim([c % p ** max(0, (cap - j * a + b - 1) // b) for j, c in enumerate(ints)])
+def _moduli(p, a, b, cap, n):
+    """p^ceil((cap - j*a)/b) for j < n: modulo these the digits of weight >= cap go."""
+    ks = [max(0, (cap - j * a + b - 1) // b) for j in range(n)]
+    powers = {k: p**k for k in set(ks)}
+    return [powers[k] for k in ks]
+
+
+def _crop(ints, moduli):
+    return _trim([c % m for c, m in zip(ints, moduli)])
 
 
 def _divmod(x, g, p_lead, inv_lead, mod):
@@ -437,62 +444,63 @@ def _divmod(x, g, p_lead, inv_lead, mod):
     x, n = list(x), len(g) - 1
     q = [0] * max(0, len(x) - n)
     for i in range(len(q) - 1, -1, -1):
-        if x[i + n] % p_lead:
-            raise PrecisionLossError("the side factor does not divide the defect")
         q[i] = c = x[i + n] // p_lead * inv_lead % mod
         for j, y in enumerate(g):
-            x[i + j] = (x[i + j] - c * y) % mod
-    return q, x[:n]
+            x[i + j] -= c * y
+    return q, [c % mod for c in x[:n]]
 
 
 def _lift(p, f, g, h, t, beta, C, target):
-    """The factors of f near g*h for the Gauss valuation w(T) = C, once
-    w(f - g*h) >= target (von zur Gathen-Gerhard, Modern Computer Algebra,
-    Alg. 15.10).
+    """The factors of f near g*h for the Gauss valuation w(T) = C = a/b,
+    once w(f - g*h) >= target; all weights are scaled by b.
 
-    g must be regular (its leading term attains w(g)), so reducing modulo
-    g lowers no weight and its leading coefficient stays fixed; t*h =
-    p^beta (1 + eps) mod g with w(eps) > 0, and the caller certifies that
-    the first step converges.  Each round, e = f - g*h,
-    dg = (t*e mod g) / p^beta, dh = (e - h*dg) div g, then t takes the
-    Newton step t -= t*(t*h mod g - p^beta) mod g / p^beta, so the excess
-    weight of e and w(eps) both double.  Weights are scaled by b, C = a/b;
-    g, h and t keep target - w(g) - w(h) + 2 (scaled) above their weights.
+    g must be regular (its leading term attains w(g)), so reducing modulo g
+    lowers no weight, the divisions by lead(g) and p^beta are exact and g's
+    leading coefficient stays fixed; t*h = p^beta (1 + eps) mod g with
+    w(eps) > 0, and the caller certifies that the first step converges.
+    Each round t -= t*(t*h mod g - p^beta) mod g / p^beta, then with
+    e = f - g*h, g += (t*e mod g) / p^beta and h += (e - h*dg) div g (von zur
+    Gathen-Gerhard, Modern Computer Algebra, Alg. 15.10).  The excess of
+    w(e) over w(g) + w(h) doubles, and so does each round's reach, the
+    weight g, h and t are kept to and the power of p they work modulo.  The
+    stop test on f - g*h certifies the result.
     """
     a, b = Fraction(C).numerator, Fraction(C).denominator
-    v_lead = rational_valuation(g[-1], p)
-    M = (target + max(0, -(len(f) - 1) * a) + b - 1) // b + 2 * (beta + v_lead) + 5
-    mod, p_beta, p_lead = p**M, p**beta, p**v_lead
+    v_lead, n = rational_valuation(g[-1], p), len(f)
+
+    def digits(reach):
+        return (reach + max(0, (1 - n) * a) + b - 1) // b + 2 * (beta + v_lead) + 5
+
+    M = digits(target)
+    full, p_beta, p_lead = p**M, p**beta, p**v_lead
     f, g, h, t = (_int_reps(p, M, x) for x in (f, g, h, t))
     w_g, w_h = _gauss_w(p, g, a, b), _gauss_w(p, h, a, b)
-    rel = max(0, target - w_g - w_h) + 2 * b
-    cap_g, cap_h, cap_t = w_g + rel, w_h + rel, _gauss_w(p, t, a, b) + rel
-    g = _crop(p, g, a, b, cap_g)
+    # w(t) <= b*beta as t*h = p^beta mod g; an empty t (g constant) takes b*beta
+    w_t = min(_gauss_w(p, t, a, b), b * beta)
     inv_lead = _inverse_mod_prime_power(g[-1] // p_lead, p, M)
-
-    def unscale(xs):
-        if any(c % p_beta for c in xs):
-            raise PrecisionLossError("the cofactor step is not integral at this precision")
-        return [c // p_beta for c in xs]
-
+    w_f, mod_e, reach = w_g + w_h, _moduli(p, a, b, target, n), 0
     for _ in range(target.bit_length() + 5):
         gh = poly_mul(g, h)
-        e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f)]
-        if _gauss_w(p, e, a, b) >= target:
+        e = [(c - (gh[i] if i < len(gh) else 0)) % full for i, c in enumerate(f)]
+        if not _crop(e, mod_e):
             return g, h
-        dg = unscale(_divmod(poly_mul(t, e), g, p_lead, inv_lead, mod)[1])
-        dh = _divmod(poly_sub(e, poly_mul(h, dg)), g, p_lead, inv_lead, mod)[0]
-        g = _crop(p, poly_add(g, dg), a, b, cap_g)
-        h = _crop(p, poly_add(h, dh), a, b, cap_h)
-        r = poly_sub(_divmod(poly_mul(t, h), g, p_lead, inv_lead, mod)[1], [p_beta])
-        dt = unscale(_divmod(poly_mul(t, r), g, p_lead, inv_lead, mod)[1])
-        t = _crop(p, poly_sub(t, dt), a, b, cap_t)
+        # the excess over w_f is measured once, then doubled (+1 digit, so
+        # that an excess of 0 grows too)
+        excess = max(0, (reach or _gauss_w(p, e, a, b)) - w_f)
+        reach = min(target, w_f + 2 * excess + b)
+        mod = p ** digits(reach)
+        inv, e = inv_lead % mod, [c % mod for c in e]
+        rel = max(0, reach - w_f) + 2 * b
+        mod_g, mod_h, mod_t = (_moduli(p, a, b, w + rel, n) for w in (w_g, w_h, w_t))
+        mod_g[len(g) - 1] = full  # g's leading coefficient is fixed: keep all its digits
+        r = poly_sub(_divmod(poly_mul(t, h), g, p_lead, inv, mod)[1], [p_beta])
+        dt = _divmod(poly_mul(t, r), g, p_lead, inv, mod)[1]
+        t = _crop(poly_sub(t, [c // p_beta for c in dt]), mod_t)
+        dg = [c // p_beta for c in _divmod(poly_mul(t, e), g, p_lead, inv, mod)[1]]
+        dh = _divmod(poly_sub(e, poly_mul(h, dg)), g, p_lead, inv, mod)[0]
+        g = _crop(poly_add(g, dg), mod_g)
+        h = _crop(poly_add(h, dh), mod_h)
     raise PrecisionLossError("lifting did not converge within its round budget")
-
-
-# ---------------------------------------------------------------------------
-# Hensel lifting of factorizations (discrete valuation version)
-# ---------------------------------------------------------------------------
 
 
 def hensel_lift_factors(
@@ -513,23 +521,14 @@ def hensel_lift_factors(
     and the leading terms of g0, h0; their other coefficients are
     reduced to canonical residues in [0, p^precision).
     """
-    _precision(precision)
-    p = f.p
-    if g0.p != p or h0.p != p:
-        raise InvalidArgumentError("all polynomials must share one prime")
-    m, n = g0.degree, h0.degree
-    if f.degree != m + n or f.coefficients[-1] != g0.coefficients[-1] * h0.coefficients[-1]:
-        raise HypothesisFailedError("f and g0*h0 must have the same leading term")
-    res = resultant(g0, h0)
-    beta = rational_valuation(res, p)
+    beta, w0 = _lift_data(f, g0, h0, precision, "g0*h0")
     if beta == INFINITY or beta > alpha:
         raise HypothesisFailedError(
             f"res(g0, h0) = 0 mod p^{alpha + 1}: residual factors not coprime enough"
         )
-    defect0 = poly_sub(f.coefficients, poly_mul(g0.coefficients, h0.coefficients))
-    if any(rational_valuation(c, p) < 2 * alpha + 1 for c in defect0):
+    if w0 < 2 * alpha + 1:
         raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-    return refine_factorization(f, g0, h0, precision)
+    return _lift_factors(f, g0, h0, beta, w0, precision)
 
 
 def refine_factorization(
@@ -544,31 +543,39 @@ def refine_factorization(
     and G*H have the same leading term and, unless f = G*H exactly, that
     w(f - GH) > 2 v(res(G, H)) (the discriminant variant
     w(f - GH) > v(dis(f)) implies it) and that G or H is regular, its
-    leading coefficient of least valuation.  The lift is _lift at C = 0,
-    dividing by a regular factor, its cofactor from one Sylvester solve:
-    about log2(precision) rounds.  Returns the true factors of f near
+    leading coefficient of least valuation.  The lift is quadratic, about
+    log2(precision) rounds.  Returns the true factors of f near
     G, H with the leading terms of G, H; their other coefficients are
     reduced to canonical residues in [0, p^precision), so the pair is the
     one hensel_lift_factors returns.
     """
+    beta, w0 = _lift_data(f, big_g, big_h, precision, "G*H")
+    if w0 != INFINITY and (beta == INFINITY or w0 <= 2 * beta):
+        raise HypothesisFailedError(f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}")
+    return _lift_factors(f, big_g, big_h, beta, w0, precision)
+
+
+def _lift_data(f, g, h, precision, product):
+    """(v(res(g, h)), w(f - g*h)) once precision >= 1, f, g and h share one
+    prime, and f and g*h have the same leading term."""
     _precision(precision)
     p = f.p
-    if big_g.p != p or big_h.p != p:
+    if g.p != p or h.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
-    s, t = big_g.degree, big_h.degree
-    if f.degree != s + t or f.coefficients[-1] != big_g.coefficients[-1] * big_h.coefficients[-1]:
-        raise HypothesisFailedError("f and G*H must have the same leading term")
-    res = resultant(big_g, big_h)
-    beta = rational_valuation(res, p)
-    defect0 = poly_sub(f.coefficients, poly_mul(big_g.coefficients, big_h.coefficients))
+    if f.degree != g.degree + h.degree or f.coefficients[-1] != g.coefficients[-1] * h.coefficients[-1]:
+        raise HypothesisFailedError(f"f and {product} must have the same leading term")
+    defect0 = poly_sub(f.coefficients, poly_mul(g.coefficients, h.coefficients))
     w0 = min((rational_valuation(c, p) for c in defect0), default=INFINITY)
+    return rational_valuation(resultant(g, h), p), w0
+
+
+def _lift_factors(f, big_g, big_h, beta, w0, precision):
+    """The factors of f near G, H, given w0 = w(f - GH) > 2*beta = 2 v(res(G, H)),
+    by _lift at C = 0 with the cofactor from one Sylvester solve."""
+    p = f.p
     pair = [list(big_g.coefficients), list(big_h.coefficients)]
     # f = G*H exactly: nothing to lift, whatever res(G, H) is
     if w0 != INFINITY:
-        if beta == INFINITY or w0 <= 2 * beta:
-            raise HypothesisFailedError(
-                f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
-            )
         regular = [rational_valuation(x[-1], p) == min(rational_valuation(c, p) for c in x) for x in pair]
         if not any(regular):
             raise HypothesisFailedError("neither factor has its leading coefficient of least valuation")
@@ -578,12 +585,9 @@ def refine_factorization(
         x = _solve_mod_prime_power(p, M, sylvester, [0] * (m + n - 1) + [p**beta])
         lifted = _lift(p, f.coefficients, divisor, other, x[::-1][:m], beta, 0, precision + beta)
         pair = list(lifted if regular[0] else lifted[::-1])
-    out = []
-    for lifted, start in zip(pair, (big_g, big_h)):
-        cs = _int_reps(p, precision, lifted)
-        cs[-1] = start.coefficients[-1]  # reduction may have changed the leading term
-        out.append(PadicPolynomial(p, cs))
-    return out[0], out[1]
+    # the exact leading terms of G and H, which reduction could change
+    g, h = (_int_reps(p, precision, x[:-1]) + [y.coefficients[-1]] for x, y in zip(pair, (big_g, big_h)))
+    return PadicPolynomial(p, g), PadicPolynomial(p, h)
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +604,18 @@ def slope_factorization(
     i-th type entry, and their product agrees with f coefficientwise
     modulo p^precision (exact check; PrecisionLossError if the working
     slack was insufficient).  The content p^c, c the least vertex
-    valuation, is divided out, and _lift splits the work (at first the
-    primitive polynomial) one side at a time with w(T) = C = -slope: G
-    of the side's length n starts as (the work cut after degree n) / p^c_G,
-    c_G the least valuation at its ends, and keeps that leading
-    coefficient; the cofactor is the next work.  Each split's target is
-    the larger of precision - c plus slack plus max(0, deg*C), which the
-    product check needs, and the polygon's height max_j (j*C + v_j) + 1,
-    so every cofactor keeps its leading vertex.  Factor i is the true pure
-    factor with that leading coefficient (taken from the true cofactor),
-    reduced coefficientwise to canonical residues modulo p^ceil(cap - j*C),
-    cap = target + 2 - c_G for G and target + 2 + c_G - v(work(0)) for the
-    last factor: a higher precision gives the same residues to more digits.
-    The first factor is p^c times a primitive integer polynomial.
+    valuation, is divided out, and _lift splits the work (the primitive
+    polynomial, then each cofactor) one side at a time with w(T) = C =
+    -slope, from G = (the work cut after the side's length) / p^c_G, c_G
+    its ends' least valuation.  Each split's target is the larger of
+    precision - c plus slack plus max(0, deg*C), which the product check
+    needs, and the polygon's height max_j (j*C + v_j) + 1, so every
+    cofactor keeps its leading vertex.  Factor i is the true pure factor
+    with G's leading coefficient (that of the true cofactor), reduced to
+    canonical residues modulo p^ceil(cap - j*C), cap = target + 2 - c_G,
+    or target + 2 + c_G - v(work(0)) for the last factor: a higher
+    precision gives the same residues to more digits.  The first factor
+    is p^c times a primitive integer polynomial.
     """
     _precision(precision)
     if f.coefficients[0] == 0:
@@ -627,9 +630,8 @@ def slope_factorization(
     content = Fraction(p) ** c
     work = [a / content for a in f.coefficients]
     splits, (x_r, y_r) = polygon.sides[:-1], polygon.vertices[-1]
-    # every split runs `reach` digits above its work's weight: 2 beyond the
-    # largest relative target, plus deg * (C_first - C_last), the most a
-    # cofactor's error can lose when a later split weighs it with its own C
+    # every split runs to `reach` above its work's weight: 2 beyond the largest
+    # relative target, plus what a cofactor's error loses under a later C
     reach = max(
         max(precision - c + slack + max(0, (x - x_r) * gamma), y_r - y + (x - x_r) * gamma + 1)
         for (x, y), (_, gamma) in zip(polygon.vertices, splits)
@@ -649,8 +651,8 @@ def slope_factorization(
         lam = max(0, math.ceil((length - 1) * C))
         low = [Fraction(x) / p**c_g for x in work[: length + 1]]
         g, work = _lift(p, work, low, [p**c_g], [p**lam], c_g + lam, C, math.ceil((v0 + reach) * b))
-        factors.append(_crop(p, g, a, b, cap - b * c_g))
-    factors.append(_crop(p, work, a, b, cap + b * (c_g - v0)))
+        factors.append(_crop(g, _moduli(p, a, b, cap - b * c_g, len(g))))
+    factors.append(_crop(work, _moduli(p, a, b, cap + b * (c_g - v0), len(work))))
     factors[0] = [a * content for a in factors[0]]
 
     product = [Fraction(1)]

@@ -315,8 +315,17 @@ def _equal_degree(g, d, rows, f, F, rng) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _field(field) -> "_FiniteField":
+    """field itself, if FiniteField made it."""
+    if not isinstance(field, _FiniteField):
+        raise InvalidArgumentError(f"{field!r} is not a field: make one with FiniteField(q)")
+    return field
+
+
 def _common_field(*polys: "FqPoly"):
-    """The field of the polynomials, which must all share it."""
+    """The field of the polynomials, which must all be FqPoly and share it."""
+    if not all(isinstance(g, FqPoly) for g in polys):
+        raise InvalidArgumentError("operands must be FqPoly polynomials")
     field = polys[0].field
     if any(g.field is not field for g in polys):
         raise InvalidArgumentError("all polynomials must share one field")
@@ -337,7 +346,7 @@ class FqPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        self.field = field
+        self.field = _field(field)
         self.coeffs = tuple(_strip([field.element(c) for c in coeffs]))
 
     @property
@@ -420,7 +429,7 @@ class FqPoly:
 
 def monic_polys(field, degree: int):
     """Yield all monic polynomials of the given degree, lex order on codes."""
-    q = field.q
+    q = _field(field).q
     for code in range(q**degree):
         yield _wrap(field, [code // q**i % q for i in range(degree)] + [1])
 
@@ -443,9 +452,9 @@ def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
     module docstring.  The splitting draws from a fixed-seed generator and
     the factorization is unique, so the output is deterministic.
     """
+    F = _common_field(poly)
     if poly.is_zero():
         raise InvalidArgumentError("cannot factor the zero polynomial")
-    F = poly.field
     rng = random.Random(0)
     multiplicity: dict[tuple[int, ...], int] = {}
     for part, e in _squarefree_parts(_monic(list(poly.coeffs), F), F):

@@ -290,3 +290,22 @@ class TestPolynomials:
         assert len(by_degree[1]) == 2
         assert len(by_degree[2]) == 1
         assert len(by_degree[3]) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FqPoly(9, [1, 2]),
+        lambda: FqPoly(None, [1]),
+        lambda: factor_monic([1, 2]),
+        lambda: factor_monic(None),
+        lambda: FqPoly(FiniteField(9), [1, 2]) + 1,
+        lambda: FqPoly(FiniteField(9), [1, 2]) * [1],
+        lambda: divmod(FqPoly(FiniteField(9), [1, 2]), 3),
+        lambda: list(monic_polys(9, 2)),
+        lambda: list(monic_irreducibles(9, 2)),
+    ],
+)
+def test_non_field_arguments_rejected(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

@@ -4,17 +4,17 @@ Coefficients are exact rationals tagged with the prime p (ints and
 Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
 slope comparisons, resultants are fraction-free (Bareiss) determinants
-over Z after clearing each row's denominators, and the lifts solve
-linear systems over Z/p^M with minimal-valuation pivoting, inverting
-units modulo p^M by Newton doubling.
+over Z after clearing each row's denominators, and the factor lift gets
+its first cofactor from one linear system over Z/p^M, solved with
+minimal-valuation pivoting and units inverted by Newton doubling.
 
 Factor lifting, slope factorization and Weierstrass preparation run one
-engine, _lift: Newton steps on f = G*H in a Gauss valuation w(T) = C,
-with a Newton-updated cofactor p^beta / H mod G, on integer residues
-modulo one p^M per call, so the rounds grow like log(precision).  Outputs
-are canonical residues of the true factors: lifted factors modulo p^N,
-slope factors modulo the power their split needs, and the Weierstrass
-factors h and g / p^w(f) modulo p^(h.tail) after normalizing h(0) = 1.
+engine, _lift: log(precision) Newton steps on f = G*H and on a cofactor
+p^beta / H mod G in a Gauss valuation w(T) = C, on integer residues modulo
+powers of p that double with the rounds.  Outputs are canonical residues of
+the true factors: lifted factors modulo p^N, slope factors modulo the power
+their split needs, and the Weierstrass factors h and g / p^w(f) modulo
+p^(h.tail) after normalizing h(0) = 1.
 """
 
 from __future__ import annotations
@@ -562,10 +562,10 @@ def _lift_data(f, g, h, precision, product):
     p = f.p
     if g.p != p or h.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
-    if f.degree != g.degree + h.degree or f.coefficients[-1] != g.coefficients[-1] * h.coefficients[-1]:
+    gh = poly_mul(g.coefficients, h.coefficients)
+    if f.degree != len(gh) - 1 or f.coefficients[-1] != gh[-1]:
         raise HypothesisFailedError(f"f and {product} must have the same leading term")
-    defect0 = poly_sub(f.coefficients, poly_mul(g.coefficients, h.coefficients))
-    w0 = min((rational_valuation(c, p) for c in defect0), default=INFINITY)
+    w0 = min((rational_valuation(c, p) for c in poly_sub(f.coefficients, gh)), default=INFINITY)
     return rational_valuation(resultant(g, h), p), w0
 
 
@@ -576,17 +576,18 @@ def _lift_factors(f, big_g, big_h, beta, w0, precision):
     pair = [list(big_g.coefficients), list(big_h.coefficients)]
     # f = G*H exactly: nothing to lift, whatever res(G, H) is
     if w0 != INFINITY:
-        regular = [rational_valuation(x[-1], p) == min(rational_valuation(c, p) for c in x) for x in pair]
+        regular = [v[-1] == min(v) for v in ([rational_valuation(c, p) for c in x] for x in pair)]
         if not any(regular):
-            raise HypothesisFailedError("neither factor has its leading coefficient of least valuation")
+            raise HypothesisFailedError("no factor has its leading coefficient of least valuation")
         divisor, other = pair if regular[0] else pair[::-1]
         m, n, M = len(divisor) - 1, len(other) - 1, 2 * beta + 2
         sylvester = _sylvester(_int_reps(p, M, divisor), _int_reps(p, M, other), m, n)
         x = _solve_mod_prime_power(p, M, sylvester, [0] * (m + n - 1) + [p**beta])
         lifted = _lift(p, f.coefficients, divisor, other, x[::-1][:m], beta, 0, precision + beta)
         pair = list(lifted if regular[0] else lifted[::-1])
-    # the exact leading terms of G and H, which reduction could change
-    g, h = (_int_reps(p, precision, x[:-1]) + [y.coefficients[-1]] for x, y in zip(pair, (big_g, big_h)))
+    # reduction could change the leading terms: put back those of G and H
+    leads = (big_g.coefficients[-1], big_h.coefficients[-1])
+    g, h = (_int_reps(p, precision, x[:-1]) + [lead] for x, lead in zip(pair, leads))
     return PadicPolynomial(p, g), PadicPolynomial(p, h)
 
 
@@ -645,10 +646,10 @@ def slope_factorization(
         relative = precision - c + slack + max(0, deg * C)
         cap = math.ceil(max(relative, max(v0, v_top + deg * C) + 1) * b) + 2 * b
         c_g = min(v0, rational_valuation(work[length], p))
-        if min(j * C + rational_valuation(x, p) for j, x in enumerate(work) if j > length and x) <= v0:
+        tail = [j * C + rational_valuation(x, p) for j, x in enumerate(work) if j > length and x]
+        if min(tail) <= v0:
             raise PrecisionLossError("cannot certify the side gap at this precision")
-        # t = p^lam keeps the cofactor integral when C > 0
-        lam = max(0, math.ceil((length - 1) * C))
+        lam = max(0, math.ceil((length - 1) * C))  # t = p^lam stays integral if C > 0
         low = [Fraction(x) / p**c_g for x in work[: length + 1]]
         g, work = _lift(p, work, low, [p**c_g], [p**lam], c_g + lam, C, math.ceil((v0 + reach) * b))
         factors.append(_crop(g, _moduli(p, a, b, cap - b * c_g, len(g))))

@@ -409,8 +409,7 @@ def _int_reps(p, M, coeffs):
     """Canonical integer representatives modulo p^M of p-integral rationals."""
     mod = p**M
     out = []
-    for c in coeffs:
-        c = Fraction(c)
+    for c in coeffs:  # ints and Fractions alike have numerator and denominator
         if c.denominator % p == 0:
             raise InvalidArgumentError(f"coefficient {c} is not p-integral")
         out.append(c.numerator * pow(c.denominator, -1, mod) % mod)

@@ -555,8 +555,7 @@ def refine_factorization(
 
 
 def _lift_data(f, g, h, precision, product):
-    """(v(res(g, h)), w(f - g*h)) once precision >= 1, f, g and h share one
-    prime, and f and g*h have the same leading term."""
+    """(v(res(g, h)), w(f - g*h)) after the checks both factor lifts make."""
     _precision(precision)
     p = f.p
     if g.p != p or h.p != p:
@@ -584,10 +583,11 @@ def _lift_factors(f, big_g, big_h, beta, w0, precision):
         x = _solve_mod_prime_power(p, M, sylvester, [0] * (m + n - 1) + [p**beta])
         lifted = _lift(p, f.coefficients, divisor, other, x[::-1][:m], beta, 0, precision + beta)
         pair = list(lifted if regular[0] else lifted[::-1])
-    # reduction could change the leading terms: put back those of G and H
-    leads = (big_g.coefficients[-1], big_h.coefficients[-1])
-    g, h = (_int_reps(p, precision, x[:-1]) + [lead] for x, lead in zip(pair, leads))
-    return PadicPolynomial(p, g), PadicPolynomial(p, h)
+    out = []
+    for x, y in zip(pair, (big_g, big_h)):  # reduction may crop the lead: restore it
+        cs = _int_reps(p, precision, x[: y.degree])
+        out.append(PadicPolynomial(p, cs + [0] * (y.degree - len(cs)) + [y.coefficients[-1]]))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,14 @@ class TestRefineFactorization:
         assert hensel_lift_factors(f, g0, h0, 0, 10) == expected
         assert refine_factorization(f, g0, h0, 10) == expected
 
+    def test_leading_term_beyond_the_precision_is_kept(self):
+        # 81 = 3^4 vanishes modulo p^precision, but h keeps its degree and lead
+        g0, h0 = PadicPolynomial(3, [1, 1]), PadicPolynomial(3, [2, 0, 81])
+        f = g0 * h0 + PadicPolynomial(3, [3])
+        expected = (PadicPolynomial(3, [7, 1]), PadicPolynomial(3, [2, 0, 81]))
+        assert hensel_lift_factors(f, g0, h0, 0, 2) == expected
+        assert refine_factorization(f, g0, h0, 2) == expected
+
     def test_neither_factor_regular_rejected(self):
         g0, h0 = PadicPolynomial(3, [1, 3]), PadicPolynomial(3, [2, 3])
         f = g0 * h0 + PadicPolynomial(3, [3**5])

@@ -4,16 +4,18 @@ Coefficients are exact rationals tagged with the prime p (ints and
 Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
 slope comparisons, resultants are fraction-free (Bareiss) determinants
-over Z after clearing each row's denominators, and the factor lift gets
-its first cofactor from one linear system over Z/p^M, solved with
-minimal-valuation pivoting and units inverted by Newton doubling.
+over Z after clearing each row's denominators, and the factor lifts solve
+linear systems over Z/p^M with minimal-valuation pivoting, inverting
+units modulo p^M by Newton doubling.
 
-Factor lifting, slope factorization and Weierstrass preparation run one
-engine, _lift: log(precision) Newton steps on f = G*H and on a cofactor
-p^beta / H mod G in a Gauss valuation w(T) = C, on integer residues modulo
-powers of p that double with the rounds.  Outputs are canonical residues of
-the true factors: lifted factors modulo p^N, slope factors modulo the power
-their split needs, and the Weierstrass factors h and g / p^w(f) modulo
+Slope factorization and Weierstrass preparation run one engine, _lift:
+log(precision) Newton steps on f = G*H and on a cofactor p^beta / H mod G
+in a Gauss valuation w(T) = C, on integer residues modulo powers of p that
+double with the rounds.  The factor lifts (_lift_factorization) solve the
+Sylvester system of the current pair once per round instead, because their
+factors need not be regular.  Outputs are canonical residues of the true
+factors: lifted factors modulo p^N, slope factors modulo the power their
+split needs, and the Weierstrass factors h and g / p^w(f) modulo
 p^(h.tail) after normalizing h(0) = 1.
 """
 
@@ -409,7 +411,8 @@ def _int_reps(p, M, coeffs):
     """Canonical integer representatives modulo p^M of p-integral rationals."""
     mod = p**M
     out = []
-    for c in coeffs:  # ints and Fractions alike have numerator and denominator
+    for c in coeffs:
+        c = Fraction(c)
         if c.denominator % p == 0:
             raise InvalidArgumentError(f"coefficient {c} is not p-integral")
         out.append(c.numerator * pow(c.denominator, -1, mod) % mod)
@@ -417,8 +420,8 @@ def _int_reps(p, M, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# lifting: one Newton engine for factor lifts, slope splits and Weierstrass
-# preparation, then Hensel lifting of factorizations (discrete valuations)
+# lifting: one Newton engine for slope splits and Weierstrass preparation,
+# then Hensel lifting of factorizations (discrete valuation version)
 # ---------------------------------------------------------------------------
 
 
@@ -429,9 +432,7 @@ def _gauss_w(p, ints, a, b):
 
 def _moduli(p, a, b, cap, n):
     """p^ceil((cap - j*a)/b) for j < n: modulo these the digits of weight >= cap go."""
-    ks = [max(0, (cap - j * a + b - 1) // b) for j in range(n)]
-    powers = {k: p**k for k in set(ks)}
-    return [powers[k] for k in ks]
+    return [p ** max(0, (cap - j * a + b - 1) // b) for j in range(n)]
 
 
 def _crop(ints, moduli):
@@ -527,7 +528,7 @@ def hensel_lift_factors(
         )
     if w0 < 2 * alpha + 1:
         raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-    return _lift_factors(f, g0, h0, beta, w0, precision)
+    return _lift_factorization(f, g0, h0, beta, precision)
 
 
 def refine_factorization(
@@ -541,17 +542,19 @@ def refine_factorization(
     Checks that precision >= 1, that f, G and H share one prime, that f
     and G*H have the same leading term and, unless f = G*H exactly, that
     w(f - GH) > 2 v(res(G, H)) (the discriminant variant
-    w(f - GH) > v(dis(f)) implies it) and that G or H is regular, its
-    leading coefficient of least valuation.  The lift is quadratic, about
-    log2(precision) rounds.  Returns the true factors of f near
-    G, H with the leading terms of G, H; their other coefficients are
-    reduced to canonical residues in [0, p^precision), so the pair is the
-    one hensel_lift_factors returns.
+    w(f - GH) > v(dis(f)) implies it).  Returns
+    the true factors of f near G, H with the leading terms of G, H;
+    their other coefficients are reduced to canonical residues in
+    [0, p^precision), so the pair is the one hensel_lift_factors returns.
+    The lift is quadratic, about log2(precision) rounds.
     """
     beta, w0 = _lift_data(f, big_g, big_h, precision, "G*H")
-    if w0 != INFINITY and (beta == INFINITY or w0 <= 2 * beta):
+    if w0 == INFINITY:
+        # nothing to lift: v(res) would only size the working modulus
+        return _lift_factorization(f, big_g, big_h, 0, precision)
+    if beta == INFINITY or w0 <= 2 * beta:
         raise HypothesisFailedError(f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}")
-    return _lift_factors(f, big_g, big_h, beta, w0, precision)
+    return _lift_factorization(f, big_g, big_h, beta, precision)
 
 
 def _lift_data(f, g, h, precision, product):
@@ -567,27 +570,45 @@ def _lift_data(f, g, h, precision, product):
     return rational_valuation(resultant(g, h), p), w0
 
 
-def _lift_factors(f, big_g, big_h, beta, w0, precision):
-    """The factors of f near G, H, given w0 = w(f - GH) > 2*beta = 2 v(res(G, H)),
-    by _lift at C = 0 with the cofactor from one Sylvester solve."""
+def _lift_factorization(f, g0, h0, beta, precision):
+    """The factors of f near g0, h0, reduced modulo p^precision, given
+    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
+
+    Each round solves the Sylvester system of the current pair modulo
+    p^M for the defect, of valuation w.  The correction has valuation
+    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
+    v(res) stays beta.  Once w >= precision + beta every later correction
+    is 0 mod p^precision, so the reduced pair is that of the true factors,
+    whatever the starting pair.
+    """
     p = f.p
-    pair = [list(big_g.coefficients), list(big_h.coefficients)]
-    # f = G*H exactly: nothing to lift, whatever res(G, H) is
-    if w0 != INFINITY:
-        regular = [v[-1] == min(v) for v in ([rational_valuation(c, p) for c in x] for x in pair)]
-        if not any(regular):
-            raise HypothesisFailedError("no factor has its leading coefficient of least valuation")
-        divisor, other = pair if regular[0] else pair[::-1]
-        m, n, M = len(divisor) - 1, len(other) - 1, 2 * beta + 2
-        sylvester = _sylvester(_int_reps(p, M, divisor), _int_reps(p, M, other), m, n)
-        x = _solve_mod_prime_power(p, M, sylvester, [0] * (m + n - 1) + [p**beta])
-        lifted = _lift(p, f.coefficients, divisor, other, x[::-1][:m], beta, 0, precision + beta)
-        pair = list(lifted if regular[0] else lifted[::-1])
-    out = []
-    for x, y in zip(pair, (big_g, big_h)):  # reduction may crop the lead: restore it
-        cs = _int_reps(p, precision, x[: y.degree])
-        out.append(PadicPolynomial(p, cs + [0] * (y.degree - len(cs)) + [y.coefficients[-1]]))
-    return out[0], out[1]
+    s, t = g0.degree, h0.degree
+    M = precision + 2 * beta + 2
+    mod, done = p**M, p ** (precision + beta)
+    f_i = _int_reps(p, M, f.coefficients)
+    g = _int_reps(p, M, g0.coefficients)
+    h = _int_reps(p, M, h0.coefficients)
+    for _ in range(precision + 2):
+        gh = poly_mul(g, h)
+        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
+        if all(c % done == 0 for c in diff):
+            break
+        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
+        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
+        delta = list(reversed(x[:t]))  # added to H
+        gamma = list(reversed(x[t:]))  # added to G
+        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
+        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
+    else:
+        raise HypothesisFailedError("factor lifting failed to converge")
+
+    modN = p**precision
+    g_out = [c % modN for c in g]
+    h_out = [c % modN for c in h]
+    # restore the exact leading terms (reduction may have changed them)
+    g_out[-1] = g0.coefficients[-1]
+    h_out[-1] = h0.coefficients[-1]
+    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
 
 
 # ---------------------------------------------------------------------------

@@ -475,7 +475,7 @@ class TestRefineFactorization:
         )
         assert reduced == lifted
 
-    def test_non_monic_factor_lifts_by_dividing_by_the_other(self):
+    def test_non_monic_factor_lifts(self):
         # 3T + 1 is not regular (its least valuation is not at the lead), T + 1 is
         f = PadicPolynomial(3, [28, 4, 3])
         g0, h0 = PadicPolynomial(3, [1, 3]), PadicPolynomial(3, [1, 1])
@@ -491,26 +491,33 @@ class TestRefineFactorization:
         assert hensel_lift_factors(f, g0, h0, 0, 2) == expected
         assert refine_factorization(f, g0, h0, 2) == expected
 
-    def test_neither_factor_regular_rejected(self):
-        g0, h0 = PadicPolynomial(3, [1, 3]), PadicPolynomial(3, [2, 3])
-        f = g0 * h0 + PadicPolynomial(3, [3**5])
-        with pytest.raises(HypothesisFailedError, match="no factor has"):
-            hensel_lift_factors(f, g0, h0, 1, 10)
-        with pytest.raises(HypothesisFailedError, match="no factor has"):
-            refine_factorization(f, g0, h0, 10)
+    @pytest.mark.parametrize(
+        "g0, h0, defect, alpha, expected",
+        [
+            # least valuation at the constant terms only
+            ([1, 3], [2, 3], [3**5], 1, ([244, 3], [58808, 3])),
+            # least valuation at T only: neither factor has a regular end
+            ([3, 1, 3], [3, 2, 3], [3**5, 2 * 3**5], 2, ([15717, 45685, 3], [28110, 13367, 3])),
+        ],
+    )
+    def test_factors_with_no_regular_lead_lift(self, g0, h0, defect, alpha, expected):
+        g0, h0 = PadicPolynomial(3, g0), PadicPolynomial(3, h0)
+        f = g0 * h0 + PadicPolynomial(3, defect)
+        expected = tuple(PadicPolynomial(3, x) for x in expected)
+        assert hensel_lift_factors(f, g0, h0, alpha, 10) == expected
+        assert refine_factorization(f, g0, h0, 10) == expected
+        g, h = expected
+        assert all(vp_rational(3, c) >= 10 for c in (f - g * h).coefficients)
 
     @pytest.mark.parametrize("precision", [16, 128, 1024])
     def test_rounds_grow_like_log_precision(self, monkeypatch, precision):
-        # beta = v(res(T - 1, T - 4)) = 1: the lift must reach precision + 1.
-        # Each round makes five products; the starting defect and the last
-        # stop test one each.
+        # beta = v(res(T - 1, T - 4)) = 1: the lift must reach precision + 1,
+        # one Sylvester solve per round
         g0, h0 = PadicPolynomial(3, [-1, 1]), PadicPolynomial(3, [-4, 1])
         f = g0 * h0 + PadicPolynomial(3, [27 * 5, 27 * 7])
-        products = count_calls(monkeypatch, "poly_mul")
         solves = count_calls(monkeypatch, "_solve_mod_prime_power")
         hensel_lift_factors(f, g0, h0, 1, precision)
-        assert products[0] <= 5 * (math.ceil(math.log2(precision)) + 2) + 3
-        assert solves[0] == 1
+        assert solves[0] <= math.ceil(math.log2(precision)) + 2
 
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root

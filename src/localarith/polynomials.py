@@ -420,8 +420,122 @@ def _int_reps(p, M, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# lifting: one Newton engine for slope splits and Weierstrass preparation,
-# then Hensel lifting of factorizations (discrete valuation version)
+# Hensel lifting of factorizations (discrete valuation version)
+# ---------------------------------------------------------------------------
+
+
+def hensel_lift_factors(
+    f: PadicPolynomial,
+    g0: PadicPolynomial,
+    h0: PadicPolynomial,
+    alpha: int,
+    precision: int,
+) -> tuple[PadicPolynomial, PadicPolynomial]:
+    """Lift an approximate factorization f = g0*h0 to one modulo p^precision.
+
+    Checks that precision >= 1, that f, g0 and h0 share one prime, that
+    f and g0*h0 have the same leading term, that res(g0, h0) != 0 mod
+    p^(alpha+1) and that f = g0*h0 mod p^(2*alpha+1).  Together these
+    imply w(f - g0*h0) > 2 v(res(g0, h0)), so the lift is the quadratic
+    one of refine_factorization, about log2(precision) rounds.  Returns
+    the true factors g, h of f with g = g0 and h = h0 mod p^(alpha+1)
+    and the leading terms of g0, h0; their other coefficients are
+    reduced to canonical residues in [0, p^precision).
+    """
+    beta, w0 = _lift_data(f, g0, h0, precision, "g0*h0")
+    if beta == INFINITY or beta > alpha:
+        raise HypothesisFailedError(
+            f"res(g0, h0) = 0 mod p^{alpha + 1}: residual factors not coprime enough"
+        )
+    if w0 < 2 * alpha + 1:
+        raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
+    return _lift_factorization(f, g0, h0, beta, precision)
+
+
+def refine_factorization(
+    f: PadicPolynomial,
+    big_g: PadicPolynomial,
+    big_h: PadicPolynomial,
+    precision: int,
+) -> tuple[PadicPolynomial, PadicPolynomial]:
+    """Resultant-controlled refinement of f ~ G*H to the factors of f.
+
+    Checks that precision >= 1, that f, G and H share one prime, that f
+    and G*H have the same leading term and, unless f = G*H exactly, that
+    w(f - GH) > 2 v(res(G, H)) (the discriminant variant
+    w(f - GH) > v(dis(f)) implies it).  Returns
+    the true factors of f near G, H with the leading terms of G, H;
+    their other coefficients are reduced to canonical residues in
+    [0, p^precision), so the pair is the one hensel_lift_factors returns.
+    The lift is quadratic, about log2(precision) rounds.
+    """
+    beta, w0 = _lift_data(f, big_g, big_h, precision, "G*H")
+    if w0 == INFINITY:
+        # nothing to lift: v(res) would only size the working modulus
+        return _lift_factorization(f, big_g, big_h, 0, precision)
+    if beta == INFINITY or w0 <= 2 * beta:
+        raise HypothesisFailedError(
+            f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
+        )
+    return _lift_factorization(f, big_g, big_h, beta, precision)
+
+
+def _lift_data(f, g, h, precision, product):
+    """(v(res(g, h)), w(f - g*h)) after the checks both factor lifts make."""
+    _precision(precision)
+    p = f.p
+    if g.p != p or h.p != p:
+        raise InvalidArgumentError("all polynomials must share one prime")
+    gh = poly_mul(g.coefficients, h.coefficients)
+    if f.degree != len(gh) - 1 or f.coefficients[-1] != gh[-1]:
+        raise HypothesisFailedError(f"f and {product} must have the same leading term")
+    w0 = min((rational_valuation(c, p) for c in poly_sub(f.coefficients, gh)), default=INFINITY)
+    return rational_valuation(resultant(g, h), p), w0
+
+
+def _lift_factorization(f, g0, h0, beta, precision):
+    """The factors of f near g0, h0, reduced modulo p^precision, given
+    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
+
+    Each round solves the Sylvester system of the current pair modulo
+    p^M for the defect, of valuation w.  The correction has valuation
+    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
+    v(res) stays beta.  Once w >= precision + beta every later correction
+    is 0 mod p^precision, so the reduced pair is that of the true factors,
+    whatever the starting pair.
+    """
+    p = f.p
+    s, t = g0.degree, h0.degree
+    M = precision + 2 * beta + 2
+    mod, done = p**M, p ** (precision + beta)
+    f_i = _int_reps(p, M, f.coefficients)
+    g = _int_reps(p, M, g0.coefficients)
+    h = _int_reps(p, M, h0.coefficients)
+    for _ in range(precision + 2):
+        gh = poly_mul(g, h)
+        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
+        if all(c % done == 0 for c in diff):
+            break
+        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
+        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
+        delta = list(reversed(x[:t]))  # added to H
+        gamma = list(reversed(x[t:]))  # added to G
+        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
+        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
+    else:
+        raise HypothesisFailedError("factor lifting failed to converge")
+
+    modN = p**precision
+    g_out = [c % modN for c in g]
+    h_out = [c % modN for c in h]
+    # restore the exact leading terms (reduction may have changed them)
+    g_out[-1] = g0.coefficients[-1]
+    h_out[-1] = h0.coefficients[-1]
+    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+
+
+# ---------------------------------------------------------------------------
+# slope factorization
 # ---------------------------------------------------------------------------
 
 
@@ -501,119 +615,6 @@ def _lift(p, f, g, h, t, beta, C, target):
         g = _crop(poly_add(g, dg), mod_g)
         h = _crop(poly_add(h, dh), mod_h)
     raise PrecisionLossError("lifting did not converge within its round budget")
-
-
-def hensel_lift_factors(
-    f: PadicPolynomial,
-    g0: PadicPolynomial,
-    h0: PadicPolynomial,
-    alpha: int,
-    precision: int,
-) -> tuple[PadicPolynomial, PadicPolynomial]:
-    """Lift an approximate factorization f = g0*h0 to one modulo p^precision.
-
-    Checks that precision >= 1, that f, g0 and h0 share one prime, that
-    f and g0*h0 have the same leading term, that res(g0, h0) != 0 mod
-    p^(alpha+1) and that f = g0*h0 mod p^(2*alpha+1).  Together these
-    imply w(f - g0*h0) > 2 v(res(g0, h0)), so the lift is the quadratic
-    one of refine_factorization, about log2(precision) rounds.  Returns
-    the true factors g, h of f with g = g0 and h = h0 mod p^(alpha+1)
-    and the leading terms of g0, h0; their other coefficients are
-    reduced to canonical residues in [0, p^precision).
-    """
-    beta, w0 = _lift_data(f, g0, h0, precision, "g0*h0")
-    if beta == INFINITY or beta > alpha:
-        raise HypothesisFailedError(
-            f"res(g0, h0) = 0 mod p^{alpha + 1}: residual factors not coprime enough"
-        )
-    if w0 < 2 * alpha + 1:
-        raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-    return _lift_factorization(f, g0, h0, beta, precision)
-
-
-def refine_factorization(
-    f: PadicPolynomial,
-    big_g: PadicPolynomial,
-    big_h: PadicPolynomial,
-    precision: int,
-) -> tuple[PadicPolynomial, PadicPolynomial]:
-    """Resultant-controlled refinement of f ~ G*H to the factors of f.
-
-    Checks that precision >= 1, that f, G and H share one prime, that f
-    and G*H have the same leading term and, unless f = G*H exactly, that
-    w(f - GH) > 2 v(res(G, H)) (the discriminant variant
-    w(f - GH) > v(dis(f)) implies it).  Returns
-    the true factors of f near G, H with the leading terms of G, H;
-    their other coefficients are reduced to canonical residues in
-    [0, p^precision), so the pair is the one hensel_lift_factors returns.
-    The lift is quadratic, about log2(precision) rounds.
-    """
-    beta, w0 = _lift_data(f, big_g, big_h, precision, "G*H")
-    if w0 == INFINITY:
-        # nothing to lift: v(res) would only size the working modulus
-        return _lift_factorization(f, big_g, big_h, 0, precision)
-    if beta == INFINITY or w0 <= 2 * beta:
-        raise HypothesisFailedError(f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}")
-    return _lift_factorization(f, big_g, big_h, beta, precision)
-
-
-def _lift_data(f, g, h, precision, product):
-    """(v(res(g, h)), w(f - g*h)) after the checks both factor lifts make."""
-    _precision(precision)
-    p = f.p
-    if g.p != p or h.p != p:
-        raise InvalidArgumentError("all polynomials must share one prime")
-    gh = poly_mul(g.coefficients, h.coefficients)
-    if f.degree != len(gh) - 1 or f.coefficients[-1] != gh[-1]:
-        raise HypothesisFailedError(f"f and {product} must have the same leading term")
-    w0 = min((rational_valuation(c, p) for c in poly_sub(f.coefficients, gh)), default=INFINITY)
-    return rational_valuation(resultant(g, h), p), w0
-
-
-def _lift_factorization(f, g0, h0, beta, precision):
-    """The factors of f near g0, h0, reduced modulo p^precision, given
-    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
-
-    Each round solves the Sylvester system of the current pair modulo
-    p^M for the defect, of valuation w.  The correction has valuation
-    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
-    v(res) stays beta.  Once w >= precision + beta every later correction
-    is 0 mod p^precision, so the reduced pair is that of the true factors,
-    whatever the starting pair.
-    """
-    p = f.p
-    s, t = g0.degree, h0.degree
-    M = precision + 2 * beta + 2
-    mod, done = p**M, p ** (precision + beta)
-    f_i = _int_reps(p, M, f.coefficients)
-    g = _int_reps(p, M, g0.coefficients)
-    h = _int_reps(p, M, h0.coefficients)
-    for _ in range(precision + 2):
-        gh = poly_mul(g, h)
-        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        if all(c % done == 0 for c in diff):
-            break
-        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
-        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
-        delta = list(reversed(x[:t]))  # added to H
-        gamma = list(reversed(x[t:]))  # added to G
-        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
-        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
-    else:
-        raise HypothesisFailedError("factor lifting failed to converge")
-
-    modN = p**precision
-    g_out = [c % modN for c in g]
-    h_out = [c % modN for c in h]
-    # restore the exact leading terms (reduction may have changed them)
-    g_out[-1] = g0.coefficients[-1]
-    h_out[-1] = h0.coefficients[-1]
-    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
-
-
-# ---------------------------------------------------------------------------
-# slope factorization
-# ---------------------------------------------------------------------------
 
 
 def slope_factorization(

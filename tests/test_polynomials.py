@@ -617,8 +617,8 @@ class TestSlopeFactorization:
             ]
 
     def test_rounds_grow_like_log_precision(self, monkeypatch):
-        # the old division loop gained a fixed gap per round: 183 products at
-        # N = 32 and 2103 at N = 512 on this input
+        # a loop that gains a fixed gap per round needs ~4N products on this
+        # input; the quadratic engine adds a few rounds per doubling of N
         products = count_calls(monkeypatch, "poly_mul")
         f = PadicPolynomial(2, EXP7)
         slope_factorization(f, 32)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import cli_outputs
 import pytest
 
 from localarith.cli import build_parser, main
@@ -18,6 +19,7 @@ from localarith.formats import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_all.txt"
+CLI_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -238,6 +240,30 @@ class TestJsonOutput:
         assert payload["pure"] is False
         sides = [(l, parse_rational(s)) for l, s in payload["type"]]
         assert sum(l for l, _ in sides) == 3
+
+
+class TestReadmeExamples:
+    def test_outputs_match_the_pin(self, monkeypatch):
+        monkeypatch.delenv("PADIC_PREC", raising=False)
+        assert cli_outputs.render() == CLI_OUTPUTS.read_text()
+
+    def test_every_subcommand_but_reproduce_has_an_example(self):
+        covered = {_subcommand(argv) for argv in cli_outputs.examples()}
+        assert covered == set(_leaves(build_parser())) - {"reproduce"}
+
+    @pytest.mark.parametrize("argv", [
+        ["polygon", "-p", "2"],
+        ["slope-factor", "-p", "2", "--prec", "8"],
+        ["weierstrass", "-p", "3", "--tail", "9"],
+        ["eisenstein", "-p", "2"],
+    ], ids=" ".join)
+    def test_file_reads_like_the_positional(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.txt"
+        path.write_text("2 + 6*T + T^3\n")
+        for fmt in ("text", "json"):
+            _, from_file, _ = run_cli(capsys, *argv, "--file", str(path), "--format", fmt)
+            _, positional, _ = run_cli(capsys, *argv, "2 + 6*T + T^3", "--format", fmt)
+            assert from_file == positional and from_file.count("\n") >= 1
 
 
 class TestReproduce:

@@ -24,14 +24,28 @@ from fractions import Fraction
 from localarith import (
     FiniteField,
     FqPoly,
+    PadicNumber,
     PadicPolynomial,
+    TameExtensionDescriptor,
     TruncatedSeries,
+    classify_tame,
+    count_tame_extensions,
+    cyclotomic_group,
+    cyclotomic_reduction_kernel,
+    different_discriminant,
     discriminant,
     factor_monic,
     hensel_lift_factors,
+    herbrand_functions,
+    newton_lift,
+    pth_power_on_units,
+    quotient_filtration,
     refine_factorization,
     resultant,
     slope_factorization,
+    sqrt,
+    subgroup_filtration,
+    teichmuller,
     vp_rational,
     weierstrass_prepare,
 )
@@ -98,6 +112,51 @@ def _discriminant(g):
     return format_rational(discriminant(_rationals(g)))
 
 
+def _sqrt(p, x, precision):
+    return repr(sqrt(PadicNumber.from_rational(p, parse_rational(x), precision)))
+
+
+def _teichmuller(p, residue, precision):
+    return repr(teichmuller(p, residue, precision))
+
+
+def _newton_lift(p, f, a0, precision):
+    return repr(newton_lift(_rationals(f), a0, p=p, precision=precision))
+
+
+def _pth_power_on_units(p, n, direction, u, precision):
+    return repr(pth_power_on_units(p, n, direction, parse_rational(u), precision))
+
+
+def _group(p, n, part, s):
+    """The cyclotomic group of level n, its subgroup G(s) of units 1 mod p^s, or G/G(s)."""
+    group = cyclotomic_group(p, n)
+    if part == "all":
+        return group
+    kernel = cyclotomic_reduction_kernel(p, n, s)
+    return (subgroup_filtration if part == "sub" else quotient_filtration)(group, kernel)
+
+
+def _different_discriminant(p, n, part, s, residual_degree):
+    r = different_discriminant(_group(p, n, part, s), residual_degree)
+    return [list(r.lower_jumps), [format_rational(v) for v in r.upper_jumps], list(r.segment_orders),
+            r.different_exponent, r.discriminant_exponent, r.residual_degree]
+
+
+def _piecewise(f):
+    return [[format_rational(b) for b in f.breakpoints], [format_rational(v) for v in f.values],
+            format_rational(f.final_slope)]
+
+
+def _herbrand_functions(p, n, part, s):
+    return [_piecewise(f) for f in herbrand_functions(_group(p, n, part, s))]
+
+
+def _classify_tame(q, e, f, r):
+    c = classify_tame(TameExtensionDescriptor(q, e, f, r))
+    return [c.galois, c.abelian, None if c.presentation is None else c.presentation.order]
+
+
 KERNELS = {
     "factor_monic": _factor_monic,
     "is_irreducible": _is_irreducible,
@@ -108,6 +167,14 @@ KERNELS = {
     "refine_factorization": _refine_factorization,
     "resultant": _resultant,
     "discriminant": _discriminant,
+    "sqrt": _sqrt,
+    "teichmuller": _teichmuller,
+    "newton_lift": _newton_lift,
+    "pth_power_on_units": _pth_power_on_units,
+    "different_discriminant": _different_discriminant,
+    "herbrand_functions": _herbrand_functions,
+    "count_tame_extensions": lambda q, e, f: count_tame_extensions(q, e, f),
+    "classify_tame": _classify_tame,
 }
 
 
@@ -332,12 +399,84 @@ def _resultant_calls():
     yield "discriminant", {"g": ["3"]}
 
 
+def _padic_rational(rng, p, low, high):
+    return format_rational(Fraction(p) ** rng.randint(low, high) * Fraction(_unit(rng, p), _unit(rng, p)))
+
+
+def _root_calls():
+    rng = random.Random(16)
+    for p in (2, 3, 5, 7, 11, 101):
+        # squares of random rationals, then random rationals (mostly non-squares)
+        for _ in range(6):
+            y = parse_rational(_padic_rational(rng, p, -3, 3))
+            yield "sqrt", {"p": p, "x": format_rational(y * y), "precision": rng.choice([1, 2, 3, 8, 32, 128])}
+        for _ in range(4):
+            yield "sqrt", {"p": p, "x": _padic_rational(rng, p, -3, 3), "precision": rng.choice([3, 16])}
+        yield "sqrt", {"p": p, "x": "0", "precision": 8}
+    for p in (2, 3, 5, 7, 13, 101, 1009):
+        for _ in range(4):
+            yield "teichmuller", {"p": p, "residue": rng.randint(-2 * p, 2 * p),
+                                  "precision": rng.choice([1, 4, 32, 256])}
+    yield "teichmuller", {"p": 7, "residue": 3, "precision": 0}
+    for p in PADIC_PRIMES:
+        for _ in range(8):
+            # f = (T - a) g + p^d h: a root near a with t = v(g(a)), found when d > 2t
+            a, g = rng.randint(-p**2, p**2), _integer_poly(rng, p, rng.randint(0, 2), 1)
+            if rng.random() < 0.4:  # g(a) divisible by p, so t >= 1
+                g[0] += p * rng.randint(1, p) - sum(c * a**j for j, c in enumerate(g))
+            d = rng.randint(1, 6)
+            noise = [p**d * rng.randint(-p, p) for _ in range(len(g) + 1)]
+            f = [x + y for x, y in zip(poly_mul([-a, 1], g), noise)]
+            yield "newton_lift", {"p": p, "f": _poly_text(f), "a0": a, "precision": rng.choice([1, 8, 64, 512])}
+    yield "newton_lift", {"p": 3, "f": ["-2", "0", "1"], "a0": 1, "precision": 8}  # 2 is no square mod 3
+    yield "newton_lift", {"p": 5, "f": ["1/2", "1"], "a0": 2, "precision": 8}
+    for p in PADIC_PRIMES:
+        for n in (1, 2, 3):
+            for direction in ("forward", "inverse"):
+                for _ in range(3):
+                    level = n + (direction == "inverse") + rng.randint(0, 1)
+                    u = Fraction(1 + p**level * rng.randint(-20, 20), 1 + p**level * rng.randint(-20, 20))
+                    yield "pth_power_on_units", {"p": p, "n": n, "direction": direction, "u": format_rational(u),
+                                                 "precision": rng.choice([1, 4, 16, 64])}
+        # u outside U_n, and a u that is not a unit
+        yield "pth_power_on_units", {"p": p, "n": 2, "direction": "inverse", "u": format_rational(1 + p**2),
+                                     "precision": 8}
+        yield "pth_power_on_units", {"p": p, "n": 2, "direction": "forward", "u": str(p), "precision": 8}
+
+
+def _group_calls():
+    for p, top in ((2, 7), (3, 4), (5, 3), (7, 2), (11, 2), (101, 1)):
+        for n in range(1, top + 1):
+            for part, s in [("all", 0)] + [(part, s) for s in range(1, n) for part in ("sub", "quotient")]:
+                yield "different_discriminant", {"p": p, "n": n, "part": part, "s": s,
+                                                 "residual_degree": 1 + n % 3}
+                yield "herbrand_functions", {"p": p, "n": n, "part": part, "s": s}
+    yield "different_discriminant", {"p": 3, "n": 2, "part": "all", "s": 0, "residual_degree": 0}
+
+
+def _tame_calls():
+    rng = random.Random(17)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49):
+        for _ in range(6):
+            yield "count_tame_extensions", {"q": q, "e": rng.randint(1, 24), "f": rng.randint(1, 4)}
+    # not a prime power, e or f below 1
+    for q, e, f in ((1, 2, 1), (6, 5, 1), (3, 0, 1), (3, 2, 0)):
+        yield "count_tame_extensions", {"q": q, "e": e, "f": f}
+    for q, e, f in ((2, 3, 2), (3, 4, 2), (4, 5, 2), (5, 4, 1), (7, 6, 2), (9, 8, 1), (2, 9, 6), (3, 10, 4)):
+        for r in range(-1, math.gcd(e, q**f - 1) + 1):
+            yield "classify_tame", {"q": q, "e": e, "f": f, "r": r}
+    yield "classify_tame", {"q": 3, "e": 3, "f": 1, "r": 0}
+
+
 def calls():
     yield from _finite_field_calls()
     yield from _slope_calls()
     yield from _weierstrass_calls()
     yield from _lift_calls()
     yield from _resultant_calls()
+    yield from _root_calls()
+    yield from _group_calls()
+    yield from _tame_calls()
 
 
 def main() -> None:

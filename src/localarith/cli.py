@@ -8,6 +8,14 @@ cyclotomic ramification data, tame extension counts) deterministically.
 Exit codes: 0 success, 2 invalid input, 3 hypothesis failed,
 4 precision loss.
 
+A subcommand is wired in two places.  Its handler ``_cmd_<name>(args)``
+returns ``(text, payload)``, and ``run`` prints the text or, under
+``--format json``, the payload as sorted JSON; ``reproduce`` has no
+``--format`` and returns its text alone.  In ``build_parser`` one
+``command(...)`` call attaches the handler and the flags the subcommand
+shares with others (-p, the polynomial positional with --file, --format,
+--prec); the lines after it add the subcommand's own arguments.
+
 Each handler imports the library modules it uses when it runs: a call is
 one fresh process, and loading modules the command never touches would be
 most of its cost.
@@ -50,15 +58,8 @@ def _default_precision(args) -> int:
     return DEFAULT_PRECISION
 
 
-def _emit(args, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 def _read_poly_arg(args) -> list[Fraction]:
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -76,14 +77,8 @@ def _describe_padic(x: PadicNumber, digit_count: int = 10) -> tuple[str, dict]:
     if x.is_exact_zero:
         return "0", {"p": x.p, "zero": True}
     if x.is_inexact_zero:
-        text = f"O({x.p}^{x.valuation})"
-        return text, {"p": x.p, "zero_mod": str(x.valuation)}
-    count = min(digit_count, x.precision)
-    digits = expansion(x, count)
-    text = (
-        f"{x.unit}*{x.p}^{x.valuation} + O({x.p}^{x.absolute_precision})"
-        f"  digits {digits} ..."
-    )
+        return repr(x), {"p": x.p, "zero_mod": str(x.valuation)}
+    digits = expansion(x, min(digit_count, x.precision))
     payload = {
         "p": x.p,
         "valuation": str(x.valuation),
@@ -92,7 +87,7 @@ def _describe_padic(x: PadicNumber, digit_count: int = 10) -> tuple[str, dict]:
         "digits": list(digits.digits),
         "digits_from": digits.start,
     }
-    return text, payload
+    return f"{x!r}  digits {digits} ...", payload
 
 
 def _parse_ff_poly(q: int, text: str) -> FqPoly:
@@ -110,16 +105,15 @@ def _parse_ff_poly(q: int, text: str) -> FqPoly:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_vp(args) -> int:
+def _cmd_vp(args) -> tuple[str, dict]:
     from .valuations import vp_rational
 
     v = vp_rational(args.p, parse_rational(args.x))
     text = "inf" if v == INFINITY else str(v)
-    _emit(args, text, {"p": args.p, "x": args.x, "valuation": text})
-    return 0
+    return text, {"p": args.p, "x": args.x, "valuation": text}
 
 
-def _cmd_product_formula(args) -> int:
+def _cmd_product_formula(args) -> tuple[str, dict]:
     from .valuations import product_formula_report
 
     report = product_formula_report(parse_rational(args.x))
@@ -132,11 +126,10 @@ def _cmd_product_formula(args) -> int:
         ],
         "product": format_rational(report.product),
     }
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return "\n".join(lines), payload
 
 
-def _cmd_ff_val(args) -> int:
+def _cmd_ff_val(args) -> tuple[str, dict]:
     from .valuations import FunctionFieldPlace, ff_valuation
 
     num = _parse_ff_poly(args.q, args.num)
@@ -147,11 +140,10 @@ def _cmd_ff_val(args) -> int:
         place = FunctionFieldPlace.finite(_parse_ff_poly(args.q, args.place))
     v = ff_valuation(place, num, den)
     text = "inf" if v == INFINITY else str(v)
-    _emit(args, text, {"q": args.q, "place": str(place), "valuation": text})
-    return 0
+    return text, {"q": args.q, "place": str(place), "valuation": text}
 
 
-def _cmd_weak_approx(args) -> int:
+def _cmd_weak_approx(args) -> tuple[str, dict]:
     from .valuations import RationalPlace, weak_approximation
 
     targets = []
@@ -171,19 +163,17 @@ def _cmd_weak_approx(args) -> int:
         )
         targets.append((place, parse_rational(x_s), parse_rational(eps_s)))
     y = weak_approximation(targets)
-    _emit(args, format_rational(y), {"y": format_rational(y)})
-    return 0
+    return format_rational(y), {"y": format_rational(y)}
 
 
-def _cmd_bernoulli(args) -> int:
+def _cmd_bernoulli(args) -> tuple[str, dict]:
     from .bernoulli import bernoulli
 
     b = bernoulli(args.k)
-    _emit(args, format_rational(b), {"k": args.k, "value": format_rational(b)})
-    return 0
+    return format_rational(b), {"k": args.k, "value": format_rational(b)}
 
 
-def _cmd_staudt_clausen(args) -> int:
+def _cmd_staudt_clausen(args) -> tuple[str, dict]:
     from .bernoulli import staudt_clausen
 
     sc = staudt_clausen(args.k)
@@ -197,39 +187,30 @@ def _cmd_staudt_clausen(args) -> int:
         "denominator": sc.denominator,
         "primes": list(sc.primes),
     }
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
-def _cmd_padic_eval(args) -> int:
+def _cmd_padic_eval(args) -> tuple[str, dict]:
     from .padic import PadicNumber
 
     x = PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
-    text, payload = _describe_padic(x, args.digits)
-    _emit(args, text, payload)
-    return 0
+    return _describe_padic(x, args.digits)
 
 
-def _cmd_sqrt(args) -> int:
+def _cmd_sqrt(args) -> tuple[str, dict]:
     from .padic import PadicNumber, sqrt
 
     x = PadicNumber.from_rational(args.p, parse_rational(args.x), _default_precision(args))
-    root = sqrt(x)
-    text, payload = _describe_padic(root)
-    _emit(args, text, payload)
-    return 0
+    return _describe_padic(sqrt(x))
 
 
-def _cmd_teichmuller(args) -> int:
+def _cmd_teichmuller(args) -> tuple[str, dict]:
     from .padic import teichmuller
 
-    w = teichmuller(args.p, args.residue, _default_precision(args))
-    text, payload = _describe_padic(w)
-    _emit(args, text, payload)
-    return 0
+    return _describe_padic(teichmuller(args.p, args.residue, _default_precision(args)))
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> tuple[str, dict]:
     from .padic import newton_lift
 
     coeffs = parse_polynomial(args.poly)
@@ -237,16 +218,14 @@ def _cmd_lift(args) -> int:
     if start.denominator != 1:
         raise InvalidArgumentError("the starting point must be an integer")
     root = newton_lift(coeffs, int(start), p=args.p, precision=_default_precision(args))
-    text, payload = _describe_padic(root)
-    _emit(args, text, payload)
-    return 0
+    return _describe_padic(root)
 
 
 def _format_sides(sides) -> str:
     return ";".join(f"({l},{format_rational(s)})" for l, s in sides)
 
 
-def _cmd_polygon(args) -> int:
+def _cmd_polygon(args) -> tuple[str, dict]:
     from .polynomials import PadicPolynomial, newton_polygon
 
     f = PadicPolynomial(args.p, _read_poly_arg(args))
@@ -257,11 +236,10 @@ def _cmd_polygon(args) -> int:
         "vertices": [[x, format_rational(y)] for x, y in polygon.vertices],
         "pure": polygon.is_pure,
     }
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
-def _cmd_factor_lift(args) -> int:
+def _cmd_factor_lift(args) -> tuple[str, dict]:
     from .polynomials import PadicPolynomial, hensel_lift_factors
 
     p = args.p
@@ -274,11 +252,10 @@ def _cmd_factor_lift(args) -> int:
         "g": polynomial_to_json(g.coefficients),
         "h": polynomial_to_json(h.coefficients),
     }
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
-def _cmd_slope_factor(args) -> int:
+def _cmd_slope_factor(args) -> tuple[str, dict]:
     from .polynomials import PadicPolynomial, slope_factorization
 
     f = PadicPolynomial(args.p, _read_poly_arg(args))
@@ -297,11 +274,10 @@ def _cmd_slope_factor(args) -> int:
                 "factor": polynomial_to_json(poly.coefficients),
             }
         )
-    _emit(args, "\n".join(lines), {"factors": payload_factors})
-    return 0
+    return "\n".join(lines), {"factors": payload_factors}
 
 
-def _cmd_weierstrass(args) -> int:
+def _cmd_weierstrass(args) -> tuple[str, dict]:
     from .polynomials import TruncatedSeries, weierstrass_prepare
 
     coeffs = _read_poly_arg(args)
@@ -317,11 +293,10 @@ def _cmd_weierstrass(args) -> int:
         "h": polynomial_to_json(h.coefficients),
         "h_tail_valuation": h.tail,
     }
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
-def _cmd_resultant(args) -> int:
+def _cmd_resultant(args) -> tuple[str, dict]:
     from .polynomials import discriminant, resultant
 
     g = parse_polynomial(args.g)
@@ -331,31 +306,18 @@ def _cmd_resultant(args) -> int:
         if args.h is None:
             raise InvalidArgumentError("a second polynomial is required")
         r = resultant(g, parse_polynomial(args.h))
-    _emit(args, format_rational(r), {"value": format_rational(r)})
-    return 0
+    return format_rational(r), {"value": format_rational(r)}
 
 
-def _cmd_eisenstein(args) -> int:
+def _cmd_eisenstein(args) -> tuple[str, dict]:
     from .polynomials import PadicPolynomial, eisenstein_test
 
     f = PadicPolynomial(args.p, _read_poly_arg(args))
     ok = eisenstein_test(f)
-    _emit(args, "true" if ok else "false", {"eisenstein": ok})
-    return 0
+    return "true" if ok else "false", {"eisenstein": ok}
 
 
-def _ramification_payload(report: RamificationReport) -> dict:
-    return {
-        "lower_jumps": list(report.lower_jumps),
-        "upper_jumps": [format_rational(v) for v in report.upper_jumps],
-        "segment_orders": list(report.segment_orders),
-        "different_exponent": report.different_exponent,
-        "discriminant_exponent": report.discriminant_exponent,
-        "residual_degree": report.residual_degree,
-    }
-
-
-def _cmd_ramification_cyclotomic(args) -> int:
+def _cmd_ramification_cyclotomic(args) -> tuple[str, dict]:
     from .ramification import cyclotomic_group, different_discriminant
 
     group = cyclotomic_group(args.p, args.n)
@@ -367,19 +329,25 @@ def _cmd_ramification_cyclotomic(args) -> int:
         f"different exponent {report.different_exponent}\n"
         f"discriminant exponent {report.discriminant_exponent}"
     )
-    _emit(args, text, _ramification_payload(report))
-    return 0
+    payload = {
+        "lower_jumps": list(report.lower_jumps),
+        "upper_jumps": [format_rational(v) for v in report.upper_jumps],
+        "segment_orders": list(report.segment_orders),
+        "different_exponent": report.different_exponent,
+        "discriminant_exponent": report.discriminant_exponent,
+        "residual_degree": report.residual_degree,
+    }
+    return text, payload
 
 
-def _cmd_extensions_count(args) -> int:
+def _cmd_extensions_count(args) -> tuple[str, dict]:
     from .extensions import count_tame_extensions
 
     c = count_tame_extensions(args.q, args.e, args.f)
-    _emit(args, str(c), {"q": args.q, "e": args.e, "f": args.f, "count": c})
-    return 0
+    return str(c), {"q": args.q, "e": args.e, "f": args.f, "count": c}
 
 
-def _cmd_extensions_classify(args) -> int:
+def _cmd_extensions_classify(args) -> tuple[str, dict]:
     from .extensions import TameExtensionDescriptor, classify_tame
 
     d = TameExtensionDescriptor(args.q, args.e, args.f, args.r)
@@ -407,8 +375,7 @@ def _cmd_extensions_classify(args) -> int:
             ],
             "order": c.presentation.order,
         }
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return "\n".join(lines), payload
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +422,10 @@ def reproduce_lines() -> list[str]:
     return lines
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> str:
     if not args.all:
         raise InvalidArgumentError("nothing to reproduce: pass --all")
-    print("\n".join(reproduce_lines()))
-    return 0
+    return "\n".join(reproduce_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -481,154 +447,130 @@ def build_parser() -> argparse.ArgumentParser:
         "ramification and tame extension counting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []  # (subcommand, reads --prec)
 
-    def common(sp, prec=False):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if prec:
-            sp.add_argument("--prec", type=int, default=None, help="relative precision in digits")
+    def command(group, name, func, help, *, p=False, poly=False, prec=False, formats=True):
+        """The subcommand ``name`` of ``group``, run by ``func``, with the shared
+        flags it asks for: -p, the polynomial (positional or --file; a string
+        ``poly`` is the positional's help), --format unless ``formats`` is
+        false, and --prec."""
+        sp = group.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        if p:
+            sp.add_argument("-p", type=int, required=True)
+        if poly:
+            sp.add_argument("poly", nargs="?", default=None,
+                            help=None if poly is True else poly)
+            sp.add_argument("--file", default=None)
+        if formats:
+            leaves.append((sp, prec))
+        return sp
 
-    sp = sub.add_parser("vp", help="p-adic valuation of a rational")
-    sp.add_argument("-p", type=int, required=True)
+    sp = command(sub, "vp", _cmd_vp, "p-adic valuation of a rational", p=True)
     sp.add_argument("x")
-    common(sp)
-    sp.set_defaults(func=_cmd_vp)
 
-    sp = sub.add_parser("product-formula", help="normalized absolute values of a rational")
+    sp = command(sub, "product-formula", _cmd_product_formula,
+                 "normalized absolute values of a rational")
     sp.add_argument("x")
-    common(sp)
-    sp.set_defaults(func=_cmd_product_formula)
 
-    sp = sub.add_parser("ff-val", help="valuation on GF(q)(T)")
+    sp = command(sub, "ff-val", _cmd_ff_val, "valuation on GF(q)(T)")
     sp.add_argument("-q", type=int, required=True)
     sp.add_argument("--place", required=True, help="'inf' or a monic irreducible")
     sp.add_argument("num")
     sp.add_argument("den", nargs="?", default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_ff_val)
 
-    sp = sub.add_parser("weak-approx", help="simultaneous approximation at several places")
+    sp = command(sub, "weak-approx", _cmd_weak_approx,
+                 "simultaneous approximation at several places")
     sp.add_argument("target", nargs="+", help="place:value:epsilon, place 'inf' or a prime")
-    common(sp)
-    sp.set_defaults(func=_cmd_weak_approx)
 
-    sp = sub.add_parser("bernoulli", help="exact Bernoulli number")
+    sp = command(sub, "bernoulli", _cmd_bernoulli, "exact Bernoulli number")
     sp.add_argument("k", type=int)
-    common(sp)
-    sp.set_defaults(func=_cmd_bernoulli)
 
-    sp = sub.add_parser("staudt-clausen", help="integrality decomposition of B_k")
+    sp = command(sub, "staudt-clausen", _cmd_staudt_clausen, "integrality decomposition of B_k")
     sp.add_argument("k", type=int)
-    common(sp)
-    sp.set_defaults(func=_cmd_staudt_clausen)
 
     sp = sub.add_parser("padic", help="p-adic evaluation")
     padsub = sp.add_subparsers(dest="padic_command", required=True)
-    spe = padsub.add_parser("eval", help="evaluate a rational p-adically")
-    spe.add_argument("-p", type=int, required=True)
-    spe.add_argument("x")
-    spe.add_argument("--digits", type=int, default=10)
-    common(spe, prec=True)
-    spe.set_defaults(func=_cmd_padic_eval)
-
-    sp = sub.add_parser("sqrt", help="square root in Q_p")
-    sp.add_argument("-p", type=int, required=True)
+    sp = command(padsub, "eval", _cmd_padic_eval,
+                 "evaluate a rational p-adically", p=True, prec=True)
     sp.add_argument("x")
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_sqrt)
+    sp.add_argument("--digits", type=int, default=10)
 
-    sp = sub.add_parser("teichmuller", help="multiplicative lift of a residue")
-    sp.add_argument("-p", type=int, required=True)
+    sp = command(sub, "sqrt", _cmd_sqrt, "square root in Q_p", p=True, prec=True)
+    sp.add_argument("x")
+
+    sp = command(sub, "teichmuller", _cmd_teichmuller,
+                 "multiplicative lift of a residue", p=True, prec=True)
     sp.add_argument("residue", type=int)
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_teichmuller)
 
-    sp = sub.add_parser("lift", help="Newton root lifting")
-    sp.add_argument("-p", type=int, required=True)
+    sp = command(sub, "lift", _cmd_lift, "Newton root lifting", p=True, prec=True)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--start", required=True)
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_lift)
 
-    sp = sub.add_parser("polygon", help="Newton polygon of a polynomial")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("poly", nargs="?", default=None)
-    sp.add_argument("--file", default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_polygon)
+    command(sub, "polygon", _cmd_polygon, "Newton polygon of a polynomial", p=True, poly=True)
 
-    sp = sub.add_parser("factor-lift", help="lift an approximate factorization")
-    sp.add_argument("-p", type=int, required=True)
+    sp = command(sub, "factor-lift", _cmd_factor_lift,
+                 "lift an approximate factorization", p=True, prec=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g0", required=True)
     sp.add_argument("--h0", required=True)
     sp.add_argument("--alpha", type=int, default=0)
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_factor_lift)
 
-    sp = sub.add_parser("slope-factor", help="factor by Newton polygon slopes")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("poly", nargs="?", default=None)
-    sp.add_argument("--file", default=None)
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_slope_factor)
+    command(sub, "slope-factor", _cmd_slope_factor,
+            "factor by Newton polygon slopes", p=True, poly=True, prec=True)
 
-    sp = sub.add_parser("weierstrass", help="Weierstrass preparation of a truncated series")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("poly", nargs="?", default=None, help="stored coefficients as a polynomial")
-    sp.add_argument("--file", default=None)
+    sp = command(sub, "weierstrass", _cmd_weierstrass,
+                 "Weierstrass preparation of a truncated series",
+                 p=True, poly="stored coefficients as a polynomial", prec=True)
     sp.add_argument("--tail", type=int, required=True, help="valuation bound for the tail")
-    common(sp, prec=True)
-    sp.set_defaults(func=_cmd_weierstrass)
 
-    sp = sub.add_parser("resultant", help="resultant or discriminant")
+    sp = command(sub, "resultant", _cmd_resultant, "resultant or discriminant")
     sp.add_argument("g")
     sp.add_argument("h", nargs="?", default=None)
     sp.add_argument("--discriminant", action="store_true")
-    common(sp)
-    sp.set_defaults(func=_cmd_resultant)
 
-    sp = sub.add_parser("eisenstein", help="Eisenstein criterion")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("poly", nargs="?", default=None)
-    sp.add_argument("--file", default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_eisenstein)
+    command(sub, "eisenstein", _cmd_eisenstein, "Eisenstein criterion", p=True, poly=True)
 
     sp = sub.add_parser("ramification", help="ramification data")
     ramsub = sp.add_subparsers(dest="ramification_command", required=True)
-    spc = ramsub.add_parser("cyclotomic", help="the p^n-th roots of unity instance")
-    spc.add_argument("-p", type=int, required=True)
-    spc.add_argument("-n", type=int, required=True)
-    spc.add_argument("--residual-degree", type=int, default=1)
-    common(spc)
-    spc.set_defaults(func=_cmd_ramification_cyclotomic)
+    sp = command(ramsub, "cyclotomic", _cmd_ramification_cyclotomic,
+                 "the p^n-th roots of unity instance", p=True)
+    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("--residual-degree", type=int, default=1)
 
     sp = sub.add_parser("extensions", help="tame extension counting and classification")
     extsub = sp.add_subparsers(dest="extensions_command", required=True)
-    spc = extsub.add_parser("count", help="number of classes with given (e, f)")
-    spc.add_argument("-q", type=int, required=True)
-    spc.add_argument("-e", type=int, required=True)
-    spc.add_argument("-f", type=int, required=True)
-    common(spc)
-    spc.set_defaults(func=_cmd_extensions_count)
-    spc = extsub.add_parser("classify", help="galois/abelian classification of a descriptor")
-    spc.add_argument("-q", type=int, required=True)
-    spc.add_argument("-e", type=int, required=True)
-    spc.add_argument("-f", type=int, required=True)
-    spc.add_argument("-r", type=int, required=True)
-    common(spc)
-    spc.set_defaults(func=_cmd_extensions_classify)
+    sp = command(extsub, "count", _cmd_extensions_count, "number of classes with given (e, f)")
+    sp.add_argument("-q", type=int, required=True)
+    sp.add_argument("-e", type=int, required=True)
+    sp.add_argument("-f", type=int, required=True)
+    sp = command(extsub, "classify", _cmd_extensions_classify,
+                 "galois/abelian classification of a descriptor")
+    sp.add_argument("-q", type=int, required=True)
+    sp.add_argument("-e", type=int, required=True)
+    sp.add_argument("-f", type=int, required=True)
+    sp.add_argument("-r", type=int, required=True)
 
-    sp = sub.add_parser("reproduce", help="regenerate the reference tables")
+    sp = command(sub, "reproduce", _cmd_reproduce,
+                 "regenerate the reference tables", formats=False)
     sp.add_argument("--all", action="store_true")
-    sp.set_defaults(func=_cmd_reproduce)
 
+    # last, so that usage lines list them after each command's own options
+    for sp, prec in leaves:
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if prec:
+            sp.add_argument("--prec", type=int, default=None, help="relative precision in digits")
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    out = args.func(args)
+    if isinstance(out, tuple):  # every command but reproduce
+        text, payload = out
+        out = json.dumps(payload, sort_keys=True) if args.format == "json" else text
+    print(out)
+    return 0
 
 
 def _silence(stream) -> None:

@@ -37,9 +37,17 @@ class BernoulliTable:
         return self._values[k]
 
 
+def _table(table) -> BernoulliTable:
+    if table is None:
+        return BernoulliTable()
+    if not isinstance(table, BernoulliTable):
+        raise InvalidArgumentError(f"{table!r} is not a BernoulliTable")
+    return table
+
+
 def bernoulli(k: int, table: BernoulliTable | None = None) -> Fraction:
     """Exact k-th Bernoulli number; B_0 = 1, B_1 = -1/2."""
-    return (table or BernoulliTable()).value(k)
+    return _table(table).value(k)
 
 
 def _check_power_sum(k, n):
@@ -58,7 +66,7 @@ def power_sum(k: int, n: int) -> int:
 def power_sum_faulhaber(k: int, n: int, table: BernoulliTable | None = None) -> int:
     """S_k(n) evaluated through Bernoulli numbers; agrees with power_sum."""
     _check_power_sum(k, n)
-    table = table or BernoulliTable()
+    table = _table(table)
     acc = sum(
         comb(k, m) * table.value(m) * Fraction(n) ** (k + 1 - m) / (k + 1 - m)
         for m in range(k + 1)

@@ -39,8 +39,8 @@ from .ramification import FilteredGroup
 def splitting_degree_of_unity(q: int, n: int) -> int:
     """Degree of the unramified extension generated by a primitive n-th
     root of unity: the order of q mod n (n prime to the characteristic)."""
-    prime_power_decomposition(q)
-    if n < 1 or math.gcd(n, q) != 1:
+    prime_power_decomposition(_count(q))
+    if _count(n) < 1 or math.gcd(n, q) != 1:
         raise InvalidArgumentError("n must be positive and prime to q")
     return multiplicative_order(q, n) if n > 1 else 1
 
@@ -55,7 +55,7 @@ def orbit_count_oracle(g: int, q: int) -> int:
 
     This is the independent oracle for the counting formula
     sum over t | g of phi(t)/ord_t(q)."""
-    if g < 1 or math.gcd(g, q) != 1:
+    if _count(g) < 1 or math.gcd(g, _count(q)) != 1:
         raise InvalidArgumentError("q must be prime to g")
     seen = [False] * g
     count = 0
@@ -211,6 +211,9 @@ def galois_census(q: int, e: int, f: int) -> int:
     """Number of r in [0, e) with e | r(q-1), assuming gcd(e, q^f-1) = e.
 
     This equals gcd(e, q-1), the count of galoisian classes."""
+    prime_power_decomposition(_count(q))
+    if _count(e) < 1 or _count(f) < 1:
+        raise InvalidArgumentError("e and f must be positive")
     if (q**f - 1) % e:
         raise InvalidArgumentError("the census needs e | q^f - 1")
     return sum(1 for r in range(e) if (r * (q - 1)) % e == 0)
@@ -240,6 +243,8 @@ def unit_group_structure(p: int, n: int) -> UnitGroupStructure:
     from .padic import teichmuller
 
     require_prime(p)
+    if _count(n) < 1:
+        raise InvalidArgumentError("n must be at least 1")
     q = p**n
     if q < 3:
         raise InvalidArgumentError("p^n must be at least 3")

@@ -428,16 +428,20 @@ class FqPoly:
 
 
 def monic_polys(field, degree: int):
-    """Yield all monic polynomials of the given degree, lex order on codes."""
+    """All monic polynomials of the given degree, lex order on codes, as an iterator."""
     q = _field(field).q
-    for code in range(q**degree):
-        yield _wrap(field, [code // q**i % q for i in range(degree)] + [1])
+    if _count(degree) < 0:
+        raise InvalidArgumentError("the degree must be non-negative")
+    return (
+        _wrap(field, [code // q**i % q for i in range(degree)] + [1]) for code in range(q**degree)
+    )
 
 
 def monic_irreducibles(field, max_degree: int):
-    """Yield monic irreducibles of degree 1..max_degree in increasing degree."""
-    for d in range(1, max_degree + 1):
-        yield from (g for g in monic_polys(field, d) if g.is_irreducible())
+    """Monic irreducibles of degree 1..max_degree in increasing degree, as an iterator."""
+    _field(field)
+    degrees = range(1, _count(max_degree) + 1)
+    return (g for d in degrees for g in monic_polys(field, d) if g.is_irreducible())
 
 
 def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:

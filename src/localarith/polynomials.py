@@ -173,6 +173,8 @@ def sylvester_matrix(g, h, m: int, n: int):
     of the associated linear system the descending coefficients of the
     cofactor multiplying g.
     """
+    if _count(m) < 0 or _count(n) < 0:
+        raise InvalidArgumentError("the degree bounds m and n must be non-negative")
     if m + n <= 0:
         raise InvalidArgumentError("resultant requires m + n > 0")
     zero = Fraction(0)
@@ -795,6 +797,8 @@ def primitive_rescale(
     w(T) = 0; multiplicativity of w makes both outputs integral.
     """
     p = f.p
+    if g.p != p or h.p != p:
+        raise InvalidArgumentError("f, g and h must be over the same Q_p")
     if poly_sub(list(f.coefficients), poly_mul(list(g.coefficients), list(h.coefficients))):
         raise InvalidArgumentError("f must equal g*h exactly")
     if any(rational_valuation(c, p) < 0 for c in f.coefficients):

@@ -33,7 +33,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
-from .numtheory import INFINITY, _count, int_valuation, require_prime
+from .numtheory import INFINITY, _count, _exact, int_valuation, require_prime
 
 MAX_VERIFIED_ORDER = 512
 
@@ -58,8 +58,9 @@ class PiecewiseLinear:
 
     @classmethod
     def from_data(cls, breakpoints, values, final_slope) -> "PiecewiseLinear":
-        bps = [Fraction(b) for b in breakpoints]
-        vals = [Fraction(v) for v in values]
+        bps = [Fraction(_exact(b)) for b in breakpoints]
+        vals = [Fraction(_exact(v)) for v in values]
+        final_slope = Fraction(_exact(final_slope))
         keep = [0]
         for i in range(1, len(bps) - 1):
             s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
@@ -69,16 +70,12 @@ class PiecewiseLinear:
         if len(bps) > 1:
             i = len(bps) - 1
             s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
-            if s_in != Fraction(final_slope):
+            if s_in != final_slope:
                 keep.append(i)
-        return cls(
-            tuple(bps[i] for i in keep),
-            tuple(vals[i] for i in keep),
-            Fraction(final_slope),
-        )
+        return cls(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope)
 
     def evaluate(self, u) -> Fraction:
-        u = Fraction(u)
+        u = Fraction(_exact(u))
         if u < self.breakpoints[0]:
             raise InvalidArgumentError(f"{u} is left of the domain start")
         if u >= self.breakpoints[-1]:
@@ -255,7 +252,7 @@ class FilteredGroup:
 
     def subgroup_at(self, u) -> frozenset[int]:
         """G_u for real u, which is G_ceil(u)."""
-        return self.subgroup(math.ceil(Fraction(u)))
+        return self.subgroup(math.ceil(Fraction(_exact(u))))
 
     def max_depth(self) -> int:
         return max((d for d in self.depths if d != INFINITY), default=0)
@@ -354,7 +351,7 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 
     An independent route to the same function; exposed as a cross-check.
     """
-    u = Fraction(u)
+    u = Fraction(_exact(u))
     if u < -1:
         raise InvalidArgumentError("u must be >= -1")
     g0 = len(group.subgroup(0))
@@ -454,7 +451,7 @@ class UpperNumbering:
 
     def subgroup_at(self, v) -> frozenset[int]:
         """G^v = G_psi(v)."""
-        return self.group.subgroup_at(self.psi.evaluate(Fraction(v)))
+        return self.group.subgroup_at(self.psi.evaluate(v))
 
 
 def upper_numbering(group: FilteredGroup) -> UpperNumbering:
@@ -481,7 +478,7 @@ class RamificationReport:
 def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> RamificationReport:
     """Different exponent sum(depth(s)) over s != 1, equal to
     sum_n (|G_n| - 1); discriminant exponent is the residual degree times it."""
-    if residual_degree < 1:
+    if _count(residual_degree) < 1:
         raise InvalidArgumentError("residual degree must be >= 1")
     by_elements = sum(
         d for i, d in enumerate(group.depths) if i != group.identity
@@ -536,6 +533,9 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
 
 def cyclotomic_reduction_kernel(p: int, n: int, s: int) -> frozenset[int]:
     """Indices (in cyclotomic_group order) of units congruent to 1 mod p^s."""
+    require_prime(p)
+    if _count(n) < 1 or _count(s) < 0:
+        raise InvalidArgumentError("n must be at least 1 and s at least 0")
     q = p**n
     units = [a for a in range(1, q) if a % p != 0]
     return frozenset(i for i, a in enumerate(units) if (a - 1) % p ** min(s, n) == 0)

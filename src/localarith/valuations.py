@@ -17,10 +17,12 @@ from fractions import Fraction
 from .errors import InvalidArgumentError
 from .numtheory import (
     INFINITY,
+    _count,
     _exact,
     crt,
     factorint,
     is_prime,
+    prime_power_decomposition,
     rational_valuation,
     require_prime,
 )
@@ -89,7 +91,7 @@ def product_formula_report(x) -> ProductFormulaReport:
     The product of the listed normalized absolute values is computed
     exactly and returned alongside the per-place report.
     """
-    x = Fraction(x)
+    x = Fraction(_exact(x))
     if x == 0:
         raise InvalidArgumentError("the product formula concerns nonzero rationals")
     primes = sorted(set(factorint(x.numerator)) | set(factorint(x.denominator)))
@@ -120,11 +122,12 @@ class FunctionFieldPlace:
     poly: FqPoly | None
 
     def __post_init__(self):
-        if self.poly is not None:
-            if not self.poly.is_monic() or not self.poly.is_irreducible():
-                raise InvalidArgumentError(
-                    f"{self.poly!r} is not monic irreducible over GF({self.q})"
-                )
+        if self.poly is None:
+            prime_power_decomposition(_count(self.q))
+        elif not self.poly.is_monic() or not self.poly.is_irreducible():
+            raise InvalidArgumentError(
+                f"{self.poly!r} is not monic irreducible over GF({self.q})"
+            )
 
     @classmethod
     def finite(cls, poly: FqPoly) -> "FunctionFieldPlace":
@@ -238,7 +241,7 @@ def gauss_valuation(C, coeff_valuations) -> tuple[Fraction, frozenset[int]]:
     for j, v in enumerate(coeff_valuations):
         if v == INFINITY:
             continue
-        w = j * C + Fraction(v)
+        w = j * C + Fraction(_exact(v))
         if best is None or w < best:
             best, attaining = w, {j}
         elif w == best:

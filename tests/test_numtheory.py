@@ -14,6 +14,13 @@ from localarith import (
     power_sum_faulhaber,
     teichmuller,
 )
+from localarith.extensions import (
+    galois_census,
+    orbit_count_oracle,
+    splitting_degree_of_unity,
+    unit_group_structure,
+)
+from localarith.finitefield import FiniteField, monic_irreducibles
 from localarith.numtheory import (
     INFINITY,
     _inverse_mod_prime_power,
@@ -22,6 +29,16 @@ from localarith.numtheory import (
     int_valuation,
     is_prime,
 )
+from localarith.polynomials import PadicPolynomial, primitive_rescale, resultant_mn, sylvester_matrix
+from localarith.ramification import (
+    PiecewiseLinear,
+    cyclotomic_reduction_kernel,
+    different_discriminant,
+    herbrand_functions,
+    phi_via_infimum,
+    upper_numbering,
+)
+from localarith.valuations import FunctionFieldPlace, gauss_valuation, product_formula_report
 
 ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if is_prime(p)]
 
@@ -116,4 +133,61 @@ def test_tonelli_shanks_against_brute_force():
 )
 def test_integer_arguments_reject_floats_and_bools(call):
     with pytest.raises(InvalidArgumentError):
+        call()
+
+
+# floats and bools that used to reach a result: a float valuation, 2^55 for
+# |0.1|_2, or True taken as 1
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: product_formula_report(0.1),
+        lambda: different_discriminant(cyclotomic_group(3, 2), 1.5),
+        lambda: different_discriminant(cyclotomic_group(3, 2), True),
+        lambda: PiecewiseLinear.from_data([0.5, 1], [0, 1], 1),
+        lambda: PiecewiseLinear.from_data([0, 1], [0, 1], 0.5),
+        lambda: herbrand_functions(cyclotomic_group(3, 2))[0].evaluate(0.5),
+        lambda: phi_via_infimum(cyclotomic_group(3, 2), 0.5),
+        lambda: cyclotomic_group(3, 2).subgroup_at(0.5),
+        lambda: upper_numbering(cyclotomic_group(3, 2)).subgroup_at(0.5),
+        lambda: gauss_valuation(0, [0.5, 1]),
+        lambda: galois_census(4, 3, 1.0),
+        lambda: cyclotomic_reduction_kernel(3, 2, -1),
+        lambda: resultant_mn([1, 1], [1, 1], True, 1),
+    ],
+)
+def test_exact_arguments_reject_floats_and_bools(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
+def test_an_infinite_coefficient_valuation_still_enters():
+    assert gauss_valuation(0, [INFINITY, 1]) == (1, frozenset({1}))
+
+
+# arguments that used to fail with a bare TypeError, ZeroDivisionError or
+# AttributeError, to pass unchecked, or to be reported as something else
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: splitting_degree_of_unity(4, 3.0), "not an integer"),
+        (lambda: orbit_count_oracle(3.0, 2), "not an integer"),
+        (lambda: monic_irreducibles(FiniteField(2), 2.0), "not an integer"),
+        (lambda: sylvester_matrix([1, 1], [1, 1], 1.0, 1), "not an integer"),
+        (lambda: galois_census(4, 0, 1), "must be positive"),
+        (lambda: bernoulli(2, table=5), "not a BernoulliTable"),
+        (lambda: power_sum_faulhaber(2, 3, table=5), "not a BernoulliTable"),
+        (lambda: cyclotomic_reduction_kernel(4, 2, 1), "not a prime"),
+        (lambda: FunctionFieldPlace.infinite(6), "not a prime power"),
+        (
+            lambda: primitive_rescale(
+                PadicPolynomial(3, [2, 3, 1]), PadicPolynomial(5, [1, 1]), PadicPolynomial(5, [2, 1])
+            ),
+            "same Q_p",
+        ),
+        (lambda: unit_group_structure(3, 1.5), "not an integer"),
+    ],
+)
+def test_bad_arguments_raise_invalid_argument(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
         call()

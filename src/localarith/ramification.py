@@ -246,7 +246,7 @@ class FilteredGroup:
         {s : depth(s) > r + 1 for real r} adds nothing new: at r = 0 it is
         exactly subgroup(1), which is the only identity relied on here.
         """
-        if n <= -1:
+        if _count(n) <= -1:
             return frozenset(range(self.order))
         return frozenset(i for i in range(self.order) if self.depths[i] >= n + 1)
 

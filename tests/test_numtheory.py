@@ -149,6 +149,8 @@ def test_integer_arguments_reject_floats_and_bools(call):
         lambda: herbrand_functions(cyclotomic_group(3, 2))[0].evaluate(0.5),
         lambda: phi_via_infimum(cyclotomic_group(3, 2), 0.5),
         lambda: cyclotomic_group(3, 2).subgroup_at(0.5),
+        lambda: cyclotomic_group(3, 2).subgroup(0.5),
+        lambda: cyclotomic_group(3, 2).subgroup(True),
         lambda: upper_numbering(cyclotomic_group(3, 2)).subgroup_at(0.5),
         lambda: gauss_valuation(0, [0.5, 1]),
         lambda: galois_census(4, 3, 1.0),

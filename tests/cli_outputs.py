@@ -44,12 +44,11 @@ def examples() -> list[list[str]]:
 
 
 def _formats(argv):
+    """argv in text, then in JSON."""
     if "--format" in argv:
         i = argv.index("--format")
-        text = argv[:i] + argv[i + 2:]
-    else:
-        text = argv
-    return [text, text + ["--format", "json"]]
+        argv = argv[:i] + argv[i + 2:]
+    return [argv, argv + ["--format", "json"]]
 
 
 def argvs() -> list[list[str]]:

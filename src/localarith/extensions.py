@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import InvalidArgumentError
 from .numtheory import (
     _count,
+    _instance,
     divisors,
     euler_phi,
     multiplicative_order,
@@ -197,6 +198,7 @@ class TameClassification:
 
 def classify_tame(d: TameExtensionDescriptor) -> TameClassification:
     """Galois iff e | q^f - 1 and e | r(q-1); abelian iff galois and e | q-1."""
+    _instance(TameExtensionDescriptor, d)
     galois = (d.q**d.f - 1) % d.e == 0 and (d.r * (d.q - 1)) % d.e == 0
     abelian = galois and (d.q - 1) % d.e == 0
     presentation = None

@@ -196,6 +196,14 @@ def _precision(n) -> int:
     return n
 
 
+def _instance(cls, *values) -> None:
+    """Reject every value that is not a cls: entry points that read a library
+    object's attributes take that object and nothing else."""
+    for x in values:
+        if not isinstance(x, cls):
+            raise InvalidArgumentError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
 def _count(n) -> int:
     """n itself if it is an int; floats and bools never enter."""
     if isinstance(n, bool) or not isinstance(n, int):

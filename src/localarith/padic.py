@@ -30,6 +30,7 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
+    _instance,
     _least_nonresidue,
     _precision,
     _sqrt_mod_prime,
@@ -313,6 +314,7 @@ def expansion(x: PadicNumber, count: int) -> DigitExpansion:
     The digits reconstruct x modulo p^(valuation + count).  The expansion
     of exact zero is the empty expansion, by convention.
     """
+    _instance(PadicNumber, x)
     if x.is_exact_zero:
         return DigitExpansion(x.p, 0, ())
     if x.is_inexact_zero:
@@ -461,6 +463,7 @@ def _unit_is_square(p: int, unit: int, known_digits) -> bool:
 def is_square(x: PadicNumber) -> bool:
     """Whether x is a square in Q_p: even valuation and square unit part
     (a quadratic residue mod p for odd p, congruent to 1 mod 8 for p=2)."""
+    _instance(PadicNumber, x)
     if x.is_exact_zero:
         raise InvalidArgumentError("squareness of 0 is excluded; take x nonzero")
     if x.is_inexact_zero:

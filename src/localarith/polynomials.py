@@ -5,18 +5,19 @@ Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
 slope comparisons, resultants are fraction-free (Bareiss) determinants
 over Z after clearing each row's denominators, and the factor lifts solve
-linear systems over Z/p^M with minimal-valuation pivoting, inverting
-units modulo p^M by Newton doubling.
+linear systems over Z/p^k, k the digits the round can use, with
+minimal-valuation pivoting, inverting units modulo p^k by Newton doubling.
 
 Slope factorization and Weierstrass preparation run one engine, _lift:
 log(precision) Newton steps on f = G*H and on a cofactor p^beta / H mod G
 in a Gauss valuation w(T) = C, on integer residues modulo powers of p that
 double with the rounds.  The factor lifts (_lift_factorization) solve the
 Sylvester system of the current pair once per round instead, because their
-factors need not be regular.  Outputs are canonical residues of the true
-factors: lifted factors modulo p^N, slope factors modulo the power their
-split needs, and the Weierstrass factors h and g / p^w(f) modulo
-p^(h.tail) after normalizing h(0) = 1.
+factors need not be regular; each round solves modulo only the digits it
+can use, about twice as many as the round before.  Outputs are canonical
+residues of the true factors: lifted factors modulo p^N, slope factors
+modulo the power their split needs, and the Weierstrass factors h and
+g / p^w(f) modulo p^(h.tail) after normalizing h(0) = 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
+    _instance,
     _inverse_mod_prime_power,
     _precision,
     _trim,
@@ -291,6 +293,7 @@ class NewtonPolygon:
 
 def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
     """Newton polygon of f; requires a_0 != 0 and a_m != 0."""
+    _instance(PadicPolynomial, f)
     if f.coefficients[0] == 0:
         raise InvalidArgumentError(
             "constant term vanishes: strip the exact T power first (strip_t_power)"
@@ -321,6 +324,7 @@ def root_valuations(f: PadicPolynomial) -> tuple[list[tuple[Fraction, int]], int
     multiplicity of the root 0 (the exact power of T stripped first).
     A side of type (l, gamma) contributes l roots of valuation -gamma.
     """
+    _instance(PadicPolynomial, f)
     k, body = f.strip_t_power()
     if body.degree == 0:
         return [], k
@@ -339,6 +343,7 @@ def eisenstein_test(f: PadicPolynomial) -> bool:
     A polynomial passing this test is irreducible over Q_p and defines a
     totally ramified extension of degree m.
     """
+    _instance(PadicPolynomial, f)
     vals = f.coefficient_valuations()
     if len(vals) < 2:
         return False
@@ -369,10 +374,13 @@ def cyclotomic(p: int, n: int) -> list[int]:
 def _solve_mod_prime_power(p, M, matrix, rhs):
     """Solve A x = b over Z/p^M where v_p(det A) = beta < M.
 
-    Entries are integers; returns x, valid modulo p^(M - beta).  Pivots
-    are chosen with minimal valuation, so the spent precision is exactly
-    beta.  Each pivot p^t u is inverted once, u by Newton doubling modulo
-    p^M, and the back substitution reuses that inverse.
+    Entries are integers and are reduced modulo p^M first, so a caller
+    pays only for the digits it asks for: the factor lift's rounds pass
+    an M that grows with the digits they can use.  Returns x, valid
+    modulo p^(M - beta).  Pivots are chosen with minimal valuation, so
+    the spent precision is exactly beta.  Each pivot p^t u is inverted
+    once, u by Newton doubling modulo p^M, and the back substitution
+    reuses that inverse.
     """
     mod = p**M
     size = len(matrix)
@@ -484,6 +492,7 @@ def refine_factorization(
 
 def _lift_data(f, g, h, precision, product):
     """(v(res(g, h)), w(f - g*h)) after the checks both factor lifts make."""
+    _instance(PadicPolynomial, f, g, h)
     _precision(precision)
     p = f.p
     if g.p != p or h.p != p:
@@ -499,29 +508,38 @@ def _lift_factorization(f, g0, h0, beta, precision):
     """The factors of f near g0, h0, reduced modulo p^precision, given
     beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
 
-    Each round solves the Sylvester system of the current pair modulo
-    p^M for the defect, of valuation w.  The correction has valuation
-    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
-    v(res) stays beta.  Once w >= precision + beta every later correction
-    is 0 mod p^precision, so the reduced pair is that of the true factors,
-    whatever the starting pair.
+    Each round solves the Sylvester system of the current pair for the
+    defect e, of valuation w.  The correction has valuation >= w - beta,
+    so the next defect has valuation >= 2(w - beta) > w and v(res) stays
+    beta.  The round needs the defect to reach only K = min(2(w - beta),
+    precision + beta), so it solves for correction / p^(w - beta) from
+    e / p^(w - beta) modulo p^(K - w + 2 beta), the digits it can use
+    (the Newton precision schedule: von zur Gathen-Gerhard, Modern
+    Computer Algebra, 9.1).  That modulus grows with the rounds to about
+    (precision + 3 beta) / 2; g, h and e stay modulo p^(precision +
+    2 beta + 2).  The scale must be p^(w - beta), not p^w: the correction
+    / p^w is not integral when beta > 0.  Once w >= precision + beta every
+    later correction is 0 mod p^precision, so the reduced pair is that of
+    the true factors, whatever the starting pair.
     """
     p = f.p
     s, t = g0.degree, h0.degree
     M = precision + 2 * beta + 2
-    mod, done = p**M, p ** (precision + beta)
+    mod = p**M
     f_i = _int_reps(p, M, f.coefficients)
     g = _int_reps(p, M, g0.coefficients)
     h = _int_reps(p, M, h0.coefficients)
     for _ in range(precision + 2):
         gh = poly_mul(g, h)
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        if all(c % done == 0 for c in diff):
+        w = int_valuation(math.gcd(*diff), p)
+        if w >= precision + beta:
             break
-        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
-        x = _solve_mod_prime_power(p, M, _sylvester(g, h, s, t), rhs)
-        delta = list(reversed(x[:t]))  # added to H
-        gamma = list(reversed(x[t:]))  # added to G
+        K, scale = min(2 * (w - beta), precision + beta), p ** (w - beta)
+        rhs = [diff[s + t - 1 - i] // scale for i in range(s + t)]
+        x = _solve_mod_prime_power(p, K - w + 2 * beta, _sylvester(g, h, s, t), rhs)
+        delta = [scale * c for c in reversed(x[:t])]  # added to H
+        gamma = [scale * c for c in reversed(x[t:])]  # added to G
         g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
         h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
     else:
@@ -641,6 +659,7 @@ def slope_factorization(
     precision gives the same residues to more digits.  The first factor
     is p^c times a primitive integer polynomial.
     """
+    _instance(PadicPolynomial, f)
     _precision(precision)
     if f.coefficients[0] == 0:
         raise InvalidArgumentError("f(0) = 0: strip the exact T power first")
@@ -748,6 +767,7 @@ def weierstrass_prepare(
     of g / p^w(f) come back as canonical residues modulo p^max(1, t): those
     of the true factors, which are unique under h(0) = 1.
     """
+    _instance(TruncatedSeries, f)
     _precision(precision)
     p = f.p
     vals = [rational_valuation(c, p) for c in f.coefficients]
@@ -796,6 +816,7 @@ def primitive_rescale(
     Returns (b, g/b, b*h) with b = p^w(g), w the Gauss valuation with
     w(T) = 0; multiplicativity of w makes both outputs integral.
     """
+    _instance(PadicPolynomial, f, g, h)
     p = f.p
     if g.p != p or h.p != p:
         raise InvalidArgumentError("f, g and h must be over the same Q_p")

@@ -33,7 +33,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
-from .numtheory import INFINITY, _count, _exact, int_valuation, require_prime
+from .numtheory import INFINITY, _count, _exact, _instance, int_valuation, require_prime
 
 MAX_VERIFIED_ORDER = 512
 
@@ -264,6 +264,7 @@ class FilteredGroup:
 
 def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
     """The chain G = G_{-1} >= G_0 >= ... down to the first trivial term."""
+    _instance(FilteredGroup, group)
     jumps = group.lower_jumps()
     starts = [-1] + [u + 1 for u in jumps]
     out = []
@@ -278,6 +279,7 @@ def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
 
 def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
     """The given elements as a set of indices, each an int in [0, order)."""
+    _instance(FilteredGroup, group)
     elems = list(elements)
     if any(type(x) is not int or not 0 <= x < group.order for x in elems):
         raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
@@ -305,6 +307,7 @@ def is_normal(group: FilteredGroup, elements) -> bool:
 
 def all_subgroups(group: FilteredGroup) -> list[frozenset[int]]:
     """Every subgroup, found by adding one generator at a time."""
+    _instance(FilteredGroup, group)
     trivial = frozenset({group.identity})
     found = {trivial}
     frontier = [(trivial, [])]
@@ -330,6 +333,7 @@ def herbrand_functions(group: FilteredGroup) -> tuple[PiecewiseLinear, Piecewise
     phi has slope |G_{m+1}| / |G_0| on [m, m+1] and slope 1 on [-1, 0];
     psi is its inverse and maps integers to integers.
     """
+    _instance(FilteredGroup, group)
     phi = _phi_of_depths(sorted(d for d in group.depths if d != INFINITY))
     return phi, phi.inverse()
 
@@ -351,6 +355,7 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 
     An independent route to the same function; exposed as a cross-check.
     """
+    _instance(FilteredGroup, group)
     u = Fraction(_exact(u))
     if u < -1:
         raise InvalidArgumentError("u must be >= -1")
@@ -478,6 +483,7 @@ class RamificationReport:
 def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> RamificationReport:
     """Different exponent sum(depth(s)) over s != 1, equal to
     sum_n (|G_n| - 1); discriminant exponent is the residual degree times it."""
+    _instance(FilteredGroup, group)
     if _count(residual_degree) < 1:
         raise InvalidArgumentError("residual degree must be >= 1")
     by_elements = sum(

@@ -19,6 +19,7 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
+    _instance,
     crt,
     factorint,
     is_prime,
@@ -161,6 +162,7 @@ def ff_valuation(place: FunctionFieldPlace, num: FqPoly, den: FqPoly | None = No
     """Valuation at a place of the rational function num/den over GF(q)."""
     from .finitefield import FqPoly, _common_field
 
+    _instance(FunctionFieldPlace, place)
     field = _common_field(num, *(g for g in (den, place.poly) if g is not None))
     if place.q != field.q:
         raise InvalidArgumentError("all polynomials must share one field")

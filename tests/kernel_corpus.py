@@ -385,6 +385,36 @@ def _lift_calls():
                                    "precision": 512}
 
 
+def _deep_lift_calls():
+    rng = random.Random(18)
+    # the lifting benchmark's N = 512 refinements: monic pairs coprime mod p
+    for p, m, n in ((41, 6, 6), (37, 3, 3)):
+        for _ in range(2):
+            while True:
+                g0, h0 = ([rng.randint(-9, 9) for _ in range(d)] + [1] for d in (m, n))
+                if vp_rational(p, resultant(g0, h0)) == 0:
+                    break
+            noise = [p * rng.randint(-9, 9) for _ in range(m + n)]
+            f = [a + b for a, b in zip(poly_mul(g0, h0), noise + [0])]
+            yield "refine_factorization", {"p": p, "f": _poly_text(f), "g": _poly_text(g0),
+                                           "h": _poly_text(h0), "precision": 512}
+    # beta >= 1: roots a and a + p^k u, the second factor's lead 1 or p
+    for p, k, lead in ((3, 1, 1), (3, 2, 3), (5, 1, 5), (5, 3, 1), (7, 2, 1), (2, 4, 1)):
+        for precision in (128, 512):
+            beta = math.inf
+            while beta > k + 3:  # the cofactors may add to v(res), or share a root
+                root = rng.randint(-p**2, p**2)
+                g0 = poly_mul([-root, 1], _integer_poly(rng, p, rng.randint(0, 2), 1))
+                h0 = poly_mul([-root - p**k * _unit(rng, p), 1], [_unit(rng, p), lead])
+                beta = vp_rational(p, resultant(g0, h0))
+            noise = [p ** (2 * beta + 1) * rng.randint(-p, p) for _ in range(len(g0) + len(h0) - 2)]
+            f = [a + b for a, b in zip(poly_mul(g0, h0), noise + [0])]
+            yield "hensel_lift_factors", {"p": p, "f": _poly_text(f), "g0": _poly_text(g0),
+                                          "h0": _poly_text(h0), "alpha": beta, "precision": precision}
+            yield "refine_factorization", {"p": p, "f": _poly_text(f), "g": _poly_text(g0),
+                                           "h": _poly_text(h0), "precision": precision}
+
+
 def _resultant_calls():
     rng = random.Random(15)
 
@@ -474,6 +504,7 @@ def calls():
     yield from _slope_calls()
     yield from _weierstrass_calls()
     yield from _lift_calls()
+    yield from _deep_lift_calls()
     yield from _resultant_calls()
     yield from _root_calls()
     yield from _group_calls()

@@ -6,13 +6,23 @@ from localarith import (
     InvalidArgumentError,
     PadicNumber,
     bernoulli,
+    classify_tame,
     count_tame_extensions,
     cyclotomic,
     cyclotomic_group,
+    eisenstein_test,
     expansion,
+    hensel_lift_factors,
+    is_square,
+    newton_polygon,
     power_sum,
     power_sum_faulhaber,
+    refine_factorization,
+    root_valuations,
+    slope_factorization,
+    sqrt,
     teichmuller,
+    weierstrass_prepare,
 )
 from localarith.extensions import (
     galois_census,
@@ -32,13 +42,16 @@ from localarith.numtheory import (
 from localarith.polynomials import PadicPolynomial, primitive_rescale, resultant_mn, sylvester_matrix
 from localarith.ramification import (
     PiecewiseLinear,
+    all_subgroups,
     cyclotomic_reduction_kernel,
     different_discriminant,
     herbrand_functions,
+    lower_filtration,
     phi_via_infimum,
+    subgroup_filtration,
     upper_numbering,
 )
-from localarith.valuations import FunctionFieldPlace, gauss_valuation, product_formula_report
+from localarith.valuations import FunctionFieldPlace, ff_valuation, gauss_valuation, product_formula_report
 
 ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if is_prime(p)]
 
@@ -188,6 +201,27 @@ def test_an_infinite_coefficient_valuation_still_enters():
             "same Q_p",
         ),
         (lambda: unit_group_structure(3, 1.5), "not an integer"),
+        # entry points that read a library object's attributes
+        (lambda: sqrt(4), "expected a PadicNumber"),
+        (lambda: is_square(4), "expected a PadicNumber"),
+        (lambda: expansion(5, 2), "expected a PadicNumber"),
+        (lambda: newton_polygon([1, 2]), "expected a PadicPolynomial"),
+        (lambda: root_valuations([1, 2]), "expected a PadicPolynomial"),
+        (lambda: slope_factorization([1, 2], 8), "expected a PadicPolynomial"),
+        (lambda: eisenstein_test([5, 1]), "expected a PadicPolynomial"),
+        (lambda: primitive_rescale([1], [1], [1]), "expected a PadicPolynomial"),
+        (lambda: hensel_lift_factors([1, 0, 1], [1, 1], [1, 1], 0, 8), "expected a PadicPolynomial"),
+        (lambda: refine_factorization([1, 0, 1], [1, 1], [1, 1], 8), "expected a PadicPolynomial"),
+        (lambda: weierstrass_prepare([1, 2], 8), "expected a TruncatedSeries"),
+        (lambda: different_discriminant(5), "expected a FilteredGroup"),
+        (lambda: herbrand_functions([1]), "expected a FilteredGroup"),
+        (lambda: upper_numbering([1]), "expected a FilteredGroup"),
+        (lambda: lower_filtration([1]), "expected a FilteredGroup"),
+        (lambda: all_subgroups([1]), "expected a FilteredGroup"),
+        (lambda: phi_via_infimum([1], 1), "expected a FilteredGroup"),
+        (lambda: subgroup_filtration([1], {0}), "expected a FilteredGroup"),
+        (lambda: classify_tame((2, 3, 2, 0)), "expected a TameExtensionDescriptor"),
+        (lambda: ff_valuation(None, 1), "expected a FunctionFieldPlace"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):

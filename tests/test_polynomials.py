@@ -31,6 +31,7 @@ from localarith import (
 )
 from localarith import polynomials
 from localarith.formats import parse_polynomial
+from localarith.numtheory import INFINITY
 from localarith.polynomials import _det, poly_add, poly_mul, poly_sub
 
 EXP7 = parse_polynomial(
@@ -103,15 +104,15 @@ def pure_factor_products(draw):
     return p, draw(st.integers(1, 60)), sides, PadicPolynomial(p, f)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of polynomials.<name> from here on, in a one-item list."""
-    calls, inner = [0], getattr(polynomials, name)
+def record_calls(monkeypatch, name):
+    """The argument tuples of the calls of polynomials.<name> from here on."""
+    calls, inner = [], getattr(polynomials, name)
 
-    def counted(*args):
-        calls[0] += 1
+    def recorded(*args):
+        calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(polynomials, name, counted)
+    monkeypatch.setattr(polynomials, name, recorded)
     return calls
 
 
@@ -447,6 +448,95 @@ def lifting_cases(draw):
     return f, g0, h0, alpha, draw(st.integers(1, 6))
 
 
+def full_modulus_lift(f, g0, h0, beta, precision):
+    """polynomials._lift_factorization with every round solving the
+    Sylvester system modulo the full p^(precision + 2 beta + 2): the oracle
+    for the rounds that solve modulo only the digits they can use."""
+    p = f.p
+    s, t = g0.degree, h0.degree
+    M = precision + 2 * beta + 2
+    mod, done = p**M, p ** (precision + beta)
+    f_i = polynomials._int_reps(p, M, f.coefficients)
+    g = polynomials._int_reps(p, M, g0.coefficients)
+    h = polynomials._int_reps(p, M, h0.coefficients)
+    for _ in range(precision + 2):
+        gh = poly_mul(g, h)
+        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
+        if all(c % done == 0 for c in diff):
+            break
+        rhs = [diff[s + t - 1 - i] for i in range(s + t)]
+        x = polynomials._solve_mod_prime_power(p, M, polynomials._sylvester(g, h, s, t), rhs)
+        delta = list(reversed(x[:t]))  # added to H
+        gamma = list(reversed(x[t:]))  # added to G
+        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
+        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
+    else:
+        raise HypothesisFailedError("factor lifting failed to converge")
+
+    modN = p**precision
+    g_out = [c % modN for c in g]
+    h_out = [c % modN for c in h]
+    # restore the exact leading terms (reduction may have changed them)
+    g_out[-1] = g0.coefficients[-1]
+    h_out[-1] = h0.coefficients[-1]
+    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+
+
+def near_root_pairs(rng):
+    """(f, g0, h0, beta, N): g0 and h0 have roots a and a + p^k u, so that
+    v(res(g0, h0)) >= k, for k = 0..4; leading coefficients 1 or p on each
+    side; f = g0*h0 + p^d e with d just above 2 v(res); N in {1, 4, 64, 512}."""
+    for k in range(5):
+        for lead_g, lead_h in ((1, 1), (0, 1), (1, 0), (0, 0)):  # 0 stands for p
+            for precision in (1, 4, 64, 512):
+                p = rng.choice([2, 3, 5, 7])
+
+                def cofactor(lead):
+                    degree = rng.randint(0 if lead else 1, 2)
+                    body = [rng.randrange(1, p)] + [rng.randint(-p**2, p**2) for _ in range(degree - 1)]
+                    return (body + [lead or p])[-degree - 1 :]
+
+                beta = INFINITY
+                while beta > k + 4:  # the cofactors may add to v(res), or share a root
+                    a = rng.randint(-p**2, p**2)
+                    g0 = poly_mul([-a, 1], cofactor(lead_g))
+                    h0 = poly_mul([-a - p**k * rng.randrange(1, p), 1], cofactor(lead_h))
+                    beta = vp_rational(p, resultant(g0, h0))
+                depth = 2 * beta + 1 + rng.randint(0, 2)
+                noise = [p**depth * rng.randint(-p, p) for _ in range(len(g0) + len(h0) - 2)]
+                f = poly_add(poly_mul(g0, h0), noise)
+                yield tuple(PadicPolynomial(p, x) for x in (f, g0, h0)) + (beta, precision)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (HypothesisFailedError, InvalidArgumentError, PrecisionLossError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_solve_schedule(monkeypatch, g0, h0, defect, beta, precision):
+    """One Sylvester solve per round, each modulo only the digits it can use.
+
+    A round that starts from a defect of valuation w solves modulo p^w
+    while its target 2(w - beta) is short of precision + beta, so these
+    exponents grow and at least double less 2 beta; the last round needs
+    only precision + 3 beta - w < w digits.  No exponent exceeds about
+    half of precision + 3 beta, where a full-modulus solve takes
+    precision + 2 beta + 2.
+    """
+    g0, h0 = PadicPolynomial(3, g0), PadicPolynomial(3, h0)
+    f = g0 * h0 + PadicPolynomial(3, defect)
+    assert vp_rational(3, resultant(g0, h0)) == beta
+    solves = record_calls(monkeypatch, "_solve_mod_prime_power")
+    hensel_lift_factors(f, g0, h0, beta, precision)
+    assert 1 <= len(solves) <= math.ceil(math.log2(precision)) + 2
+    exponents = [M for _, M, _, _ in solves]
+    growing = exponents[:-1]
+    assert all(b >= max(a + 1, 2 * (a - beta)) for a, b in zip(growing, growing[1:]))
+    assert max(exponents) <= math.ceil((precision + 3 * beta) / 2) + 1
+
+
 class TestRefineFactorization:
     def test_exact_input_is_fixpoint(self):
         g = PadicPolynomial(3, [1, 1])
@@ -511,13 +601,27 @@ class TestRefineFactorization:
 
     @pytest.mark.parametrize("precision", [16, 128, 1024])
     def test_rounds_grow_like_log_precision(self, monkeypatch, precision):
-        # beta = v(res(T - 1, T - 4)) = 1: the lift must reach precision + 1,
-        # one Sylvester solve per round
-        g0, h0 = PadicPolynomial(3, [-1, 1]), PadicPolynomial(3, [-4, 1])
-        f = g0 * h0 + PadicPolynomial(3, [27 * 5, 27 * 7])
-        solves = count_calls(monkeypatch, "_solve_mod_prime_power")
-        hensel_lift_factors(f, g0, h0, 1, precision)
-        assert solves[0] <= math.ceil(math.log2(precision)) + 2
+        # beta = v(res(T - 1, T - 4)) = 1: the lift must reach precision + 1
+        assert_solve_schedule(monkeypatch, [-1, 1], [-4, 1], [27 * 5, 27 * 7], 1, precision)
+
+    @pytest.mark.parametrize("precision", [16, 128, 1024])
+    def test_rounds_grow_like_log_precision_when_beta_is_0(self, monkeypatch, precision):
+        assert_solve_schedule(monkeypatch, [-1, 1], [-2, 0, 1], [3 * 5, 3 * 7, 3], 0, precision)
+
+    def test_lifts_agree_with_the_full_modulus_oracle(self, monkeypatch, rng):
+        betas, leads = set(), set()
+        for f, g0, h0, beta, precision in near_root_pairs(rng):
+            betas.add(beta)
+            leads.add(sum(x.coefficients[-1] % f.p == 0 for x in (g0, h0)))
+            calls = (
+                lambda: hensel_lift_factors(f, g0, h0, beta, precision),
+                lambda: refine_factorization(f, g0, h0, precision),
+            )
+            got = [outcome(call) for call in calls]
+            with monkeypatch.context() as patched:
+                patched.setattr(polynomials, "_lift_factorization", full_modulus_lift)
+                assert got == [outcome(call) for call in calls], (f, g0, h0, precision)
+        assert betas >= set(range(5)) and leads == {0, 1, 2}
 
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root
@@ -619,12 +723,13 @@ class TestSlopeFactorization:
     def test_rounds_grow_like_log_precision(self, monkeypatch):
         # a loop that gains a fixed gap per round needs ~4N products on this
         # input; the quadratic engine adds a few rounds per doubling of N
-        products = count_calls(monkeypatch, "poly_mul")
+        products = record_calls(monkeypatch, "poly_mul")
         f = PadicPolynomial(2, EXP7)
         slope_factorization(f, 32)
-        at_32, products[0] = products[0], 0
+        at_32 = len(products)
+        products.clear()
         slope_factorization(f, 512)
-        assert products[0] <= 2 * at_32
+        assert len(products) <= 2 * at_32
 
 
 class TestWeierstrass:

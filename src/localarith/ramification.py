@@ -13,10 +13,12 @@ with exact rational arithmetic.
 Tables are verified to be groups on construction, for orders up to 512.
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *The Algebraic Theory of Semigroups* I, 1961, section 1.2): it checks
-(xy)s = x(ys) only for s in a set S from which right multiplication
+(xs)y = x(sy) only for s in a set S from which right multiplication
 reaches the whole table, starting at the identity.  A greedy S of a group
-has at most log2(g) elements, so the check costs O(g^2 log g).  Every
-subgroup question reuses it: a set is a subgroup exactly when its greedy S
+has at most log2(g) elements, so the check costs O(g^2 log g).  Tables are
+built and checked a row at a time, never one Python step per entry: one
+C-level ``operator.itemgetter`` call composes two rows.  Every subgroup
+question reuses Light's S: a set is a subgroup exactly when its greedy S
 reaches the set itself, never by pairwise products.  G_n changes only one
 below each finite depth, so filtration queries step through those depths.
 """
@@ -27,6 +29,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     InconsistencyError,
@@ -157,9 +161,11 @@ class FilteredGroup:
     """Finite group as a multiplication table plus per-element depths."""
 
     def __init__(self, table, identity: int, depths):
-        self.table = tuple(tuple(row) for row in table)
+        try:
+            self.table, self.depths = tuple(map(tuple, table)), tuple(depths)
+        except TypeError:
+            raise InvalidArgumentError("table rows and depths must be sequences") from None
         self.identity = identity
-        self.depths = tuple(depths)
         self.order = len(self.table)
         self._validate()
         self._validate_depths()
@@ -173,40 +179,36 @@ class FilteredGroup:
             raise ResourceLimitError(
                 f"group order {g} exceeds the verified bound {MAX_VERIFIED_ORDER}"
             )
-        if any(len(row) != g for row in self.table):
-            raise InvalidArgumentError("table is not square")
-        if any(set(map(type, row)) - {int} for row in self.table):
-            raise InvalidArgumentError("table entries must be integers")
-        if any(min(row) < 0 or max(row) >= g for row in self.table):
-            raise InvalidArgumentError("table entries out of range")
-        if type(self.identity) is not int:
-            raise InvalidArgumentError("identity must be an integer index")
-        if not 0 <= self.identity < g:
-            raise InvalidArgumentError("identity index out of range")
-        for i in range(g):
-            if self.table[self.identity][i] != i or self.table[i][self.identity] != i:
-                raise InvalidArgumentError("identity element does not act trivially")
         mul, e = self.table, self.identity
-        inverses = []
-        for i, row in enumerate(mul):
-            if e not in row:
-                raise InvalidArgumentError(f"element {i} has no inverse")
-            inverses.append(row.index(e))
-        self.inverses = tuple(inverses)
+        if any(len(row) != g for row in mul):
+            raise InvalidArgumentError("table is not square")
+        if set(map(type, chain.from_iterable(mul))) - {int}:
+            raise InvalidArgumentError("table entries must be integers")
+        if not set(chain.from_iterable(mul)) <= set(range(g)):
+            raise InvalidArgumentError("table entries out of range")
+        if type(e) is not int:
+            raise InvalidArgumentError("identity must be an integer index")
+        if not 0 <= e < g:
+            raise InvalidArgumentError("identity index out of range")
+        if mul[e] != tuple(range(g)) or tuple(map(itemgetter(e), mul)) != mul[e]:
+            raise InvalidArgumentError("identity element does not act trivially")
+        try:
+            self.inverses = tuple(row.index(e) for row in mul)
+        except ValueError:
+            i = next(i for i, row in enumerate(mul) if e not in row)
+            raise InvalidArgumentError(f"element {i} has no inverse") from None
 
         # a group never needs more than log2(g) greedy generators
         generators = _greedy_generators(mul, e, set(range(g)))
         if generators is None:
             raise InvalidArgumentError("multiplication table is not associative")
-        # (xy)s = x(ys) for s in S makes each right multiplication by S
-        # commute with every left multiplication; so does each composite,
-        # and applying the composite for a word w in S to the identity
-        # gives (xy)w = x(yw) for every element w.
-        columns = [[row[s] for row in mul] for s in generators]
-        for row in mul:
-            for col in columns:
-                if [col[z] for z in row] != [row[z] for z in col]:
-                    raise InvalidArgumentError("multiplication table is not associative")
+        # s is good when (xs)y = x(sy), i.e. row xs is row x composed with row
+        # s.  For good a, b: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+        # x((ab)y), so ab is good; S reaches everything from the good identity.
+        for s in generators:  # g >= 2 here, so itemgetter returns tuples
+            times_s = itemgetter(*mul[s])
+            if any(mul[row[s]] != times_s(row) for row in mul):
+                raise InvalidArgumentError("multiplication table is not associative")
         self._generators = generators
 
     def _validate_depths(self):
@@ -280,7 +282,10 @@ def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
 def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
     """The given elements as a set of indices, each an int in [0, order)."""
     _instance(FilteredGroup, group)
-    elems = list(elements)
+    try:
+        elems = list(elements)
+    except TypeError:
+        elems = [None]  # rejected below with every other non-index
     if any(type(x) is not int or not 0 <= x < group.order for x in elems):
         raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
     return frozenset(elems)
@@ -371,6 +376,14 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _induced_table(table, elems, label) -> list[tuple[int, ...]]:
+    """Row a is label[ab] for b in elems, by two C-level itemgetter calls."""
+    if len(elems) == 1:  # itemgetter returns a bare item, not a tuple, for one key
+        return [(label[table[elems[0]][elems[0]]],)]
+    pick = itemgetter(*elems)
+    return [itemgetter(*pick(table[a]))(label) for a in elems]
+
+
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
     """The subgroup with the restricted depth function (depths restrict)."""
     h = _element_set(group, elements)
@@ -378,7 +391,7 @@ def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
         raise InvalidArgumentError("the given elements do not form a subgroup")
     elems = sorted(h)
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[group.table[a][b]] for b in elems] for a in elems]
+    table = _induced_table(group.table, elems, index)
     depths = [group.depths[e] for e in elems]
     return FilteredGroup(table, index[group.identity], depths)
 
@@ -413,7 +426,7 @@ def quotient_with_projection(
     cosets.sort(key=min)
     coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [min(c) for c in cosets]
-    table = [[coset_of[group.table[a][b]] for b in reps] for a in reps]
+    table = _induced_table(group.table, reps, coset_of)
     identity = coset_of[group.identity]
 
     # H is a subgroup of the validated group and its depths are the restricted ones
@@ -530,7 +543,18 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     q = p**n
     units = [a for a in range(1, q) if a % p != 0]
     index = {a: i for i, a in enumerate(units)}
-    table = [[index[a * b % q] for b in units] for a in units]
+    # row xs is row x composed with row s.  A unit with no row yet is a greedy
+    # generator s (so g >= 2 and itemgetter returns tuples); closing the rows
+    # built so far under s (G is abelian) adds the subgroup it generates with them.
+    table = [tuple(range(order))] + [None] * (order - 1)
+    built = [0]
+    for s, a in enumerate(units):
+        if table[s] is None:
+            times_s = itemgetter(*(index[a * b % q] for b in units))
+            for x in built:
+                if table[xs := table[x][s]] is None:
+                    table[xs] = times_s(table[x])
+                    built.append(xs)
     depths = [
         INFINITY if a == 1 else p ** int_valuation(a - 1, p) for a in units
     ]

@@ -41,6 +41,7 @@ from localarith.numtheory import (
 )
 from localarith.polynomials import PadicPolynomial, primitive_rescale, resultant_mn, sylvester_matrix
 from localarith.ramification import (
+    FilteredGroup,
     PiecewiseLinear,
     all_subgroups,
     cyclotomic_reduction_kernel,
@@ -48,6 +49,7 @@ from localarith.ramification import (
     herbrand_functions,
     lower_filtration,
     phi_via_infimum,
+    quotient_filtration,
     subgroup_filtration,
     upper_numbering,
 )
@@ -222,6 +224,12 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: subgroup_filtration([1], {0}), "expected a FilteredGroup"),
         (lambda: classify_tame((2, 3, 2, 0)), "expected a TameExtensionDescriptor"),
         (lambda: ff_valuation(None, 1), "expected a FunctionFieldPlace"),
+        # a table, its rows, the depths or an element set that cannot be iterated
+        (lambda: FilteredGroup(5, 0, [INFINITY]), "table rows and depths must be sequences"),
+        (lambda: FilteredGroup([5], 0, [INFINITY]), "table rows and depths must be sequences"),
+        (lambda: FilteredGroup([[0, 1], [1, 0]], 0, None), "table rows and depths must be sequences"),
+        (lambda: subgroup_filtration(cyclotomic_group(3, 2), None), "elements must be integer indices"),
+        (lambda: quotient_filtration(cyclotomic_group(3, 2), 5), "elements must be integer indices"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):

@@ -65,6 +65,10 @@ def loop_tables(draw, max_order=6):
     return table
 
 
+# a Latin square with identity 0 that is not associative
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 class TestFilteredGroup:
     def test_rejects_non_class_function(self):
         # S3 with depths separating conjugate transpositions
@@ -111,6 +115,30 @@ class TestFilteredGroup:
         with pytest.raises(InvalidArgumentError):
             FilteredGroup(table, identity, depths)
 
+    # every malformed table keeps its message; checks run in this order
+    @pytest.mark.parametrize(
+        "table, identity, message",
+        [
+            ([], 0, "identity index out of range"),
+            ([[0, 1], [1]], 0, "not square"),
+            ([[0, 1]], 0, "not square"),
+            ([[0, 1], [1, False]], 0, "must be integers"),
+            ([[0, 1], [1.0, 0]], 0, "must be integers"),
+            ([[0, "1"], [1, 0]], 0, "must be integers"),
+            ([[0, 1], [1, -1]], 0, "out of range"),
+            ([[0, 1], [1, 2]], 0, "out of range"),
+            ([[0, 1], [1, 0]], 0.0, "identity must be an integer index"),
+            ([[0, 1], [1, 0]], 2, "identity index out of range"),
+            ([[0, 2, 1], [1, 2, 0], [2, 0, 1]], 0, "does not act trivially"),  # identity row
+            ([[0, 1, 2], [2, 2, 0], [1, 0, 1]], 0, "does not act trivially"),  # identity column
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 1]], 0, "element 2 has no inverse"),
+        ],
+    )
+    def test_malformed_table_messages(self, table, identity, message):
+        depths = [INFINITY] + [1] * (len(table) - 1)
+        with pytest.raises(InvalidArgumentError, match=message):
+            FilteredGroup(table, identity, depths)
+
     def test_rejects_all_infinite(self):
         with pytest.raises(InvalidArgumentError):
             FilteredGroup([[0, 1], [1, 0]], 0, [INFINITY, INFINITY])
@@ -125,7 +153,7 @@ class TestFilteredGroup:
         "table",
         [
             # found by the associativity check
-            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            ORDER_5_LOOP,
             # needs three generators at order 7, more than log2(7)
             [
                 [0, 1, 2, 3, 4, 5, 6],
@@ -143,6 +171,27 @@ class TestFilteredGroup:
         assert not is_associative(table)
         with pytest.raises(InvalidArgumentError, match="not associative"):
             FilteredGroup(table, 0, [INFINITY] + [1] * (len(table) - 1))
+
+    def test_rejects_non_associative_product_at_order_500(self):
+        # the order-5 loop times Z/100: a greedy S exists, so the rejection
+        # comes from comparing rows, not from the generator bound
+        loop, m = ORDER_5_LOOP, 100
+        table = [
+            [loop[a // m][b // m] * m + (a + b) % m for b in range(5 * m)] for a in range(5 * m)
+        ]
+        assert ramification._greedy_generators(table, 0, set(range(5 * m))) is not None
+        with pytest.raises(InvalidArgumentError, match="not associative"):
+            FilteredGroup(table, 0, [INFINITY] + [1] * (5 * m - 1))
+
+    def test_rejects_one_changed_entry_at_order_512(self):
+        group = cyclotomic_group(2, 10)
+        x, y = 5, 100
+        assert y not in group._generators and x != group.identity
+        table = [list(row) for row in group.table]
+        table[x][y] = table[x][y + 1]
+        assert ramification._greedy_generators(table, 0, set(range(512))) == group._generators
+        with pytest.raises(InvalidArgumentError, match="not associative"):
+            FilteredGroup(table, group.identity, group.depths)
 
     def test_elementary_abelian_order_512(self):
         # the valid table that needs the most generators (nine) at the order bound
@@ -447,6 +496,42 @@ SMALL_GROUPS = {
         for p, n in [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2), (61, 1)]
     },
 }
+
+
+def comprehension_cyclotomic_table(p, n):
+    """The Cayley table of (Z/p^nZ)^* one entry at a time, in cyclotomic_group's order."""
+    q = p**n
+    units = [a for a in range(1, q) if a % p != 0]
+    index = {a: i for i, a in enumerate(units)}
+    return tuple(tuple(index[a * b % q] for b in units) for a in units)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, n) for n in range(1, 11)]
+    + [(3, n) for n in range(1, 7)]
+    + [(p, 2) for p in (5, 7, 13, 23)]
+    + [(509, 1)],
+)
+def test_cyclotomic_table_matches_the_comprehension(p, n):
+    assert cyclotomic_group(p, n).table == comprehension_cyclotomic_table(p, n)
+
+
+@pytest.mark.parametrize("name", ["C1", "C12", "S3", "D4", "Q8", "cyclotomic(2,4)", "cyclotomic(3,4)"])
+def test_induced_tables_match_the_comprehension(name):
+    # every subgroup and every normal quotient, trivial and whole included,
+    # of abelian and of non-abelian groups (which tell ab from ba)
+    table, identity = SMALL_GROUPS[name]
+    group = FilteredGroup(table, identity, [INFINITY if i == identity else 1 for i in range(len(table))])
+    for h in all_subgroups(group):
+        elems = sorted(h)
+        index = {e: i for i, e in enumerate(elems)}
+        sub = subgroup_filtration(group, h)
+        assert sub.table == tuple(tuple(index[table[a][b]] for b in elems) for a in elems)
+        if is_normal(group, h):
+            quotient, proj = ramification.quotient_with_projection(group, h)
+            reps = [proj.index(i) for i in range(quotient.order)]
+            assert quotient.table == tuple(tuple(proj[table[a][b]] for b in reps) for a in reps)
 
 
 def oracle_is_subgroup(table, identity, elements):

@@ -744,11 +744,6 @@ class TruncatedSeries:
     def truncation(self) -> int:
         return len(self.coefficients) - 1
 
-    def weighted_valuation(self):
-        vals = [rational_valuation(c, self.p) for c in self.coefficients]
-        finite = [v for v in vals if v != INFINITY]
-        return min(finite + [self.tail])
-
 
 def weierstrass_prepare(
     f: TruncatedSeries, precision: int

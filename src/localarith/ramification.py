@@ -10,14 +10,17 @@ functions, quotient filtrations, upper numbering and different and
 discriminant exponents are all derived from the table and the depths
 with exact rational arithmetic.
 
-Tables are verified to be groups on construction, for orders up to 512.
-Associativity is decided exactly by Light's test (Clifford & Preston,
-*The Algebraic Theory of Semigroups* I, 1961, section 1.2): it checks
-(xs)y = x(sy) only for s in a set S from which right multiplication
-reaches the whole table, starting at the identity.  A greedy S of a group
-has at most log2(g) elements, so the check costs O(g^2 log g).  Tables are
-built and checked a row at a time, never one Python step per entry: one
-C-level ``operator.itemgetter`` call composes two rows.  Every subgroup
+Tables passed to FilteredGroup are checked to be groups at run time, for
+orders up to 512.  Associativity is decided exactly by Light's test
+(Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, section
+1.2): it checks (xs)y = x(sy) only for s in a set S from which right
+multiplication reaches the whole table, starting at the identity.  A greedy
+S of a group has at most log2(g) elements, so the check costs O(g^2 log g).
+The tables of cyclotomic_group, subgroup_filtration and
+quotient_with_projection are groups by construction (a quotient's depths by
+Herbrand's theorem), so they skip these checks; tests/test_ramification.py
+runs them on each.  Tables are built and checked a row at a time, by C-level
+``operator.itemgetter`` calls that compose two rows.  Every subgroup
 question reuses Light's S: a set is a subgroup exactly when its greedy S
 reaches the set itself, never by pairwise products.  G_n changes only one
 below each finite depth, so filtration queries step through those depths.
@@ -84,22 +87,14 @@ class PiecewiseLinear:
             raise InvalidArgumentError(f"{u} is left of the domain start")
         if u >= self.breakpoints[-1]:
             return self.values[-1] + self.final_slope * (u - self.breakpoints[-1])
-        for i in range(len(self.breakpoints) - 1):
-            if u <= self.breakpoints[i + 1]:
-                b0, b1 = self.breakpoints[i], self.breakpoints[i + 1]
-                v0, v1 = self.values[i], self.values[i + 1]
-                return v0 + (v1 - v0) * (u - b0) / (b1 - b0)
-        raise AssertionError("unreachable")
+        i = bisect_left(self.breakpoints, u, 1) - 1  # b_i <= u <= b_(i+1)
+        b0, b1 = self.breakpoints[i], self.breakpoints[i + 1]
+        v0, v1 = self.values[i], self.values[i + 1]
+        return v0 + (v1 - v0) * (u - b0) / (b1 - b0)
 
     def inverse(self) -> "PiecewiseLinear":
-        slopes = [
-            (v1 - v0) / (b1 - b0)
-            for (b0, v0), (b1, v1) in zip(
-                zip(self.breakpoints, self.values),
-                zip(self.breakpoints[1:], self.values[1:]),
-            )
-        ]
-        if any(s <= 0 for s in slopes) or self.final_slope <= 0:
+        # the breakpoints increase, so the slopes are positive when the values increase
+        if any(v0 >= v1 for v0, v1 in zip(self.values, self.values[1:])) or self.final_slope <= 0:
             raise InvalidArgumentError("only increasing functions can be inverted")
         return PiecewiseLinear.from_data(
             self.values, self.breakpoints, 1 / self.final_slope
@@ -109,10 +104,7 @@ class PiecewiseLinear:
         """The function u -> self(inner(u))."""
         inner_inv = inner.inverse()
         bps = set(inner.breakpoints)
-        lo, hi = inner.values[0], None
-        for b in self.breakpoints:
-            if b >= lo:
-                bps.add(inner_inv.evaluate(b))
+        bps.update(inner_inv.evaluate(b) for b in self.breakpoints if b >= inner.values[0])
         bps = sorted(bps)
         vals = [self.evaluate(inner.evaluate(b)) for b in bps]
         return PiecewiseLinear.from_data(
@@ -169,6 +161,32 @@ class FilteredGroup:
         self.order = len(self.table)
         self._validate()
         self._validate_depths()
+
+    @classmethod
+    def _derived(cls, identity, row_of, depths, inverses) -> "FilteredGroup":
+        """A group whose construction proves what __init__ checks, so none is run.
+
+        row_of(s) is row s, asked for only for s in Light's greedy S: s joins S
+        when no row is built for it yet, as in _greedy_generators.  Every other row
+        xt is row x composed with row t, since (xt)y = x(ty): one itemgetter call.
+        """
+        self = cls.__new__(cls)
+        self.identity, self.depths, self.inverses = identity, tuple(depths), tuple(inverses)
+        self.order = order = len(self.depths)
+        table: list = [None] * order
+        table[identity] = tuple(range(order))
+        built, self._generators, times = [identity], [], []
+        for s in range(order):
+            if table[s] is None:  # so order >= 2 and itemgetter returns tuples
+                self._generators.append(s)
+                times.append(itemgetter(*row_of(s)))
+                for x in built:
+                    for t, times_t in zip(self._generators, times):
+                        if table[xt := table[x][t]] is None:
+                            table[xt] = times_t(table[x])
+                            built.append(xt)
+        self.table = tuple(table)
+        return self
 
     # -- construction checks ----------------------------------------------
 
@@ -376,12 +394,11 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _induced_table(table, elems, label) -> list[tuple[int, ...]]:
-    """Row a is label[ab] for b in elems, by two C-level itemgetter calls."""
-    if len(elems) == 1:  # itemgetter returns a bare item, not a tuple, for one key
-        return [(label[table[elems[0]][elems[0]]],)]
+def _induced_rows(table, elems, label):
+    """row_of(s) of FilteredGroup._derived for the table induced on elems:
+    label[ab] for a = elems[s] and b in elems, by two C-level itemgetter calls."""
     pick = itemgetter(*elems)
-    return [itemgetter(*pick(table[a]))(label) for a in elems]
+    return lambda s: itemgetter(*pick(table[elems[s]]))(label)
 
 
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
@@ -391,9 +408,10 @@ def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
         raise InvalidArgumentError("the given elements do not form a subgroup")
     elems = sorted(h)
     index = {e: i for i, e in enumerate(elems)}
-    table = _induced_table(group.table, elems, index)
     depths = [group.depths[e] for e in elems]
-    return FilteredGroup(table, index[group.identity], depths)
+    inverses = [index[group.inverses[e]] for e in elems]
+    row_of = _induced_rows(group.table, elems, index)
+    return FilteredGroup._derived(index[group.identity], row_of, depths, inverses)
 
 
 def quotient_filtration(group: FilteredGroup, subgroup_elements) -> FilteredGroup:
@@ -416,21 +434,17 @@ def quotient_with_projection(
         raise InvalidArgumentError("H must be a normal subgroup")
     e = sum(1 for t in h if group.depths[t] >= 1)
 
-    cosets: list[frozenset[int]] = []
-    seen: set[int] = set()
+    reps, cosets, coset_of = [], [], {}
     for x in range(group.order):
-        if x not in seen:
-            coset = frozenset(group.table[x][t] for t in h)
-            seen |= coset
-            cosets.append(coset)
-    cosets.sort(key=min)
-    coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
-    reps = [min(c) for c in cosets]
-    table = _induced_table(group.table, reps, coset_of)
+        if x not in coset_of:  # so x is the least element of its coset
+            reps.append(x)
+            cosets.append([group.table[x][t] for t in h])
+            coset_of.update(dict.fromkeys(cosets[-1], len(reps) - 1))
     identity = coset_of[group.identity]
 
-    # H is a subgroup of the validated group and its depths are the restricted ones
+    # phi_H from H's depths in the parent, evaluated once per depth, not per coset
     phi_h = _phi_of_depths(sorted(group.depths[t] for t in h if t != group.identity))
+    route = {j: phi_h.evaluate(j - 1) + 1 for j in set(group.depths) - {INFINITY}}
     depths: list[int | float] = []
     for i, coset in enumerate(cosets):
         if i == identity:
@@ -443,14 +457,16 @@ def quotient_with_projection(
             )
         averaged = total // e
         j_max = max(group.depths[x] for x in coset)
-        herbrand = phi_h.evaluate(j_max - 1) + 1
+        herbrand = route[j_max]
         if herbrand != averaged:
             raise InconsistencyError(
                 f"averaging gives {averaged} but the Herbrand route gives {herbrand}"
             )
         depths.append(averaged)
     projection = tuple(coset_of[x] for x in range(group.order))
-    return FilteredGroup(table, identity, depths), projection
+    inverses = [coset_of[group.inverses[r]] for r in reps]
+    row_of = _induced_rows(group.table, reps, coset_of)
+    return FilteredGroup._derived(identity, row_of, depths, inverses), projection
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +559,11 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     q = p**n
     units = [a for a in range(1, q) if a % p != 0]
     index = {a: i for i, a in enumerate(units)}
-    # row xs is row x composed with row s.  A unit with no row yet is a greedy
-    # generator s (so g >= 2 and itemgetter returns tuples); closing the rows
-    # built so far under s (G is abelian) adds the subgroup it generates with them.
-    table = [tuple(range(order))] + [None] * (order - 1)
-    built = [0]
-    for s, a in enumerate(units):
-        if table[s] is None:
-            times_s = itemgetter(*(index[a * b % q] for b in units))
-            for x in built:
-                if table[xs := table[x][s]] is None:
-                    table[xs] = times_s(table[x])
-                    built.append(xs)
-    depths = [
-        INFINITY if a == 1 else p ** int_valuation(a - 1, p) for a in units
-    ]
-    return FilteredGroup(table, index[1], depths)
+    depths = [INFINITY if a == 1 else p ** int_valuation(a - 1, p) for a in units]
+    inverses = [index[pow(a, -1, q)] for a in units]
+    return FilteredGroup._derived(
+        index[1], lambda s: tuple(index[units[s] * b % q] for b in units), depths, inverses
+    )
 
 
 def cyclotomic_reduction_kernel(p: int, n: int, s: int) -> frozenset[int]:

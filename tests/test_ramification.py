@@ -337,16 +337,21 @@ class TestQuotientFiltration:
             is_normal(group, elements)
 
     def test_quotient_reads_phi_of_the_subgroup_from_the_parent(self, monkeypatch):
-        # phi_H comes from H's depths in the validated parent: building the
-        # quotient validates the quotient table and no table for H
-        built, construct = [], FilteredGroup.__init__
+        # phi_H comes from H's depths in the parent: building the quotient
+        # builds the quotient table, checked or derived, and no table for H
+        built, construct, derive = [], FilteredGroup.__init__, FilteredGroup._derived.__func__
 
         def recording(self, table, identity, depths):
             built.append(len(table))
             construct(self, table, identity, depths)
 
+        def recording_derived(cls, identity, row_of, depths, inverses):
+            built.append(len(depths))
+            return derive(cls, identity, row_of, depths, inverses)
+
         group = cyclotomic_group(2, 10)
         monkeypatch.setattr(FilteredGroup, "__init__", recording)
+        monkeypatch.setattr(FilteredGroup, "_derived", classmethod(recording_derived))
         for elements, order in [(range(512), 1), (cyclotomic_reduction_kernel(2, 10, 3), 4)]:
             built.clear()
             quotient, _ = ramification.quotient_with_projection(group, elements)
@@ -506,18 +511,21 @@ def comprehension_cyclotomic_table(p, n):
     return tuple(tuple(index[a * b % q] for b in units) for a in units)
 
 
-@pytest.mark.parametrize(
-    "p, n",
+COMPREHENSION_CASES = (
     [(2, n) for n in range(1, 11)]
     + [(3, n) for n in range(1, 7)]
     + [(p, 2) for p in (5, 7, 13, 23)]
-    + [(509, 1)],
+    + [(509, 1)]
 )
+INDUCED_CASES = ["C1", "C12", "S3", "D4", "Q8", "cyclotomic(2,4)", "cyclotomic(3,4)"]
+
+
+@pytest.mark.parametrize("p, n", COMPREHENSION_CASES)
 def test_cyclotomic_table_matches_the_comprehension(p, n):
     assert cyclotomic_group(p, n).table == comprehension_cyclotomic_table(p, n)
 
 
-@pytest.mark.parametrize("name", ["C1", "C12", "S3", "D4", "Q8", "cyclotomic(2,4)", "cyclotomic(3,4)"])
+@pytest.mark.parametrize("name", INDUCED_CASES)
 def test_induced_tables_match_the_comprehension(name):
     # every subgroup and every normal quotient, trivial and whole included,
     # of abelian and of non-abelian groups (which tell ab from ba)
@@ -532,6 +540,76 @@ def test_induced_tables_match_the_comprehension(name):
             quotient, proj = ramification.quotient_with_projection(group, h)
             reps = [proj.index(i) for i in range(quotient.order)]
             assert quotient.table == tuple(tuple(proj[table[a][b]] for b in reps) for a in reps)
+
+
+# cyclotomic_group, subgroup_filtration and quotient_with_projection build
+# groups by construction and skip the constructor's checks; these tests run
+# every check on what they build
+
+
+def assert_passes_the_checks(group):
+    """The public constructor accepts the group's data and rebuilds it exactly:
+    table, depths, inverses and Light's S."""
+    checked = FilteredGroup(group.table, group.identity, group.depths)
+    assert vars(checked) == vars(group)
+
+
+def assert_subgroups_and_quotients_pass_the_checks(group):
+    for h in all_subgroups(group):
+        assert_passes_the_checks(subgroup_filtration(group, h))
+        if is_normal(group, h):
+            assert_passes_the_checks(quotient_filtration(group, h))
+
+
+@pytest.mark.parametrize("p, n", COMPREHENSION_CASES)
+def test_derived_cyclotomic_groups_pass_the_checks(p, n):
+    assert_passes_the_checks(cyclotomic_group(p, n))
+
+
+@pytest.mark.parametrize("name", INDUCED_CASES)
+def test_derived_subgroups_and_quotients_pass_the_checks(name):
+    table, identity = SMALL_GROUPS[name]
+    depths = [INFINITY if i == identity else 1 for i in range(len(table))]
+    assert_subgroups_and_quotients_pass_the_checks(FilteredGroup(table, identity, depths))
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 4), (5, 2)])
+def test_derived_subgroups_and_quotients_of_cyclotomic_groups_pass_the_checks(p, n):
+    # the parent is itself derived, and its depths are not all 1
+    assert_subgroups_and_quotients_pass_the_checks(cyclotomic_group(p, n))
+
+
+PRIME_POWERS_TO_243 = [
+    (p, n)
+    for p in range(2, 244)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 8)
+    if p**n <= 243
+]
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_with_subgroups(p, n):
+    group = cyclotomic_group(p, n)
+    return group, all_subgroups(group)
+
+
+@given(st.sampled_from(PRIME_POWERS_TO_243))
+@settings(deadline=None, max_examples=40)
+def test_herbrand_theorem_for_quotients(p_n):
+    # (G/H)^v is the image of G^v, for every H (G is abelian, so H is normal)
+    # and every v at -1, at an upper jump of G, one past the last, and halfway
+    # between any two of these neighbours
+    group, subgroups = cyclotomic_with_subgroups(*p_n)
+    upper = upper_numbering(group)
+    ends = [-1, *upper.jumps]
+    ends.append(ends[-1] + 1)
+    points = ends + [Fraction(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for h in subgroups:
+        quotient, proj = ramification.quotient_with_projection(group, h)
+        quotient_upper = upper_numbering(quotient)
+        for v in points:
+            assert quotient_upper.subgroup_at(v) == frozenset(proj[x] for x in upper.subgroup_at(v))
 
 
 def oracle_is_subgroup(table, identity, elements):

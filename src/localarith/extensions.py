@@ -18,18 +18,21 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError
 from .numtheory import (
+    INFINITY,
     _count,
     _instance,
     divisors,
     euler_phi,
+    least_primitive_root,
     multiplicative_order,
     prime_power_decomposition,
+    require_prime,
 )
 from .ramification import FilteredGroup
 
-# padic and polynomials are imported by the one function each that uses them,
-# so counting and classifying extensions load neither; PadicPolynomial in
-# annotations is polynomials.PadicPolynomial.
+# polynomials is imported by the one function that uses it, so counting and
+# classifying extensions do not load it; PadicPolynomial in annotations is
+# polynomials.PadicPolynomial.
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ class GaloisPresentation:
         and that the conjugation relation closes on it."""
         table, identity = self.multiplication_table()
         depths = [1] * (self.e * self.f)
-        depths[identity] = float("inf")
+        depths[identity] = INFINITY
         group = FilteredGroup(table, identity, depths)  # validates the table
         tau, sigma = 1 * self.f + 0, 0 * self.f + 1
         if self.f == 1:
@@ -241,9 +244,6 @@ def unit_group_structure(p: int, n: int) -> UnitGroupStructure:
     for n = 2, and {+-1} x <5> of order 2 x 2^(n-2) for n >= 3.  Trivial
     factors are dropped.
     """
-    from .numtheory import least_primitive_root, require_prime
-    from .padic import teichmuller
-
     require_prime(p)
     if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
@@ -254,10 +254,8 @@ def unit_group_structure(p: int, n: int) -> UnitGroupStructure:
         if n == 2:
             return UnitGroupStructure(q, (2,), (q - 1,))
         return UnitGroupStructure(q, (2, 2 ** (n - 2)), (q - 1, 5))
-    factors, gens = [], []
-    omega = teichmuller(p, least_primitive_root(p), n).residue(n)
-    factors.append(p - 1)
-    gens.append(omega)
+    # the Teichmuller lift of g is g^(p^(n-1)): congruent to g mod p, of order p - 1
+    factors, gens = [p - 1], [pow(least_primitive_root(p), p ** (n - 1), q)]
     if n > 1:
         factors.append(p ** (n - 1))
         gens.append(1 + p)

@@ -24,6 +24,7 @@ runs them on each.  Tables are built and checked a row at a time, by C-level
 question reuses Light's S: a set is a subgroup exactly when its greedy S
 reaches the set itself, never by pairwise products.  G_n changes only one
 below each finite depth, so filtration queries step through those depths.
+They rely on each G_n being normal and G_0 = G, and check neither again.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -68,17 +69,10 @@ class PiecewiseLinear:
         bps = [Fraction(_exact(b)) for b in breakpoints]
         vals = [Fraction(_exact(v)) for v in values]
         final_slope = Fraction(_exact(final_slope))
-        keep = [0]
-        for i in range(1, len(bps) - 1):
-            s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
-            s_out = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            if s_in != s_out:
-                keep.append(i)
-        if len(bps) > 1:
-            i = len(bps) - 1
-            s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
-            if s_in != final_slope:
-                keep.append(i)
+        # breakpoint i stays where the slope changes; a dropped run is collinear
+        slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])]
+        slopes.append(final_slope)
+        keep = [0] + [i for i in range(1, len(bps)) if slopes[i - 1] != slopes[i]]
         return cls(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope)
 
     def evaluate(self, u) -> Fraction:
@@ -252,7 +246,7 @@ class FilteredGroup:
                 if d[mul[t][mul[s][inv[t]]]] != d[s]:
                     raise InvalidArgumentError("depths must be a class function")
         for level in set(d) - {INFINITY}:
-            if not is_subgroup(self, {s for s in range(g) if d[s] >= level}):
+            if _greedy_generators(mul, self.identity, {s for s in range(g) if d[s] >= level}) is None:
                 raise InvalidArgumentError(
                     "depth sets G_n are not closed under multiplication"
                 )
@@ -290,10 +284,7 @@ def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
     out = []
     # G_n is constant from each start to the next jump; the last start is trivial
     for start, end in zip(starts, [*jumps, starts[-1]]):
-        sub = group.subgroup(start)
-        if not is_normal(group, sub):
-            raise InvalidArgumentError("filtration subgroup is not normal")
-        out.extend((n, sub) for n in range(start, end + 1))
+        out.extend(zip(range(start, end + 1), repeat(group.subgroup(start))))
     return out
 
 
@@ -418,7 +409,7 @@ def quotient_filtration(group: FilteredGroup, subgroup_elements) -> FilteredGrou
     """The quotient G/H with its induced depth function.
 
     The depth of a nontrivial coset is (1/e) * sum of the depths over the
-    coset, with e = |H_0|.  The result is cross-checked against the
+    coset, with e = |H_0| = |H|.  The result is cross-checked against the
     Herbrand route depth(s) - 1 = phi_H(max depth over coset - 1);
     disagreement or a non-integral average raises InconsistencyError.
     """
@@ -432,7 +423,7 @@ def quotient_with_projection(
     h = _element_set(group, subgroup_elements)
     if not is_normal(group, h):
         raise InvalidArgumentError("H must be a normal subgroup")
-    e = sum(1 for t in h if group.depths[t] >= 1)
+    e = len(h)  # every depth is at least 1, so H_0 = H
 
     reps, cosets, coset_of = [], [], {}
     for x in range(group.order):
@@ -515,10 +506,8 @@ def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> Ra
     _instance(FilteredGroup, group)
     if _count(residual_degree) < 1:
         raise InvalidArgumentError("residual degree must be >= 1")
-    by_elements = sum(
-        d for i, d in enumerate(group.depths) if i != group.identity
-    )
     finite = sorted(d for d in group.depths if d != INFINITY)
+    by_elements = sum(finite)
     orders = tuple(group.order - bisect_right(finite, n) for n in range(group.max_depth() + 1))
     by_filtration = sum(o - 1 for o in orders)
     if by_elements != by_filtration:

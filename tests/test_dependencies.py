@@ -123,3 +123,35 @@ def test_vp_loads_only_what_it_needs():
     assert "localarith.valuations" in loaded
     for heavy in ("ramification", "extensions", "polynomials", "padic", "finitefield"):
         assert f"localarith.{heavy}" not in loaded
+
+
+def test_unit_group_structure_does_not_load_padic():
+    # the Teichmuller generator is one modular power, not a p-adic lift
+    run_python(
+        "-c",
+        "import sys, localarith as la\n"
+        "assert la.unit_group_structure(5, 3).generators == (57, 6)\n"
+        "assert 'localarith.padic' not in sys.modules",
+    )
+
+
+def test_failing_given_test_reports_its_example(tmp_path):
+    # warnings are errors under this configuration; the one hypothesis raises
+    # while it reports a failure must not turn the report into INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # only hypothesis's plugin is loaded, which keeps the run short
+    env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "_hypothesis_pytestplugin",
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

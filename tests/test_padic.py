@@ -106,22 +106,41 @@ class TestRingOps:
             PadicNumber.from_rational(2, 3, 4) / PadicNumber.zero(2)
 
     def test_ring_axioms_on_residues(self):
+        # == is equality at the shared precision; operands mix precisions and
+        # valuations (negative ones too), exact zeros, ints and Fractions
         rng = random.Random(99)
+
+        def operand(p):
+            kind = rng.randrange(5)
+            if kind == 0:
+                return PadicNumber.zero(p)
+            if kind == 1:
+                return rng.randint(-50, 50)
+            if kind == 2:
+                return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            n = rng.randint(1, 6)
+            unit = rng.randrange(1, p**n)
+            while unit % p == 0:
+                unit = rng.randrange(1, p**n)
+            return PadicNumber(p, rng.randint(-2, 2), unit, n)
+
         for _ in range(10_000):
             p = rng.choice([2, 3, 5])
-            n = rng.randint(2, 6)
-            xs = []
-            for _ in range(3):
-                v = rng.randint(0, 2)
-                unit = rng.randrange(1, p**n)
-                while unit % p == 0:
-                    unit = rng.randrange(1, p**n)
-                xs.append(PadicNumber(p, v, unit, n))
-            a, b, c = xs
-            lhs = ((a + b) + c) - (a + (b + c))
-            assert lhs.unit is None  # associativity up to precision
-            dist = a * (b + c) - (a * b + a * c)
-            assert dist.unit is None
+            x = operand(p)
+            while not isinstance(x, PadicNumber):
+                x = operand(p)
+            a, b, c = rng.sample([x, operand(p), operand(p)], 3)
+            assert a + b == b + a and a * b == b * a
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            cancelled = x - x
+            if x.is_exact_zero:
+                assert cancelled.is_exact_zero
+            else:
+                assert cancelled.is_inexact_zero
+                with pytest.raises(PrecisionLossError):
+                    cancelled.is_zero()
 
 
 class TestExpansion:

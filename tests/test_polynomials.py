@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import math
 import random
@@ -33,6 +35,8 @@ from localarith import polynomials
 from localarith.formats import parse_polynomial
 from localarith.numtheory import INFINITY
 from localarith.polynomials import _det, poly_add, poly_mul, poly_sub
+
+from conftest import random_rational
 
 EXP7 = parse_polynomial(
     "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/5040*T^7"
@@ -925,9 +929,22 @@ class TestResultantConventions:
             m, n = len(g) - 1, len(h) - 1
             assert resultant(g, h) == (-1) ** (m * n) * resultant(h, g)
 
-    def test_root_product_identity(self):
-        # res(g, h) = lead(g)^deg(h) * prod over roots a of g of h(a)
+    def test_root_product_identity(self, rng):
+        # res(g, h) = a^n b^m prod (alpha_i - beta_j) for g = a prod (T - alpha_i)
+        # of degree m and h = b prod (T - beta_j) of degree n; the expected value
+        # comes from this formula, at every degree pair up to 5
         g = [2, -3, 1]  # (T-1)(T-2)
         h = [-120, 74, -15, 1]  # (T-4)(T-5)(T-6)
         expected = (4 - 1) * (5 - 1) * (6 - 1) * (4 - 2) * (5 - 2) * (6 - 2)
         assert resultant(g, h) == expected
+
+        def from_roots(lead, roots):
+            return functools.reduce(poly_mul, ([-r, 1] for r in roots), [lead])
+
+        for m, n in itertools.product(range(1, 6), repeat=2):
+            for _ in range(20):
+                a, b = random_rational(rng, 20), random_rational(rng, 20)
+                alphas = [random_rational(rng, 20) for _ in range(m)]
+                betas = [random_rational(rng, 20) for _ in range(n)]
+                expected = a**n * b**m * math.prod(x - y for x in alphas for y in betas)
+                assert resultant(from_roots(a, alphas), from_roots(b, betas)) == expected

@@ -65,6 +65,45 @@ def loop_tables(draw, max_order=6):
     return table
 
 
+def oracle_from_data(breakpoints, values, final_slope):
+    """Two-pass normalization: the slope into each breakpoint is measured from
+    the last breakpoint kept, the slope out of it to the next one."""
+    bps, vals = list(map(Fraction, breakpoints)), list(map(Fraction, values))
+    final_slope = Fraction(final_slope)
+    keep = [0]
+    for i in range(1, len(bps) - 1):
+        s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
+        s_out = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+        if s_in != s_out:
+            keep.append(i)
+    if len(bps) > 1:
+        i = len(bps) - 1
+        s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
+        if s_in != final_slope:
+            keep.append(i)
+    return PiecewiseLinear(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope)
+
+
+SIXTHS = st.integers(-120, 120).map(lambda k: Fraction(k, 6))  # in [-20, 20]
+
+
+@st.composite
+def piecewise_data(draw):
+    """1-8 breakpoints; each segment may repeat the slope before it, which makes
+    runs of collinear points, and the final slope may repeat the last segment's."""
+    count = draw(st.integers(1, 8))
+    positive = st.integers(1, 30).map(lambda k: Fraction(k, 6))
+    widths = draw(st.lists(positive, min_size=count - 1, max_size=count - 1))
+    slopes = [draw(SIXTHS)]
+    for _ in widths:  # one slope per segment after the first, then the final one
+        slopes.append(slopes[-1] if draw(st.booleans()) else draw(SIXTHS))
+    bps, vals = [draw(SIXTHS)], [draw(SIXTHS)]
+    for width, slope in zip(widths, slopes):
+        bps.append(bps[-1] + width)
+        vals.append(vals[-1] + slope * width)
+    return bps, vals, slopes[-1]
+
+
 # a Latin square with identity 0 that is not associative
 ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
@@ -282,6 +321,11 @@ class TestHerbrandFunctions:
                 if u < -1:
                     u = -u - 1
                 assert phi_via_infimum(group, u) == phi.evaluate(u)
+
+    @given(piecewise_data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_data_matches_the_two_pass_normalization(self, data):
+        assert PiecewiseLinear.from_data(*data) == oracle_from_data(*data)
 
     def test_piecewise_linear_composition(self):
         inner = PiecewiseLinear.from_data([-1, 0, 1], [-1, 0, Fraction(1, 2)], Fraction(1, 4))
@@ -549,9 +593,12 @@ def test_induced_tables_match_the_comprehension(name):
 
 def assert_passes_the_checks(group):
     """The public constructor accepts the group's data and rebuilds it exactly:
-    table, depths, inverses and Light's S."""
+    table, depths, inverses and Light's S; and every lower filtration level,
+    which lower_filtration does not check, is normal."""
     checked = FilteredGroup(group.table, group.identity, group.depths)
     assert vars(checked) == vars(group)
+    levels = {level for _, level in lower_filtration(group)}
+    assert all(is_normal(group, level) for level in levels)
 
 
 def assert_subgroups_and_quotients_pass_the_checks(group):
@@ -739,6 +786,8 @@ def test_queries_match_brute_force(case, data):
         len(oracle_level(group, n)) for n in range(group.max_depth() + 1)
     )
     assert lower_filtration(group) == oracle_lower_filtration(group)
+    levels = {level for _, level in lower_filtration(group)}
+    assert all(oracle_is_normal(table, identity, level) for level in levels)
 
     # one depth changed: the constructor agrees with the brute-force conditions
     if group.order > 1:

@@ -589,6 +589,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # print residues past 4300 digits whole
+        sys.set_int_max_str_digits(0)
     try:
         code = run(argv)
         sys.stdout.flush()  # a reader that left shows up here, not at exit

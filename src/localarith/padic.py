@@ -35,8 +35,6 @@ from .numtheory import (
     _precision,
     _sqrt_mod_prime,
     int_valuation,
-    poly_derivative,
-    poly_eval,
     rational_valuation,
     require_prime,
 )
@@ -385,11 +383,17 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
             raise InvalidArgumentError("newton_lift expects integer coefficients")
         coeffs.append(int(c))
 
-    derivative = poly_derivative(coeffs)
-    t = int_valuation(poly_eval(derivative, a_int), p)
+    def values(a, mod=0):  # (f(a), f'(a)) by one Horner pass, exact for mod = 0
+        fa = dfa = 0
+        for c in reversed(coeffs):
+            dfa = dfa * a + fa
+            fa = fa * a + c
+        return (fa % mod, dfa % mod) if mod else (fa, dfa)
+
+    fa, dfa = values(a_int)
+    t = int_valuation(dfa, p)
     if t == INFINITY:
         raise HypothesisFailedError("f'(a0) = 0: the convergence hypothesis fails")
-    fa = poly_eval(coeffs, a_int)
     v_fa = int_valuation(fa, p)
     if v_fa < a_prec:
         if v_fa <= 2 * t:
@@ -400,36 +404,41 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         raise PrecisionLossError(
             "cannot certify v(f(a0)) > 2v(f'(a0)) at the precision of a0"
         )
-
-    def values(a, mod):
-        return poly_eval(coeffs, a), poly_eval(derivative, a)
-
     return PadicNumber._from_integer_at(p, _newton(p, a_int, values, t, precision), 0, precision)
 
 
 def _newton(p, a, values, t, target):
     """The root near a of f, modulo p^target, by a <- a - f(a)/f'(a).
 
-    ``values(a, mod)`` returns (f(a), f'(a)); t = v(f'(a)) and v(f(a)) > 2t.
-    Runs on residues mod p^(target + 2t + 1) until v(f(a)) >= target + t,
-    where a is the root mod p^target.  The inverse s of f'(a)/p^t starts
-    mod p and takes one Newton step s <- s(2 - s f'(a)/p^t) per round,
-    which doubles its digits; each round raises e = v(f(a)) - 2t by at
-    least min(e, digits of s), so e doubles from about round log2(e_0) on.
+    ``values(a, mod)`` returns (f(a), f'(a)) modulo mod, f an integer
+    polynomial; t = v(f'(a)) and v(f(a)) > 2t.  If v(f(a)) >= 2t + e and
+    s = p^t/f'(a) to e digits, the step gives v(f(a')) >= 2t + 2e and
+    s <- s(2 - s f'(a')/p^t) gives s at a' to 2e digits.  On this Newton
+    precision schedule (von zur Gathen-Gerhard, Modern Computer Algebra,
+    9.1) the round that raises e to k, k running up the halvings of
+    target - t, keeps a and s modulo p^(2t + k).  The first and last
+    evaluations are modulo the full p^M, M = target + 2t + 1: the first
+    reads e, the last runs the stop test v(f(a)) >= target + t, which is
+    exact as M > target + t and certifies the result, since with
+    v(f'(a)) = t the root lies within p^(v(f(a)) - t) of a.
     """
     M = target + 2 * t + 1
-    modulus, done, p_t = p**M, p ** (target + t), p**t
-    a %= modulus
-    fa, dfa = values(a, modulus)
-    s = pow(dfa // p_t, -1, p)
-    for _ in range(2 * target + 4):
-        fa %= modulus
-        if fa % done == 0:
-            return a % p**target
-        a = (a - fa // p_t * s) % modulus
-        fa, dfa = values(a, modulus)
-        s = s * (2 - dfa // p_t * s) % modulus
-    raise HypothesisFailedError("Newton iteration failed to converge")
+    mod, done, p_t = p**M, p ** (target + t), p**t
+    a %= mod
+    fa, dfa = values(a, mod)
+    if fa % done:
+        e, k, mods = int_valuation(fa, p) - 2 * t, target - t, [mod]
+        while k > e:
+            mods.append(p ** (2 * t + k))
+            k = (k + 1) // 2
+        s = pow(dfa // p_t, -1, mods[-1])
+        for i in range(len(mods) - 1, 0, -1):
+            a = (a - fa // p_t * s) % mods[i]
+            fa, dfa = values(a, mods[i - 1])
+            s = s * (2 - dfa // p_t * s) % mods[i]
+        if fa % done:
+            raise HypothesisFailedError("Newton iteration failed to converge")
+    return a % p**target
 
 
 def _unit_root(p, k, c, a0, N):
@@ -442,7 +451,7 @@ def _unit_root(p, k, c, a0, N):
 
     def values(a, mod):
         y = pow(a, k - 1, mod)
-        return a * y - c, k * y
+        return (a * y - c) % mod, k * y
 
     return _padic(p, 0, _newton(p, a0, values, t, N - t), N - t)
 

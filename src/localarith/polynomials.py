@@ -3,10 +3,10 @@
 Coefficients are exact rationals tagged with the prime p (ints and
 Fractions only), so coefficient valuations are always exact.  No floating
 point is used anywhere: Newton polygons are built with exact rational
-slope comparisons, resultants are fraction-free (Bareiss) determinants
-over Z after clearing each row's denominators, and the factor lifts solve
-linear systems over Z/p^k, k the digits the round can use, with
-minimal-valuation pivoting, inverting units modulo p^k by Newton doubling.
+slope comparisons, resultants run the subresultant PRS on the operands
+scaled to integer polynomials, and the factor lifts solve linear systems
+over Z/p^k, k the digits the round can use, with minimal-valuation
+pivoting, inverting units modulo p^k by Newton doubling.
 
 Slope factorization and Weierstrass preparation run one engine, _lift:
 log(precision) Newton steps on f = G*H and on a cofactor p^beta / H mod G
@@ -162,8 +162,17 @@ class PadicPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants (exact Sylvester determinants)
+# resultants and discriminants (subresultant PRS)
 # ---------------------------------------------------------------------------
+
+
+def _degree_bounds(gc, hc, m, n):
+    if _count(m) < 0 or _count(n) < 0:
+        raise InvalidArgumentError("the degree bounds m and n must be non-negative")
+    if m + n <= 0:
+        raise InvalidArgumentError("resultant requires m + n > 0")
+    if any(gc[m + 1 :]) or any(hc[n + 1 :]):
+        raise InvalidArgumentError("g or h has a nonzero coefficient above its degree bound")
 
 
 def sylvester_matrix(g, h, m: int, n: int):
@@ -173,68 +182,27 @@ def sylvester_matrix(g, h, m: int, n: int):
     entry (i, j) = g_{m-i+j} and entry (i, n+j) = h_{n-i+j}.  This is the
     layout fixed by the m=2, n=3 display and makes the first n unknowns
     of the associated linear system the descending coefficients of the
-    cofactor multiplying g.
+    cofactor multiplying g.  g and h must have degree at most m and n.
     """
-    if _count(m) < 0 or _count(n) < 0:
-        raise InvalidArgumentError("the degree bounds m and n must be non-negative")
-    if m + n <= 0:
-        raise InvalidArgumentError("resultant requires m + n > 0")
-    zero = Fraction(0)
-    gc = [Fraction(_exact(c)) for c in g] + [zero] * (m + 1 - len(g))
-    hc = [Fraction(_exact(c)) for c in h] + [zero] * (n + 1 - len(h))
-    return _sylvester(gc, hc, m, n, zero)
+    gc, hc = [Fraction(_exact(c)) for c in g], [Fraction(_exact(c)) for c in h]
+    _degree_bounds(gc, hc, m, n)
+    return _sylvester(gc, hc, m, n, Fraction(0))
 
 
 def _sylvester(gc, hc, m, n, zero=0):
-    """sylvester_matrix on coefficient lists of lengths >= m + 1 and
-    >= n + 1, entries taken as they are; ``zero`` fills the rest."""
+    """sylvester_matrix on coefficient lists of degrees at most m and n,
+    entries taken as they are; ``zero`` fills the rest."""
     rows = []
     for i in range(m + n):
         row = []
         for j in range(n):
             k = m - i + j
-            row.append(gc[k] if 0 <= k <= m else zero)
+            row.append(gc[k] if 0 <= k < len(gc) else zero)
         for j in range(m):
             k = n - i + j
-            row.append(hc[k] if 0 <= k <= n else zero)
+            row.append(hc[k] if 0 <= k < len(hc) else zero)
         rows.append(row)
     return rows
-
-
-def _det(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals, by fraction-free
-    elimination (Bareiss 1968).
-
-    Each row is scaled once by the lcm of its denominators, so the
-    elimination runs on integers: step k replaces every entry below and
-    right of the pivot by (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), an
-    exact division, so entries stay minors of the scaled matrix and never
-    outgrow Hadamard's bound.  A zero pivot is replaced by the first
-    nonzero entry below it, each swap flipping the sign.  The last pivot
-    is the determinant of the scaled matrix; dividing by the product of
-    the row scales gives the determinant.
-    """
-    a, scale = [], 1
-    for row in matrix:
-        d = math.lcm(*(c.denominator for c in row))
-        a.append([c.numerator * (d // c.denominator) for c in row])
-        scale *= d
-    size, sign, previous = len(a), 1, 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, pivot_row = a[k][k], a[k][k + 1 :]
-        for i in range(k + 1, size):
-            row, lead = a[i], a[i][k]
-            a[i][k + 1 :] = [
-                (x * pivot - lead * y) // previous for x, y in zip(row[k + 1 :], pivot_row)
-            ]
-        previous = pivot
-    return Fraction(sign * a[-1][-1], scale)
 
 
 def _coeffs_of(f):
@@ -244,7 +212,49 @@ def _coeffs_of(f):
 
 
 def resultant_mn(g, h, m: int, n: int) -> Fraction:
-    return _det(sylvester_matrix(_coeffs_of(g), _coeffs_of(h), m, n))
+    """res_{m,n}(g, h) = det sylvester_matrix(g, h, m, n), deg g <= m, deg h <= n.
+
+    At the exact degrees it is a^n b^m prod(alpha_i - beta_j), a and b the
+    leading coefficients and alpha_i, beta_j the roots, found from the
+    subresultant PRS of g and h scaled to integer polynomials.  A
+    bound above deg g multiplies it by (-1)^(n(m - deg g)) b^(m - deg g),
+    one above deg h by a^(n - deg h); above both degrees it is 0.
+    """
+    gc, hc = _coeffs_of(g), _coeffs_of(h)
+    _degree_bounds(gc, hc, m, n)
+    if not m or not n:  # a diagonal matrix: g_0^n or h_0^m
+        return ((hc if m else gc) or [Fraction(0)])[0] ** (m + n)
+    dg, dh = len(gc) - 1, len(hc) - 1
+    if min(dg, dh) < 0 or (dg < m and dh < n):
+        return Fraction(0)
+    Dg, Dh = math.lcm(*(c.denominator for c in gc)), math.lcm(*(c.denominator for c in hc))
+    a = [c.numerator * (Dg // c.denominator) for c in gc]
+    b = [c.numerator * (Dh // c.denominator) for c in hc]
+    scale = (-1) ** (n * (m - dg)) * b[-1] ** (m - dg) * a[-1] ** (n - dh)
+    return Fraction(scale * _subresultant(a, b), Dg**n * Dh**m)
+
+
+def _subresultant(a, b):
+    """res(a, b) of integer polynomials, not both constant, at their exact
+    degrees: the subresultant PRS (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7), whose exact divisions keep the
+    coefficients at the size of minors of the Sylvester matrix."""
+    sign, g, h = 1, 1, 1
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = a[:]  # becomes the pseudo-remainder lc(b)^(delta + 1) a mod b
+        for k in range(delta, -1, -1):
+            c = r.pop()
+            r = [x * b[-1] for x in r]
+            for j in range(len(b) - 1):
+                r[k + j] -= c * b[j]
+        q = g * h**delta
+        a, b, g = b, [c // q for c in _trim(r)], b[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2) if b else 0
 
 
 def resultant(g, h) -> Fraction:
@@ -265,9 +275,7 @@ def discriminant(g) -> Fraction:
     if len(gc) < 2:
         raise InvalidArgumentError("discriminant needs degree >= 1")
     m = len(gc) - 1
-    r = resultant_mn(gc, poly_derivative(gc), m, m - 1)
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * r / gc[-1]
+    return (-1) ** (m * (m - 1) // 2) * resultant_mn(gc, poly_derivative(gc), m, m - 1) / gc[-1]
 
 
 # ---------------------------------------------------------------------------

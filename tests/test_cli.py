@@ -9,6 +9,7 @@ from pathlib import Path
 import cli_outputs
 import pytest
 
+from localarith import PadicNumber, sqrt, teichmuller
 from localarith.cli import build_parser, main
 from localarith.formats import (
     format_polynomial,
@@ -103,6 +104,30 @@ class TestSubcommands:
             capsys, "teichmuller", "-p", "5", "2", "--prec", "7", "--format", "json"
         )
         assert json.loads(out)["precision"] == 7
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["sqrt", "-p", "10007", "3"], lambda: sqrt(PadicNumber.from_rational(10007, 3, 4096))),
+            (["teichmuller", "-p", "10007", "2"], lambda: teichmuller(10007, 2, 4096)),
+            (
+                ["padic", "eval", "-p", "10007", "-1/4"],
+                lambda: PadicNumber.from_rational(10007, Fraction(-1, 4), 4096),
+            ),
+        ],
+        ids=["sqrt", "teichmuller", "padic-eval"],
+    )
+    def test_units_past_the_int_string_limit(self, capsys, argv, value, fmt):
+        # 16k decimal digits, past the default 4300 of int -> str conversion
+        code, out, err = run_cli(capsys, *argv, "--prec", "4096", "--format", fmt)
+        x = value()
+        unit = str(x.residue(x.precision))  # main lifted the limit for this process
+        assert code == 0 and err == "" and len(unit) > 4300
+        if fmt == "json":
+            assert json.loads(out)["unit"] == unit
+        else:
+            assert out.startswith(f"{unit}*10007^0 + O(10007^4096)  digits ")
 
 
 class TestExitCodes:

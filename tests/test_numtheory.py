@@ -230,6 +230,10 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: FilteredGroup([[0, 1], [1, 0]], 0, None), "table rows and depths must be sequences"),
         (lambda: subgroup_filtration(cyclotomic_group(3, 2), None), "elements must be integer indices"),
         (lambda: quotient_filtration(cyclotomic_group(3, 2), 5), "elements must be integer indices"),
+        # coefficients above the degree bounds, which used to be dropped
+        (lambda: resultant_mn([1, 2, 3], [1, 1], 1, 1), "above its degree bound"),
+        (lambda: resultant_mn([1, 1], [1, 1], 0, 1), "above its degree bound"),
+        (lambda: sylvester_matrix([1, 1], [1, 2, 3], 1, 1), "above its degree bound"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):

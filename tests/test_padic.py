@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from localarith import (
     teichmuller,
     vp_rational,
 )
+from localarith import padic
+from localarith.polynomials import poly_mul
 
 
 class TestRepresentation:
@@ -280,6 +283,102 @@ class TestNewtonLift:
             value = f[0] + f[1] * root + root * root
             assert vp_rational(p, value) >= precision + j
             assert (root - a0) % p ** min(precision, k - j) == 0
+
+
+def full_modulus_newton(p, a, values, t, target):
+    """padic._newton with every round modulo the full p^(target + 2t + 1):
+    the oracle for the rounds that run modulo only the digits they use."""
+    M = target + 2 * t + 1
+    modulus, done, p_t = p**M, p ** (target + t), p**t
+    a %= modulus
+    fa, dfa = values(a, modulus)
+    s = pow(dfa // p_t, -1, p)
+    for _ in range(2 * target + 4):
+        fa %= modulus
+        if fa % done == 0:
+            return a % p**target
+        a = (a - fa // p_t * s) % modulus
+        fa, dfa = values(a, modulus)
+        s = s * (2 - dfa // p_t * s) % modulus
+    raise HypothesisFailedError("Newton iteration failed to converge")
+
+
+def close_root_lift(rng, p, t, precision):
+    """newton_lift of f = (T - r)(T - r - p^t u) g(T) from a0 = r + p^(t+1) w,
+    u and g(r) units: v(f'(a0)) = t and v(f(a0)) >= 2t + 1."""
+    r, u = rng.randrange(p**3), rng.randrange(1, p)
+    g = [rng.randrange(1, p) + p * rng.randint(-9, 9), rng.randint(-9, 9), 1]
+    while (g[0] + g[1] * r + r * r) % p == 0:
+        g[0] += 1
+    f = poly_mul(poly_mul([-r, 1], [-r - p**t * u, 1]), g)
+    a0 = r + p ** (t + 1) * rng.randint(0, 99)
+    return lambda: newton_lift(f, a0, p=p, precision=precision)
+
+
+def newton_calls(rng):
+    """(N, call): seeded calls that reach padic._newton, t = 0 (sqrt and
+    teichmuller at odd p), t = 1 (sqrt at p = 2, the inverse p-th power
+    map) and t in {0, 1, 2} (newton_lift), at N in {1, 2, 32, 512, 2048}."""
+    for N in (1, 2, 32, 512, 2048):
+        for _ in range(3):
+            p = rng.choice((3, 5, 7, 101))
+            r = rng.randrange(1, p**4)
+            x2 = PadicNumber.from_rational(p, Fraction(r * r, p ** rng.choice((0, 2))), N)
+            yield N, lambda x=x2: sqrt(x)
+            yield N, lambda p=p, r=r, N=N: teichmuller(p, r % p or 1, N)
+            x2 = PadicNumber.from_rational(2, (2 * r + 1) ** 2, N)
+            yield N, lambda x=x2: sqrt(x)
+            n = rng.randint(1, 3)
+            u = 1 + p ** (n + 1 + rng.randint(0, 2)) * r  # some starts beat the hypothesis
+            yield N, lambda p=p, n=n, u=u, N=N: pth_power_on_units(p, n, "inverse", u, N)
+            for t in (0, 1, 2):
+                yield N, close_root_lift(rng, rng.choice((2, 3, 5, 7, 101)), t, N)
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # the oracle must fail the same way
+        return type(exc), str(exc)
+
+
+class TestNewtonSchedule:
+    def test_matches_the_full_modulus_loop(self, monkeypatch):
+        calls = [call for _, call in newton_calls(random.Random(18))]
+        got = [outcome(call) for call in calls]
+        monkeypatch.setattr(padic, "_newton", full_modulus_newton)
+        assert got == [outcome(call) for call in calls]
+        assert sum(isinstance(x, str) for x in got) > len(got) // 2
+
+    def test_rounds_and_full_modulus_evaluations(self, monkeypatch):
+        """At most ceil(log2 N) + 3 evaluations of f, at most 2 of them at
+        the full modulus p^(target + 2t + 1)."""
+        scheduled, runs = padic._newton, []
+
+        def counting(p, a, values, t, target):
+            moduli = []
+
+            def counted(a, mod):
+                moduli.append(mod)
+                return values(a, mod)
+
+            result = scheduled(p, a, counted, t, target)
+            runs.append((t, len(moduli), moduli.count(p ** (target + 2 * t + 1))))
+            return result
+
+        monkeypatch.setattr(padic, "_newton", counting)
+        shapes = set()
+        for N, call in newton_calls(random.Random(19)):
+            before = len(runs)
+            try:
+                call()
+            except PrecisionLossError:  # N < 3 at p = 2 never reaches the loop
+                assert len(runs) == before
+                continue
+            ((t, rounds, full),) = runs[before:]
+            assert rounds <= math.ceil(math.log2(N)) + 3 and full <= 2, (N, t, rounds, full)
+            shapes.add((t, N))
+        assert shapes == {(t, N) for t in (0, 1, 2) for N in (1, 2, 32, 512, 2048)}
 
 
 class TestSquares:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from localarith import (
@@ -34,7 +34,7 @@ from localarith import (
 from localarith import polynomials
 from localarith.formats import parse_polynomial
 from localarith.numtheory import INFINITY
-from localarith.polynomials import _det, poly_add, poly_mul, poly_sub
+from localarith.polynomials import poly_add, poly_mul, poly_sub
 
 from conftest import random_rational
 
@@ -148,6 +148,69 @@ def fraction_gauss_det(matrix) -> Fraction:
     return det
 
 
+def bareiss_det(matrix) -> Fraction:
+    """Exact determinant of a square matrix of rationals, by fraction-free
+    elimination (Bareiss 1968): the oracle for resultant_mn.
+
+    Each row is scaled once by the lcm of its denominators, so the
+    elimination runs on integers: step k replaces every entry below and
+    right of the pivot by (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1), an
+    exact division, so entries stay minors of the scaled matrix and never
+    outgrow Hadamard's bound.  A zero pivot is replaced by the first
+    nonzero entry below it, each swap flipping the sign.  The last pivot
+    is the determinant of the scaled matrix; dividing by the product of
+    the row scales gives the determinant.
+    """
+    a, scale = [], 1
+    for row in matrix:
+        d = math.lcm(*(c.denominator for c in row))
+        a.append([c.numerator * (d // c.denominator) for c in row])
+        scale *= d
+    size, sign, previous = len(a), 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k][k + 1 :]
+        for i in range(k + 1, size):
+            row, lead = a[i], a[i][k]
+            a[i][k + 1 :] = [
+                (x * pivot - lead * y) // previous for x, y in zip(row[k + 1 :], pivot_row)
+            ]
+        previous = pivot
+    return Fraction(sign * a[-1][-1], scale)
+
+
+RATIONALS = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=12)
+)
+
+
+@st.composite
+def resultant_operands(draw):
+    """(g, h, m, n): most operands have degree equal to their bound; some
+    fall one, two or all degrees short, so that a bound may sit above the
+    degree and an operand may be 0 or a constant; on request g and h
+    share a root."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0 if m else 1, 7))
+
+    def operand(bound):
+        degree = bound - draw(st.sampled_from((0, 0, 0, 1, 2, bound + 1)))
+        if degree < 0:
+            return []
+        body = draw(st.lists(RATIONALS, min_size=degree, max_size=degree))
+        return body + [draw(RATIONALS) or 1]
+
+    if m and n and draw(st.booleans()):
+        root = draw(RATIONALS)
+        return poly_mul([-root, 1], operand(m - 1)), poly_mul([-root, 1], operand(n - 1)), m, n
+    return operand(m), operand(n), m, n
+
+
 def random_matrix(rng, size):
     """Rational entries, a third of them 0; some have a zero leading pivot
     or a row that is a combination of two others (singular)."""
@@ -174,15 +237,32 @@ class TestResultant:
             a = random_matrix(rng, rng.randint(1, 7))
             expected = fraction_gauss_det(a)
             singular += expected == 0
-            got = _det(a)
+            got = bareiss_det(a)
             assert isinstance(got, Fraction) and got == expected
         assert singular > 40
 
     def test_bareiss_sign_of_row_swaps(self):
-        assert _det([[0, 1], [1, 0]]) == -1
-        assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-        assert _det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-        assert _det([[0, 2], [0, 3]]) == 0
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert bareiss_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert bareiss_det([[0, 2], [0, 3]]) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(resultant_operands())
+    @example(([1, 2, 0], [3, 1], 3, 1))  # a bound above deg g
+    @example(([1, 2, 1], [3, 1], 2, 4))  # a bound above deg h
+    @example(([1, 2], [3, 1], 2, 2))  # both above: 0
+    @example(([Fraction(1, 2), Fraction(-3, 7), 5], [Fraction(2, 3), 1], 2, 1))
+    @example(([-2, 1, 1], [-1, 1], 2, 1))  # the shared root 1: 0
+    @example(([Fraction(5, 3)], [1, 2, 3], 0, 2))  # a constant g, m = 0
+    @example(([7], [1, 2, 3], 3, 2))  # a constant g below its bound
+    @example(([], [1, 2, 3], 0, 2))  # g = 0 with m = 0: g_0^n = 0
+    @example(([1, 1], [], 1, 0))  # h = 0 with n = 0
+    @example(([2, 1], [], 1, 2))  # h = 0 with n > 0: 0
+    def test_subresultant_matches_sylvester_determinant(self, operands):
+        g, h, m, n = operands
+        got = resultant_mn(g, h, m, n)
+        assert isinstance(got, Fraction) and got == bareiss_det(sylvester_matrix(g, h, m, n))
 
     def test_layout_examples(self):
         assert resultant([0, 1], [-1, 1]) == -1  # res(T, T-1)

@@ -30,10 +30,11 @@ class BernoulliTable:
             raise InvalidArgumentError("Bernoulli numbers have non-negative index")
         if k > 1 and k % 2 == 1:
             return Fraction(0)
-        while len(self._values) <= k:
+        while len(self._values) <= k:  # pairs B_m, B_(m+1) = 0 for even m
             m = len(self._values)
-            acc = sum(comb(m + 1, j) * self._values[j] for j in range(m))
-            self._values.append(Fraction(-acc, m + 1))
+            # the sum skips the zero B_j, odd j >= 3; j = 1 adds C(m+1, 1) B_1 = -(m+1)/2
+            acc = sum(comb(m + 1, j) * self._values[j] for j in range(0, m, 2))
+            self._values += [Fraction(1, 2) - acc / (m + 1), Fraction(0)]
         return self._values[k]
 
 
@@ -73,9 +74,7 @@ def power_sum_faulhaber(k: int, n: int, table: BernoulliTable | None = None) -> 
     )
     if k == 0:
         acc -= 1  # the closed form counts the j = 0 term, S_k(n) does not
-    if acc.denominator != 1:
-        raise InvalidArgumentError(f"Faulhaber sum S_{k}({n}) is not an integer")
-    return int(acc)
+    return int(acc)  # an integer by Faulhaber's formula
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,7 @@ def staudt_clausen(k: int, table: BernoulliTable | None = None) -> StaudtClausen
     if k <= 0 or k % 2 != 0:
         raise InvalidArgumentError("the decomposition applies to even k > 0")
     primes = tuple(d + 1 for d in divisors(k) if is_prime(d + 1))
-    w = bernoulli(k, table) + sum(Fraction(1, l) for l in primes)
-    if w.denominator != 1:
-        raise InvalidArgumentError(f"B_{k} + sum 1/l is not an integer")  # unreachable
+    w = bernoulli(k, table) + sum(Fraction(1, l) for l in primes)  # an integer
     denominator = 1
     for l in primes:
         denominator *= l

@@ -105,11 +105,8 @@ def least_primitive_root(p: int) -> int:
     require_prime(p)
     if p == 2:
         return 1
-    target = p - 1
-    for g in range(2, p):
-        if multiplicative_order(g, p) == target:
-            return g
-    raise InvalidArgumentError(f"no primitive root modulo {p}")  # unreachable
+    # (Z/pZ)^* is cyclic, so some g < p has order p - 1
+    return next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:

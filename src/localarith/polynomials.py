@@ -831,6 +831,4 @@ def primitive_rescale(
     b = Fraction(p) ** w_g
     g_out = PadicPolynomial(p, poly_scale(list(g.coefficients), 1 / b))
     h_out = PadicPolynomial(p, poly_scale(list(h.coefficients), b))
-    if any(rational_valuation(c, p) < 0 for c in g_out.coefficients + h_out.coefficients):
-        raise InvalidArgumentError("rescaled factors are not integral")  # unreachable
     return b, g_out, h_out

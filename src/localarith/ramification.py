@@ -11,7 +11,8 @@ discriminant exponents are all derived from the table and the depths
 with exact rational arithmetic.
 
 Tables passed to FilteredGroup are checked to be groups at run time, for
-orders up to 512.  Associativity is decided exactly by Light's test
+orders up to 512, and depths to make each level {s : depth(s) >= n} a
+normal subgroup.  Associativity is decided exactly by Light's test
 (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, section
 1.2): it checks (xs)y = x(sy) only for s in a set S from which right
 multiplication reaches the whole table, starting at the identity.  A greedy
@@ -224,9 +225,9 @@ class FilteredGroup:
         self._generators = generators
 
     def _validate_depths(self):
-        """Depth checks.  Conjugation invariance is checked under S only,
-        which suffices because conjugation by a product composes; closure
-        under multiplication is checked once per level {s : depth(s) >= d}."""
+        """Depth checks: each level {s : depth(s) >= d} is a normal subgroup.
+        That is all a depth function needs: a level is closed, so inverses
+        keep their depth, and it is normal, so depth is a class function."""
         g = self.order
         if len(self.depths) != g:
             raise InvalidArgumentError("depth list length must match the order")
@@ -238,18 +239,12 @@ class FilteredGroup:
                 raise InvalidArgumentError(
                     "depths must be positive integers away from the identity"
                 )
-        mul, inv, d = self.table, self.inverses, self.depths
-        for s in range(g):
-            if d[inv[s]] != d[s]:
-                raise InvalidArgumentError("depths must be inverse-invariant")
-            for t in self._generators:
-                if d[mul[t][mul[s][inv[t]]]] != d[s]:
-                    raise InvalidArgumentError("depths must be a class function")
-        for level in set(d) - {INFINITY}:
-            if _greedy_generators(mul, self.identity, {s for s in range(g) if d[s] >= level}) is None:
-                raise InvalidArgumentError(
-                    "depth sets G_n are not closed under multiplication"
-                )
+        for level in set(self.depths) - {INFINITY}:
+            elements = {s for s in range(g) if self.depths[s] >= level}
+            if not is_normal(self, elements):
+                if _greedy_generators(self.table, self.identity, elements) is None:
+                    raise InvalidArgumentError("depth sets G_n are not closed under multiplication")
+                raise InvalidArgumentError("depths must be a class function")
 
     # -- filtration queries -------------------------------------------------
 
@@ -507,20 +502,15 @@ def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> Ra
     if _count(residual_degree) < 1:
         raise InvalidArgumentError("residual degree must be >= 1")
     finite = sorted(d for d in group.depths if d != INFINITY)
-    by_elements = sum(finite)
+    different = sum(finite)
     orders = tuple(group.order - bisect_right(finite, n) for n in range(group.max_depth() + 1))
-    by_filtration = sum(o - 1 for o in orders)
-    if by_elements != by_filtration:
-        raise InconsistencyError(
-            "the two routes to the different exponent disagree"
-        )  # unreachable for a valid group
     upper = upper_numbering(group)
     return RamificationReport(
         lower_jumps=group.lower_jumps(),
         upper_jumps=upper.jumps,
         segment_orders=orders,
-        different_exponent=int(by_elements),
-        discriminant_exponent=int(by_elements) * residual_degree,
+        different_exponent=different,
+        discriminant_exponent=different * residual_degree,
         residual_degree=residual_degree,
     )
 

@@ -152,9 +152,10 @@ class FunctionFieldPlace:
 
 def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
     v = 0
-    while not f.is_zero() and place_poly.divides(f):
-        f = f // place_poly
+    f, remainder = divmod(f, place_poly)
+    while remainder.is_zero():
         v += 1
+        f, remainder = divmod(f, place_poly)
     return v
 
 

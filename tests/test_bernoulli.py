@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from localarith import (
     staudt_clausen,
     vp_rational,
 )
+from localarith.numtheory import is_prime
 
 # numerators and denominators of B_2 .. B_20
 REFERENCE = {
@@ -27,7 +29,20 @@ REFERENCE = {
 }
 
 
+def full_recurrence(n):
+    """B_0, ..., B_n by sum_{j<=m} C(m+1, j) B_j = 0 over every j, odd zeros
+    included: the oracle for BernoulliTable, which skips them."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        values.append(-sum(comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
+    return values
+
+
 class TestBernoulli:
+    def test_matches_the_full_recurrence(self):
+        table = BernoulliTable()
+        assert [table.value(k) for k in range(120)] == full_recurrence(119)
+
     def test_reference_table(self):
         table = BernoulliTable()
         for k, (num, den) in REFERENCE.items():
@@ -60,6 +75,7 @@ class TestPowerSum:
         assert power_sum(4, 5) == 1 + 16 + 81 + 256
 
     def test_faulhaber_agreement(self):
+        # Faulhaber's sum is an integer; power_sum_faulhaber does not check it
         table = BernoulliTable()
         for k in range(0, 9):
             for n in range(1, 12):
@@ -101,6 +117,15 @@ class TestStaudtClausen:
         table = BernoulliTable()
         for k in range(2, 41, 2):
             assert staudt_clausen(k, table).denominator == table.value(k).denominator
+
+    def test_integral_up_to_100(self):
+        # von Staudt-Clausen, which staudt_clausen no longer checks: B_k plus
+        # 1/l over the primes l with l - 1 | k is an integer
+        table = BernoulliTable()
+        for k in range(2, 101, 2):
+            sc = staudt_clausen(k, table)
+            assert sc.primes == tuple(l for l in range(2, k + 2) if is_prime(l) and k % (l - 1) == 0)
+            assert table.value(k) + sum(Fraction(1, l) for l in sc.primes) == sc.integer_part
 
     def test_rejects_odd_and_zero(self):
         with pytest.raises(InvalidArgumentError):

@@ -371,6 +371,7 @@ FUZZ_ROWS = [
     (["extensions", "count", "-q", "7", "-e", "60", "-f", "6"], 0),
     (["extensions", "classify", "-q", "3", "-e", "2", "-f", "1", "-r", "5"], 2),
     (["extensions", "classify", "-q", "1", "-e", "2", "-f", "1", "-r", "0"], 2),
+    (["extensions", "classify", "-q", "2", "-e", "255", "-f", "8", "-r", "0"], 0),  # order 2040
     (["reproduce"], 2),
 ]
 

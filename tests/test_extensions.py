@@ -16,6 +16,18 @@ from localarith import (
     splitting_degree_of_unity,
     unit_group_structure,
 )
+from localarith import ramification
+from localarith.polynomials import eisenstein_test, root_valuations
+
+# every descriptor with q <= 9, f <= 4 and e*f <= 48
+DESCRIPTORS = [
+    TameExtensionDescriptor(q, e, f, r)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for f in range(1, 5)
+    for e in range(1, 48 // f + 1)
+    if math.gcd(e, q) == 1
+    for r in range(math.gcd(e, q**f - 1))
+]
 
 
 class TestSplittingDegree:
@@ -76,15 +88,24 @@ class TestClassification:
         assert c.galois and c.abelian
 
     def test_presentation_closes(self):
-        for q, e, f in [(2, 3, 2), (3, 4, 2), (2, 7, 3), (4, 5, 2), (5, 4, 1)]:
-            g = math.gcd(e, q**f - 1)
-            if g != e:
-                continue
-            for r in range(g):
-                d = TameExtensionDescriptor(q, e, f, r)
-                c = classify_tame(d)
-                if c.galois:
-                    assert c.presentation.verified_order() == e * f
+        # Hoelder: the presentation of every descriptor classify_tame calls
+        # Galois is a group of order e*f, which classify_tame no longer checks
+        galois = [d for d in DESCRIPTORS if classify_tame(d).galois]
+        assert len(galois) == 319
+        for d in galois:
+            assert classify_tame(d).presentation.verified_order() == d.e * d.f
+
+    def test_classification_builds_no_group(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classify_tame built a FilteredGroup")
+
+        monkeypatch.setattr(ramification.FilteredGroup, "__init__", refuse)
+        # order 2040, past the FilteredGroup order bound
+        for d in [*DESCRIPTORS, TameExtensionDescriptor(2, 255, 8, 0)]:
+            c = classify_tame(d)
+            assert c.galois == (c.presentation is not None)
+            if c.galois:
+                assert c.presentation.order == d.e * d.f
 
     def test_descriptor_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -153,6 +174,24 @@ class TestEisensteinInvariants:
             inv = eisenstein_invariants(f)
             assert inv.ramification_index == p**n - p ** (n - 1)
             assert abs(inv.uniformiser_norm) == p
+
+    def test_root_valuations_agree(self, rng):
+        # an Eisenstein polygon is one side of slope -1/e, which
+        # eisenstein_invariants no longer reads off the Newton polygon
+        for _ in range(200):
+            p, e = rng.choice([2, 3, 5, 7]), rng.randint(1, 7)
+
+            def unit():
+                num, den = (rng.randrange(0, 50) * p + rng.randrange(1, p) for _ in range(2))
+                return rng.choice([-1, 1]) * Fraction(num, den)
+
+            coefficients = [p * unit()]
+            coefficients += [p ** rng.randint(1, 4) * rng.randint(-9, 9) for _ in range(e - 1)]
+            coefficients.append(unit())
+            phi = PadicPolynomial(p, coefficients)
+            assert eisenstein_test(phi)
+            pairs, stripped = root_valuations(phi)
+            assert stripped == 0 and pairs == [(eisenstein_invariants(phi).root_valuation, e)]
 
     def test_non_eisenstein_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,8 +38,11 @@ from localarith.numtheory import (
     _inverse_mod_prime_power,
     _least_nonresidue,
     _sqrt_mod_prime,
+    euler_phi,
     int_valuation,
     is_prime,
+    least_primitive_root,
+    multiplicative_order,
 )
 from localarith.polynomials import PadicPolynomial, primitive_rescale, resultant_mn, sylvester_matrix
 from localarith.ramification import (
@@ -102,6 +107,27 @@ def test_is_prime_against_a_sieve():
         if sieve[d]:
             sieve[d * d :: d] = [False] * len(range(d * d, n, d))
     assert [is_prime(k) for k in range(-5, n)] == [False] * 5 + sieve
+
+
+def test_least_primitive_root_against_brute_force():
+    # (Z/pZ)^* is cyclic, so a least generator exists, which
+    # least_primitive_root no longer checks
+    for p in ODD_PRIMES_BELOW_300:
+        least = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        assert least_primitive_root(p) == least
+    assert least_primitive_root(2) == 1
+
+
+def test_lagrange_for_the_orbit_count():
+    # ord_t(q) divides phi(t) (Lagrange), which count_tame_extensions no longer
+    # checks; both against brute force
+    for t in range(2, 300):
+        phi = sum(1 for a in range(1, t) if math.gcd(a, t) == 1)
+        assert euler_phi(t) == phi
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27):
+            if math.gcd(q, t) == 1:
+                order = next(k for k in range(1, t) if pow(q, k, t) == 1)
+                assert multiplicative_order(q, t) == order and phi % order == 0
 
 
 def test_inverse_of_a_multiple_of_p_raises():

@@ -108,6 +108,22 @@ class TestRingOps:
         with pytest.raises(InvalidArgumentError):
             PadicNumber.from_rational(2, 3, 4) / PadicNumber.zero(2)
 
+    def test_reflected_operators_match_the_coerced_forward_ones(self):
+        def parts(x):
+            return x.p, x.valuation, x.unit, x.precision
+
+        xs = [
+            PadicNumber.from_rational(5, Fraction(7, 25), 4),
+            PadicNumber.from_rational(5, 10, 3),
+            PadicNumber.from_rational(2, -3, 6),
+        ]
+        for x in xs:
+            for a in (1, 2, -7, Fraction(3, 4)):
+                assert parts(a - x) == parts(x._coerce(a) - x)
+                assert parts(a / x) == parts(x._coerce(a) / x)
+            with pytest.raises(TypeError):
+                "1" / x
+
     def test_ring_axioms_on_residues(self):
         # == is equality at the shared precision; operands mix precisions and
         # valuations (negative ones too), exact zeros, ints and Fractions
@@ -251,6 +267,37 @@ class TestNewtonLift:
 
     def test_integral_fraction_start(self):
         assert newton_lift([-2, 0, 1], Fraction(3), p=7, precision=2).residue(2) == 10
+
+    @pytest.mark.parametrize(
+        "f, start, a0",
+        [
+            ([-2, 0, 1], PadicNumber.from_rational(7, 3, 1), 3),  # 3 + O(7)
+            ([-2, 0, 1], PadicNumber.from_rational(7, 10, 2), 10),
+            ([7, -1, 1], PadicNumber.zero(7), 0),  # an exact zero start
+        ],
+    )
+    def test_padic_start_matches_the_integer_start(self, f, start, a0):
+        for precision in (1, 2, 9):
+            expected = newton_lift(f, a0, p=7, precision=precision).residue(precision)
+            assert newton_lift(f, start, precision=precision).residue(precision) == expected
+            assert newton_lift(f, start, p=7, precision=precision).residue(precision) == expected
+
+    def test_padic_start_with_another_prime_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="prime disagrees"):
+            newton_lift([-2, 0, 1], PadicNumber.from_rational(7, 3, 1), p=5, precision=2)
+
+    @pytest.mark.parametrize(
+        "f, start, message",
+        [
+            ([-2, 0, 1], PadicNumber.zero_at(7, 3), "inexact zero"),  # O(7^3)
+            # x^2 - 17 from 1 + O(2^2): f(a0) is known only to 2 digits, and
+            # v(f(a0)) > 2v(f'(a0)) = 2 needs a third
+            ([-17, 0, 1], PadicNumber.from_rational(2, 1, 2), "cannot certify"),
+        ],
+    )
+    def test_padic_start_too_coarse_to_certify(self, f, start, message):
+        with pytest.raises(PrecisionLossError, match=message):
+            newton_lift(f, start, precision=4)
 
     def test_displacement_bound(self):
         rng = random.Random(7)

@@ -979,6 +979,7 @@ class TestPrimitiveRescale:
         assert b == 1 and g2 == g and h2 == h
 
     def test_random_round_trip(self, rng):
+        # Gauss's lemma makes both factors integral; primitive_rescale does not check it
         for _ in range(50):
             p = rng.choice([2, 3, 5])
             g = PadicPolynomial(p, random_poly(rng, rng.randint(1, 3), 20))

@@ -593,12 +593,16 @@ def test_induced_tables_match_the_comprehension(name):
 
 def assert_passes_the_checks(group):
     """The public constructor accepts the group's data and rebuilds it exactly:
-    table, depths, inverses and Light's S; and every lower filtration level,
-    which lower_filtration does not check, is normal."""
+    table, depths, inverses and Light's S; every lower filtration level,
+    which lower_filtration does not check, is normal; and the different
+    exponent, a sum of depths, is sum_n (|G_n| - 1), which
+    different_discriminant does not check."""
     checked = FilteredGroup(group.table, group.identity, group.depths)
     assert vars(checked) == vars(group)
     levels = {level for _, level in lower_filtration(group)}
     assert all(is_normal(group, level) for level in levels)
+    report = different_discriminant(group)
+    assert report.different_exponent == sum(order - 1 for order in report.segment_orders)
 
 
 def assert_subgroups_and_quotients_pass_the_checks(group):
@@ -799,3 +803,56 @@ def test_queries_match_brute_force(case, data):
         else:
             with pytest.raises(InvalidArgumentError):
                 FilteredGroup(table, identity, changed)
+
+
+def three_depth_checks(group, depths):
+    """Depths accepted by three separate checks on a group: inverse invariance,
+    invariance under conjugation by Light's S, and closure of each level
+    {s : depth(s) >= n}.  FilteredGroup checks one equivalent condition, that
+    each level is a normal subgroup."""
+    mul, inv, g = group.table, group.inverses, range(group.order)
+    return (
+        all(depths[inv[s]] == depths[s] for s in g)
+        and all(depths[mul[t][mul[s][inv[t]]]] == depths[s] for s in g for t in group._generators)
+        and all(
+            ramification._greedy_generators(mul, group.identity, {s for s in g if depths[s] >= n})
+            is not None
+            for n in set(depths) - {INFINITY}
+        )
+    )
+
+
+DEPTH_GROUPS = {
+    "C4": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+    "C2^2": [[a ^ b for b in range(4)] for a in range(4)],
+    "S4": _table_from([(1, 0, 2, 3), (1, 2, 3, 0)], _compose, (0, 1, 2, 3)),
+    **{name: SMALL_GROUPS[name][0] for name in ("C6", "C8", "S3", "D4", "Q8")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEPTH_GROUPS))
+def test_depth_condition_matches_the_three_checks(name, rng):
+    # random depths: a class function, often with one entry changed, or
+    # anything at all; every group's identity is index 0
+    table = DEPTH_GROUPS[name]
+    group = FilteredGroup(table, 0, [INFINITY] + [1] * (len(table) - 1))
+    g, inv = range(group.order), group.inverses
+    classes = {frozenset(table[t][table[s][inv[t]]] for t in g) for s in g if s != 0}
+    accepted = 0
+    for _ in range(1000):
+        depths = [INFINITY] * group.order
+        for c in classes:
+            d = rng.randint(1, 4)
+            for s in c:
+                depths[s] = d
+        if rng.random() < 0.5:
+            depths[rng.randrange(1, group.order)] = rng.randint(1, 4)
+        if rng.random() < 0.2:
+            depths[1:] = [rng.randint(1, 4) for _ in range(group.order - 1)]
+        if three_depth_checks(group, depths):
+            accepted += 1
+            FilteredGroup(table, 0, depths)
+        else:
+            with pytest.raises(InvalidArgumentError):
+                FilteredGroup(table, 0, depths)
+    assert 0 < accepted < 1000

@@ -147,6 +147,12 @@ class GaloisPresentation:
     f: int
     r: int
 
+    def __post_init__(self):
+        for n in (self.q, self.r):
+            _count(n)
+        if _count(self.e) < 1 or _count(self.f) < 1:
+            raise InvalidArgumentError("e and f must be positive")
+
     @property
     def order(self) -> int:
         return self.e * self.f
@@ -154,16 +160,17 @@ class GaloisPresentation:
     def multiplication_table(self) -> tuple[list[list[int]], int]:
         """Cayley table on normal forms (index i*f + j for tau^i sigma^j)."""
         e, f, q, r = self.e, self.f, self.q, self.r
+        q_pow = [pow(q, j, e) for j in range(f)]
         table = []
         for i1 in range(e):
             for j1 in range(f):
                 row = []
                 for i2 in range(e):
                     for j2 in range(f):
-                        i = (i1 + i2 * pow(q, j1, e)) % e
+                        i = (i1 + i2 * q_pow[j1]) % e
                         j = j1 + j2
                         if j >= f:
-                            i = (i + r * pow(q, j - f, e)) % e
+                            i = (i + r * q_pow[j - f]) % e
                             j -= f
                         row.append(i * f + j)
                 table.append(row)

@@ -72,7 +72,7 @@ class PadicNumber:
     def zero_at(cls, p: int, abs_precision: int) -> "PadicNumber":
         """O(p^a): indistinguishable from zero below absolute precision a."""
         require_prime(p)
-        return _padic(p, abs_precision, None, 0)
+        return _padic(p, _count(abs_precision), None, 0)
 
     @classmethod
     def from_rational(cls, p: int, x, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -375,10 +375,17 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         if a0.denominator != 1:
             raise InvalidArgumentError("a0 must be an integer or a PadicNumber")
         a_int, a_prec = a0.numerator, INFINITY
-    raw = f.coefficients if hasattr(f, "coefficients") else list(f)
+    if hasattr(f, "coefficients"):  # a PadicPolynomial, which carries its prime
+        if f.p != p:
+            raise InvalidArgumentError("prime disagrees with the one carried by f")
+        raw = f.coefficients
+    elif isinstance(f, (list, tuple)):
+        raw = f
+    else:
+        raise InvalidArgumentError("f must be a coefficient list or a PadicPolynomial")
     coeffs = []
     for c in raw:
-        c = Fraction(c)
+        c = Fraction(_exact(c))
         if c.denominator != 1:
             raise InvalidArgumentError("newton_lift expects integer coefficients")
         coeffs.append(int(c))

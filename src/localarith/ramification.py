@@ -8,7 +8,9 @@ s in G_n <=> depth(s) >= n+1; this models the Galois group of a totally
 ramified extension, so G_0 is the full group.  Herbrand's transition
 functions, quotient filtrations, upper numbering and different and
 discriminant exponents are all derived from the table and the depths
-with exact rational arithmetic.
+with exact rational arithmetic.  phi's slope changes exactly at the lower
+jumps, so in normal form its breakpoints past -1 are the lower jumps, its
+values there the upper jumps, and psi is phi with the axes swapped.
 
 Tables passed to FilteredGroup are checked to be groups at run time, for
 orders up to 512, and depths to make each level {s : depth(s) >= n} a
@@ -340,23 +342,22 @@ def herbrand_functions(group: FilteredGroup) -> tuple[PiecewiseLinear, Piecewise
     """The mutually inverse reparameterizations phi and psi.
 
     phi has slope |G_{m+1}| / |G_0| on [m, m+1] and slope 1 on [-1, 0];
-    psi is its inverse and maps integers to integers.
+    psi, phi with the axes swapped, is its inverse and maps integers to integers.
     """
     _instance(FilteredGroup, group)
     phi = _phi_of_depths(sorted(d for d in group.depths if d != INFINITY))
-    return phi, phi.inverse()
+    return phi, PiecewiseLinear(phi.values, phi.breakpoints, 1 / phi.final_slope)
 
 
 def _phi_of_depths(finite) -> PiecewiseLinear:
-    """phi of a filtered group from the sorted depths of its nonidentity
-    elements: |G_n| = 1 + #{depth >= n + 1}, and G_0 is the whole group."""
+    """phi in normal form from the sorted nonidentity depths: |G_n| = 1 + #{depth >= n + 1}."""
     g0 = len(finite) + 1
-    bps = [-1, 0] + sorted({d - 1 for d in finite if d > 1})
-    vals = [Fraction(-1), Fraction(0)]
-    for lo, hi in zip(bps[1:], bps[2:]):
-        order = g0 - bisect_left(finite, lo + 2)
-        vals.append(vals[-1] + Fraction((hi - lo) * order, g0))
-    return PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
+    bps, vals, order = [Fraction(-1)], [Fraction(-1)], g0  # order is |G_(u+1)| past bps[-1]
+    for jump in sorted({d - 1 for d in finite}):
+        vals.append(vals[-1] + Fraction((jump - bps[-1]) * order, g0))
+        bps.append(Fraction(jump))
+        order = g0 - bisect_left(finite, jump + 2)
+    return PiecewiseLinear(tuple(bps), tuple(vals), Fraction(1, g0))
 
 
 def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
@@ -476,8 +477,7 @@ class UpperNumbering:
 
 def upper_numbering(group: FilteredGroup) -> UpperNumbering:
     phi, psi = herbrand_functions(group)
-    jumps = tuple(phi.evaluate(u) for u in group.lower_jumps())
-    return UpperNumbering(jumps, phi, psi, group)
+    return UpperNumbering(phi.values[1:], phi, psi, group)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +504,10 @@ def different_discriminant(group: FilteredGroup, residual_degree: int = 1) -> Ra
     finite = sorted(d for d in group.depths if d != INFINITY)
     different = sum(finite)
     orders = tuple(group.order - bisect_right(finite, n) for n in range(group.max_depth() + 1))
-    upper = upper_numbering(group)
+    phi = _phi_of_depths(finite)
     return RamificationReport(
-        lower_jumps=group.lower_jumps(),
-        upper_jumps=upper.jumps,
+        lower_jumps=tuple(b.numerator for b in phi.breakpoints[1:]),
+        upper_jumps=phi.values[1:],
         segment_orders=orders,
         different_exponent=different,
         discriminant_exponent=different * residual_degree,

@@ -150,6 +150,14 @@ class FunctionFieldPlace:
         return "inf" if self.poly is None else repr(self.poly)
 
 
+def _finite_place(poly: FqPoly) -> FunctionFieldPlace:
+    """The place of a monic irreducible, without re-running the irreducibility test."""
+    place = object.__new__(FunctionFieldPlace)
+    object.__setattr__(place, "q", poly.field.q)
+    object.__setattr__(place, "poly", poly)
+    return place
+
+
 def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
     v = 0
     f, remainder = divmod(f, place_poly)
@@ -206,7 +214,7 @@ def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaRepor
     for f in sorted(multiplicities, key=lambda g: (g.degree, g.coeffs)):
         v = multiplicities[f]
         if v != 0:
-            entries.append((FunctionFieldPlace.finite(f), v))
+            entries.append((_finite_place(f), v))  # factor_monic returns monic irreducibles
             total += f.degree * v
     v_inf = den.degree - num.degree
     if v_inf != 0:

@@ -16,6 +16,7 @@ from localarith import (
     expansion,
     hensel_lift_factors,
     is_square,
+    newton_lift,
     newton_polygon,
     power_sum,
     power_sum_faulhaber,
@@ -27,6 +28,7 @@ from localarith import (
     weierstrass_prepare,
 )
 from localarith.extensions import (
+    GaloisPresentation,
     galois_census,
     orbit_count_oracle,
     splitting_degree_of_unity,
@@ -170,6 +172,12 @@ def test_tonelli_shanks_against_brute_force():
         lambda: count_tame_extensions(2.0, 3, 2),
         lambda: teichmuller(5, True, 4),
         lambda: teichmuller(5, 2.0, 4),
+        lambda: PadicNumber.zero_at(3, 1.5),
+        lambda: PadicNumber.zero_at(3, True),
+        lambda: GaloisPresentation(2.0, 3, 2, 0),
+        lambda: GaloisPresentation(2, 3.0, 2, 0),
+        lambda: GaloisPresentation(2, 3, True, 0),
+        lambda: GaloisPresentation(2, 3, 2, 0.0),
     ],
 )
 def test_integer_arguments_reject_floats_and_bools(call):
@@ -197,6 +205,8 @@ def test_integer_arguments_reject_floats_and_bools(call):
         lambda: galois_census(4, 3, 1.0),
         lambda: cyclotomic_reduction_kernel(3, 2, -1),
         lambda: resultant_mn([1, 1], [1, 1], True, 1),
+        lambda: newton_lift([-2, 0, 1.0], 3, p=7),
+        lambda: newton_lift([True, 0, 1], 3, p=7),
     ],
 )
 def test_exact_arguments_reject_floats_and_bools(call):
@@ -229,6 +239,15 @@ def test_an_infinite_coefficient_valuation_still_enters():
             "same Q_p",
         ),
         (lambda: unit_group_structure(3, 1.5), "not an integer"),
+        (lambda: GaloisPresentation(2, 0, 2, 0), "e and f must be positive"),
+        (lambda: GaloisPresentation(2, 3, 0, 0), "e and f must be positive"),
+        (lambda: newton_lift(5, 3, p=7), "coefficient list"),
+        (lambda: newton_lift("T^2", 3, p=7), "coefficient list"),
+        (lambda: newton_lift(PadicPolynomial(5, [-2, 0, 1]), 3, p=7), "prime disagrees"),
+        (
+            lambda: newton_lift(PadicPolynomial(5, [-2, 0, 1]), PadicNumber.from_rational(7, 3, 4)),
+            "prime disagrees",
+        ),
         # entry points that read a library object's attributes
         (lambda: sqrt(4), "expected a PadicNumber"),
         (lambda: is_square(4), "expected a PadicNumber"),

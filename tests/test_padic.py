@@ -21,7 +21,7 @@ from localarith import (
     vp_rational,
 )
 from localarith import padic
-from localarith.polynomials import poly_mul
+from localarith.polynomials import PadicPolynomial, poly_mul
 
 
 class TestRepresentation:
@@ -274,6 +274,7 @@ class TestNewtonLift:
             ([-2, 0, 1], PadicNumber.from_rational(7, 3, 1), 3),  # 3 + O(7)
             ([-2, 0, 1], PadicNumber.from_rational(7, 10, 2), 10),
             ([7, -1, 1], PadicNumber.zero(7), 0),  # an exact zero start
+            (PadicPolynomial(7, [-2, 0, 1]), PadicNumber.from_rational(7, 3, 1), 3),
         ],
     )
     def test_padic_start_matches_the_integer_start(self, f, start, a0):

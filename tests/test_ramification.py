@@ -1,8 +1,10 @@
 import functools
+from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localarith import (
@@ -322,6 +324,34 @@ class TestHerbrandFunctions:
                     u = -u - 1
                 assert phi_via_infimum(group, u) == phi.evaluate(u)
 
+    @given(st.lists(st.integers(1, 12), max_size=30).map(sorted))
+    @example([])
+    @example([2, 2, 5])  # no depth 1: no breakpoint at 0
+    @example([1, 1, 3, 3, 3])
+    @settings(max_examples=200, deadline=None)
+    def test_phi_of_depths_matches_the_two_step_construction(self, finite):
+        # repr tells a Fraction breakpoint from an int one, which == does not
+        phi = ramification._phi_of_depths(finite)
+        assert repr(phi) == repr(oracle_phi_of_depths(finite))
+        assert PiecewiseLinear(phi.values, phi.breakpoints, 1 / phi.final_slope) == phi.inverse()
+
+    def test_no_piecewise_linear_method_runs(self, monkeypatch):
+        # phi is built in normal form and read, never normalized or evaluated
+        groups = [cyclotomic_group(2, 10), cyclotomic_group(3, 5), cyclotomic_group(7, 2)]
+        groups += [tame_cyclic(1), tame_cyclic(6)]
+        expected = [oracle_ramification(group) for group in groups]
+
+        def refuse(*args):
+            raise AssertionError("a PiecewiseLinear method ran")
+
+        for name in ("from_data", "inverse", "evaluate"):
+            monkeypatch.setattr(PiecewiseLinear, name, refuse)
+        for group, (phi, psi, upper_jumps) in zip(groups, expected):
+            upper, report = upper_numbering(group), different_discriminant(group)
+            assert herbrand_functions(group) == (phi, psi)
+            assert (upper.jumps, upper.phi, upper.psi) == (upper_jumps, phi, psi)
+            assert (report.lower_jumps, report.upper_jumps) == (group.lower_jumps(), upper_jumps)
+
     @given(piecewise_data())
     @settings(max_examples=200, deadline=None)
     def test_from_data_matches_the_two_pass_normalization(self, data):
@@ -591,18 +621,43 @@ def test_induced_tables_match_the_comprehension(name):
 # every check on what they build
 
 
+def oracle_phi_of_depths(finite):
+    """phi by two steps: values at -1, 0 and each lower jump past 0, then
+    from_data drops the breakpoints where the slope does not change."""
+    g0 = len(finite) + 1
+    bps = [-1, 0] + sorted({d - 1 for d in finite if d > 1})
+    vals = [Fraction(-1), Fraction(0)]
+    for lo, hi in zip(bps[1:], bps[2:]):
+        order = g0 - bisect_left(finite, lo + 2)  # |G_(u+1)| on [lo, hi]
+        vals.append(vals[-1] + Fraction((hi - lo) * order, g0))
+    return PiecewiseLinear.from_data(bps, vals, Fraction(1, g0))
+
+
+def oracle_ramification(group):
+    """phi, psi by inversion, and the upper jumps by evaluating phi at each lower jump."""
+    phi = oracle_phi_of_depths(sorted(d for d in group.depths if d != INFINITY))
+    return phi, phi.inverse(), tuple(phi.evaluate(u) for u in group.lower_jumps())
+
+
 def assert_passes_the_checks(group):
     """The public constructor accepts the group's data and rebuilds it exactly:
     table, depths, inverses and Light's S; every lower filtration level,
-    which lower_filtration does not check, is normal; and the different
+    which lower_filtration does not check, is normal; the different
     exponent, a sum of depths, is sum_n (|G_n| - 1), which
-    different_discriminant does not check."""
+    different_discriminant does not check; and phi, psi and the jumps match
+    the two-step oracle, types included."""
     checked = FilteredGroup(group.table, group.identity, group.depths)
     assert vars(checked) == vars(group)
     levels = {level for _, level in lower_filtration(group)}
     assert all(is_normal(group, level) for level in levels)
     report = different_discriminant(group)
     assert report.different_exponent == sum(order - 1 for order in report.segment_orders)
+    phi, psi, upper_jumps = oracle_ramification(group)
+    upper = upper_numbering(group)
+    assert repr(herbrand_functions(group)) == repr((phi, psi))
+    assert repr((upper.jumps, upper.phi, upper.psi)) == repr((upper_jumps, phi, psi))
+    expected = replace(report, lower_jumps=group.lower_jumps(), upper_jumps=upper_jumps)
+    assert repr(report) == repr(expected)
 
 
 def assert_subgroups_and_quotients_pass_the_checks(group):

@@ -13,6 +13,7 @@ from localarith import (
     InvalidArgumentError,
     PadicNumber,
     RationalPlace,
+    SumFormulaReport,
     ff_valuation,
     gauss_valuation,
     normalized_absolute_value,
@@ -165,6 +166,30 @@ class TestSumFormula:
                 num = FqPoly(field, [rng.randrange(q) for _ in range(rng.randint(1, 5))] + [1])
                 den = FqPoly(field, [rng.randrange(q) for _ in range(rng.randint(1, 5))] + [1])
                 assert sum_formula_check(num, den).holds
+
+    def test_places_match_the_validating_constructor(self, rng, monkeypatch):
+        # factor_monic returns monic irreducibles, so sum_formula_check builds
+        # their places without Ben-Or's test; the checked constructor agrees
+        pairs = []
+        for q in (2, 3, 4, 9):
+            field = FiniteField(q)
+            for _ in range(15):
+                num, den = (
+                    FqPoly(field, [rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1])
+                    for _ in range(2)
+                )
+                pairs.append((num, den))
+        checked = []
+        for num, den in pairs:
+            report = sum_formula_check(num, den)
+            entries = tuple((FunctionFieldPlace(place.q, place.poly), v) for place, v in report.entries)
+            checked.append(SumFormulaReport(entries, report.total, report.holds))
+
+        def refuse(self):
+            raise AssertionError("is_irreducible ran")
+
+        monkeypatch.setattr(FqPoly, "is_irreducible", refuse)
+        assert [sum_formula_check(num, den) for num, den in pairs] == checked
 
 
 class TestGaussValuation:

@@ -230,7 +230,7 @@ def _cmd_polygon(args) -> tuple[str, dict]:
 
     f = PadicPolynomial(args.p, _read_poly_arg(args))
     polygon = newton_polygon(f)
-    text = _format_sides(polygon.sides)
+    text = _format_sides(polygon.sides) or "-"  # a constant has no sides
     payload = {
         "type": [[l, format_rational(s)] for l, s in polygon.sides],
         "vertices": [[x, format_rational(y)] for x, y in polygon.vertices],

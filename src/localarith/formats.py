@@ -1,9 +1,10 @@
 """Text and JSON codecs for rationals and polynomials.
 
 Polynomial text format: ``c0 + c1*T + c2*T^2`` with rational
-coefficients ("3", "-1/2").  The JSON mirror stores the full coefficient
-list as exact numerator/denominator strings, so every emitted value
-re-parses to an equal value; floats never appear.
+coefficients ("3", "-1/2") and exponents up to MAX_DEGREE, which is
+checked before the coefficient list is allocated.  The JSON mirror
+stores the full coefficient list as exact numerator/denominator strings,
+so every emitted value re-parses to an equal value; floats never appear.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
+MAX_DEGREE = 10_000
 _TERM = re.compile(r"^(-)?(\d+(?:/\d+)?)?(?:\*?T(?:\^(\d+))?)?$")
 
 
@@ -39,13 +41,15 @@ def parse_polynomial(text: str) -> list[Fraction]:
         if not m or part in ("-", "*"):
             raise InvalidArgumentError(f"cannot parse polynomial term {part!r}")
         sign = -1 if m.group(1) else 1
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coef = parse_rational(m.group(2)) if m.group(2) else Fraction(1)
         if m.group(2) is None and "T" not in part:
             raise InvalidArgumentError(f"cannot parse polynomial term {part!r}")
         if "T" in part:
             exp = int(m.group(3)) if m.group(3) else 1
         else:
             exp = 0
+        if exp > MAX_DEGREE:
+            raise ResourceLimitError(f"degree {exp} exceeds the bound {MAX_DEGREE}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
     return [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
 

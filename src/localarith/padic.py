@@ -356,7 +356,8 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
     Requires v(f(a0)) > 2 v(f'(a0)); the iteration a <- a - f(a)/f'(a)
     then converges quadratically and the result satisfies
     f(a) = 0 mod p^precision together with the displacement bound
-    v(a - a0) >= v(f(a0)) - 2 v(f'(a0)).
+    v(a - a0) >= v(f(a0)) - 2 v(f'(a0)).  p may be left out when a0 is a
+    PadicNumber or f a PadicPolynomial, which carry their prime.
     """
     _precision(precision)
     if isinstance(a0, PadicNumber):
@@ -368,6 +369,8 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         a_int = 0 if a0.is_exact_zero else a0.residue(int(a0.absolute_precision))
         a_prec = INFINITY if a0.is_exact_zero else a0.absolute_precision
     else:
+        if p is None and hasattr(f, "coefficients"):  # a PadicPolynomial carries its prime
+            p = f.p
         if p is None:
             raise InvalidArgumentError("a prime is required when a0 is an integer")
         require_prime(p)

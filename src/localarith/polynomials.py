@@ -665,10 +665,13 @@ def slope_factorization(
     canonical residues modulo p^ceil(cap - j*C), cap = target + 2 - c_G,
     or target + 2 + c_G - v(work(0)) for the last factor: a higher
     precision gives the same residues to more digits.  The first factor
-    is p^c times a primitive integer polynomial.
+    is p^c times a primitive integer polynomial.  A constant f has no side
+    and raises InvalidArgumentError.
     """
     _instance(PadicPolynomial, f)
     _precision(precision)
+    if f.degree < 1:
+        raise InvalidArgumentError("slope factorization needs degree >= 1")
     if f.coefficients[0] == 0:
         raise InvalidArgumentError("f(0) = 0: strip the exact T power first")
     p = f.p
@@ -742,6 +745,7 @@ class TruncatedSeries:
     tail: int
 
     def __post_init__(self):
+        require_prime(self.p)
         if isinstance(self.tail, bool) or not isinstance(self.tail, int):
             raise InvalidArgumentError(f"tail bound {self.tail!r} is not an integer")
         object.__setattr__(

@@ -28,6 +28,9 @@ question reuses Light's S: a set is a subgroup exactly when its greedy S
 reaches the set itself, never by pairwise products.  G_n changes only one
 below each finite depth, so filtration queries step through those depths.
 They rely on each G_n being normal and G_0 = G, and check neither again.
+A quotient's coset depth is the coset's average depth, which is
+phi_H(j - 1) + 1 (j the coset's largest depth) once each level is a
+subgroup, so no phi_H is built for it.
 """
 
 from __future__ import annotations
@@ -59,24 +62,41 @@ class PiecewiseLinear:
     """Continuous piecewise-linear function on [-1, +inf), exact rationals.
 
     Defined by its values at the breakpoints and a final slope beyond the
-    last one.  Instances are normalized (no redundant breakpoints), so
-    equality of functions is tuple equality.
+    last one.  The constructor checks that every number is exact, that there
+    are as many values as breakpoints, at least one, and that the
+    breakpoints strictly increase; it drops each breakpoint where the slope
+    does not change, so equality of functions is tuple equality.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     final_slope: Fraction
 
-    @classmethod
-    def from_data(cls, breakpoints, values, final_slope) -> "PiecewiseLinear":
-        bps = [Fraction(_exact(b)) for b in breakpoints]
-        vals = [Fraction(_exact(v)) for v in values]
-        final_slope = Fraction(_exact(final_slope))
+    def __post_init__(self):
+        try:
+            bps = [Fraction(_exact(b)) for b in self.breakpoints]
+            vals = [Fraction(_exact(v)) for v in self.values]
+        except TypeError:
+            raise InvalidArgumentError("breakpoints and values must be sequences") from None
+        final_slope = Fraction(_exact(self.final_slope))
+        if not bps or len(bps) != len(vals):
+            raise InvalidArgumentError("breakpoints and values must be non-empty and equally long")
+        if any(b0 >= b1 for b0, b1 in zip(bps, bps[1:])):
+            raise InvalidArgumentError("breakpoints must strictly increase")
         # breakpoint i stays where the slope changes; a dropped run is collinear
         slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])]
         slopes.append(final_slope)
         keep = [0] + [i for i in range(1, len(bps)) if slopes[i - 1] != slopes[i]]
-        return cls(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope)
+        vars(self).update(
+            breakpoints=tuple(bps[i] for i in keep),
+            values=tuple(vals[i] for i in keep),
+            final_slope=final_slope,
+        )
+
+    @classmethod
+    def from_data(cls, breakpoints, values, final_slope) -> "PiecewiseLinear":
+        """The same as the constructor."""
+        return cls(breakpoints, values, final_slope)
 
     def evaluate(self, u) -> Fraction:
         u = Fraction(_exact(u))
@@ -93,9 +113,8 @@ class PiecewiseLinear:
         # the breakpoints increase, so the slopes are positive when the values increase
         if any(v0 >= v1 for v0, v1 in zip(self.values, self.values[1:])) or self.final_slope <= 0:
             raise InvalidArgumentError("only increasing functions can be inverted")
-        return PiecewiseLinear.from_data(
-            self.values, self.breakpoints, 1 / self.final_slope
-        )
+        # swapping the axes keeps every slope change, so the result is normal
+        return _piecewise(self.values, self.breakpoints, 1 / self.final_slope)
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
         """The function u -> self(inner(u))."""
@@ -104,9 +123,15 @@ class PiecewiseLinear:
         bps.update(inner_inv.evaluate(b) for b in self.breakpoints if b >= inner.values[0])
         bps = sorted(bps)
         vals = [self.evaluate(inner.evaluate(b)) for b in bps]
-        return PiecewiseLinear.from_data(
-            bps, vals, self.final_slope * inner.final_slope
-        )
+        return PiecewiseLinear(bps, vals, self.final_slope * inner.final_slope)
+
+
+def _piecewise(breakpoints, values, final_slope) -> PiecewiseLinear:
+    """PiecewiseLinear without the checks, for data that is already exact,
+    strictly increasing in its breakpoints and normal."""
+    f = object.__new__(PiecewiseLinear)
+    vars(f).update(breakpoints=breakpoints, values=values, final_slope=final_slope)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +342,19 @@ def is_normal(group: FilteredGroup, elements) -> bool:
 
 
 def all_subgroups(group: FilteredGroup) -> list[frozenset[int]]:
-    """Every subgroup, found by adding one generator at a time."""
+    """Every subgroup, as a join of cyclic subgroups: each distinct <x> first,
+    then each subgroup found joined with one <x> it does not contain."""
     _instance(FilteredGroup, group)
-    trivial = frozenset({group.identity})
-    found = {trivial}
-    frontier = [(trivial, [])]
+    table, e = group.table, group.identity
+    cyclic = {}  # <x> -> its least generator x
+    for x in range(group.order):
+        cyclic.setdefault(frozenset(_right_closure(table, e, [x])), x)
+    found, frontier = set(cyclic), [(c, [x]) for c, x in cyclic.items()]
     while frontier:
         base, generators = frontier.pop()
-        for x in range(group.order):
-            if x not in base:
-                new = frozenset(_right_closure(group.table, group.identity, generators + [x]))
+        for x in cyclic.values():
+            if x not in base:  # base is a subgroup, so this is <x> <= base
+                new = frozenset(_right_closure(table, e, generators + [x]))
                 if new not in found:
                     found.add(new)
                     frontier.append((new, generators + [x]))
@@ -346,7 +374,7 @@ def herbrand_functions(group: FilteredGroup) -> tuple[PiecewiseLinear, Piecewise
     """
     _instance(FilteredGroup, group)
     phi = _phi_of_depths(sorted(d for d in group.depths if d != INFINITY))
-    return phi, PiecewiseLinear(phi.values, phi.breakpoints, 1 / phi.final_slope)
+    return phi, _piecewise(phi.values, phi.breakpoints, 1 / phi.final_slope)
 
 
 def _phi_of_depths(finite) -> PiecewiseLinear:
@@ -357,7 +385,7 @@ def _phi_of_depths(finite) -> PiecewiseLinear:
         vals.append(vals[-1] + Fraction((jump - bps[-1]) * order, g0))
         bps.append(Fraction(jump))
         order = g0 - bisect_left(finite, jump + 2)
-    return PiecewiseLinear(tuple(bps), tuple(vals), Fraction(1, g0))
+    return _piecewise(tuple(bps), tuple(vals), Fraction(1, g0))
 
 
 def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
@@ -405,9 +433,10 @@ def quotient_filtration(group: FilteredGroup, subgroup_elements) -> FilteredGrou
     """The quotient G/H with its induced depth function.
 
     The depth of a nontrivial coset is (1/e) * sum of the depths over the
-    coset, with e = |H_0| = |H|.  The result is cross-checked against the
-    Herbrand route depth(s) - 1 = phi_H(max depth over coset - 1);
-    disagreement or a non-integral average raises InconsistencyError.
+    coset, with e = |H_0| = |H|; a non-integral average raises
+    InconsistencyError.  The average is Herbrand's phi_H(j - 1) + 1, j the
+    largest depth in the coset, because each level is a subgroup: for x0 of
+    depth j there, depth(x0 t) = min(j, depth(t)) for every t in H.
     """
     return quotient_with_projection(group, subgroup_elements)[0]
 
@@ -429,9 +458,6 @@ def quotient_with_projection(
             coset_of.update(dict.fromkeys(cosets[-1], len(reps) - 1))
     identity = coset_of[group.identity]
 
-    # phi_H from H's depths in the parent, evaluated once per depth, not per coset
-    phi_h = _phi_of_depths(sorted(group.depths[t] for t in h if t != group.identity))
-    route = {j: phi_h.evaluate(j - 1) + 1 for j in set(group.depths) - {INFINITY}}
     depths: list[int | float] = []
     for i, coset in enumerate(cosets):
         if i == identity:
@@ -442,14 +468,7 @@ def quotient_with_projection(
             raise InconsistencyError(
                 "depth data is not compatible with the quotient (non-integral average)"
             )
-        averaged = total // e
-        j_max = max(group.depths[x] for x in coset)
-        herbrand = route[j_max]
-        if herbrand != averaged:
-            raise InconsistencyError(
-                f"averaging gives {averaged} but the Herbrand route gives {herbrand}"
-            )
-        depths.append(averaged)
+        depths.append(total // e)
     projection = tuple(coset_of[x] for x in range(group.order))
     inverses = [coset_of[group.inverses[r]] for r in reps]
     row_of = _induced_rows(group.table, reps, coset_of)
@@ -530,10 +549,10 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     require_prime(p)
     if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
-    order = (p - 1) * p ** (n - 1)
-    if order > MAX_VERIFIED_ORDER:
+    # the order is at least 2^(n - 1), so a large n is rejected without computing it
+    if n > MAX_VERIFIED_ORDER.bit_length() or (p - 1) * p ** (n - 1) > MAX_VERIFIED_ORDER:
         raise ResourceLimitError(
-            f"group order {order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
+            f"group order {p - 1}*{p}^{n - 1} exceeds the verified bound {MAX_VERIFIED_ORDER}"
         )
     q = p**n
     units = [a for a in range(1, q) if a % p != 0]

@@ -286,15 +286,13 @@ def weak_approximation(targets) -> Fraction:
         if not isinstance(place, RationalPlace):
             raise InvalidArgumentError(f"{place!r} is not a RationalPlace")
         _exact(x)
-        _exact(eps)
+        if _exact(eps) <= 0:
+            raise InvalidArgumentError("tolerances must be positive")
     places = [t[0] for t in targets]
     if len(set(places)) != len(places):
         raise InvalidArgumentError("places must be pairwise distinct")
     finite = [(pl.prime, Fraction(x), Fraction(e)) for pl, x, e in targets if pl.is_finite]
     infinite = [(Fraction(x), Fraction(e)) for pl, x, e in targets if not pl.is_finite]
-    for _, _, eps in finite:
-        if eps <= 0:
-            raise InvalidArgumentError("tolerances must be positive")
     primes = [p for p, _, _ in finite]
     for p, x, _ in finite:
         for q in primes:

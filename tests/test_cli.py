@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import cli_outputs
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localarith import PadicNumber, sqrt, teichmuller
 from localarith.cli import build_parser, main
@@ -70,6 +74,11 @@ class TestSubcommands:
             "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/5040*T^7",
         )
         assert code == 0 and out.strip() == "(4,-3/4);(2,-1/2);(1,0)"
+
+    def test_polygon_of_a_constant(self, capsys):
+        # no sides, printed as "-" like an empty list of jumps, not as an empty line
+        code, out, _ = run_cli(capsys, "polygon", "-p", "2", "2")
+        assert code == 0 and out == "-\n"
 
     def test_extensions_count(self, capsys):
         code, out, _ = run_cli(capsys, "extensions", "count", "-q", "2", "-e", "3", "-f", "2")
@@ -373,6 +382,19 @@ FUZZ_ROWS = [
     (["extensions", "classify", "-q", "1", "-e", "2", "-f", "1", "-r", "0"], 2),
     (["extensions", "classify", "-q", "2", "-e", "255", "-f", "8", "-r", "0"], 0),  # order 2040
     (["reproduce"], 2),
+    # a zero denominator in a polynomial, a series over p = 0 or 1, the slope
+    # factors of a constant, a degree past formats.MAX_DEGREE, which is
+    # rejected before its coefficients are allocated, and a zero tolerance at
+    # the infinite place, and a cyclotomic group order far past the bound
+    (["polygon", "-p", "3", "T^2+1/0"], 2),
+    (["lift", "-p", "7", "--poly", "T^2-2/0", "--start", "3"], 2),
+    (["ff-val", "-q", "2", "--place", "T", "T^2+1/0"], 2),
+    (["weierstrass", "-p", "1", "T^2+1", "--tail", "0"], 2),
+    (["weierstrass", "-p", "0", "T^2+1", "--tail", "0"], 2),
+    (["slope-factor", "-p", "11", "2"], 2),
+    (["polygon", "-p", "3", "1 + T^999999999"], 2),
+    (["weak-approx", "inf:1:0"], 2),
+    (["ramification", "cyclotomic", "-p", "2", "-n", "10000000"], 2),
 ]
 
 # rejected by the argument parser: usage lines, then one error line
@@ -444,3 +466,101 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         if expected:
             assert proc.stdout == "" and proc.stderr.count("\n") == 1
+
+
+# Generated argv: each subcommand's flags and positionals drawn from valid
+# tokens, the tokens of FUZZ_ROWS, and strings that int() and Fraction() take
+# unexpectedly or not at all.  Precisions stay <= 64 and degrees <= 12, apart
+# from the degrees past formats.MAX_DEGREE, which are rejected unbuilt.
+EDGE = ["", "+5", "\u0663", "\uff17"]  # ARABIC-INDIC THREE, FULLWIDTH SEVEN
+INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", *EDGE]  # B_1000 alone takes seconds
+PRIMES = ["2", "3", "7", "11", "0", "1", "4", "6", "-3", "1000003", "1_000", *EDGE]
+FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", *EDGE]
+PRECS = ["1", "2", "8", "64", "0", "-1", *EDGE]
+RATIONALS = ["0", "1", "12", "15", "-1/4", "1/3", "1/2", "1/0", "abc", "2^100000", "1_000", *EDGE]
+POLYS = [
+    "T^2 + 1", "T^2 - 2", "T^2 + 2", "3 + T", "1 + T", "T - 3", "T + 3", "-T^2 + 1",
+    "-1 + T + 4*T^2", "7 + 14*T + T^2", "1/2*T^12 - 3", "1 + T + 1/2*T^2 + 1/6*T^3",
+    "T", "0", "2", "", "T^", "2x", "T^2+1/0", "T^2-2/0", "1 + T^10001", "T^999999999",
+    "1_000*T + 1", "+5*T^3 + 7", "T^\u0663 + 2",
+]
+PLACES = ["T", "T+1", "T^2+T+1", "inf", "T^2+1", "7*T", "1/2*T", "T^2+1/0", ""]
+TARGETS = [
+    f"{place}:{x}:{eps}"
+    for place in ("2", "3", "inf", "4")
+    for x in ("1", "-1/4", "0")
+    for eps in ("1/2", "1/10", "0")
+] + ["2:1", "", "+5:1_000:1/\u0663"]
+
+# (subcommand, required slots, optional slots); a slot is (flag or None for a
+# positional, its token pool or None for a bare flag)
+ARGV_GRAMMAR = [
+    (["vp"], [("-p", PRIMES), (None, RATIONALS)], []),
+    (["product-formula"], [(None, RATIONALS)], []),
+    (["ff-val"], [("-q", FIELD_SIZES), ("--place", PLACES), (None, POLYS)], [(None, POLYS)]),
+    (["weak-approx"], [(None, TARGETS)], [(None, TARGETS), (None, TARGETS)]),
+    (["bernoulli"], [(None, INTS)], []),
+    (["staudt-clausen"], [(None, INTS)], []),
+    (
+        ["padic", "eval"],
+        [("-p", PRIMES), (None, RATIONALS)],
+        [("--digits", INTS), ("--prec", PRECS)],
+    ),
+    (["sqrt"], [("-p", PRIMES), (None, RATIONALS)], [("--prec", PRECS)]),
+    (["teichmuller"], [("-p", PRIMES), (None, INTS)], [("--prec", PRECS)]),
+    (["lift"], [("-p", PRIMES), ("--poly", POLYS), ("--start", RATIONALS)], [("--prec", PRECS)]),
+    (["polygon"], [("-p", PRIMES), (None, POLYS)], []),
+    (
+        ["factor-lift"],
+        [("-p", PRIMES), ("--f", POLYS), ("--g0", POLYS), ("--h0", POLYS)],
+        [("--alpha", INTS), ("--prec", PRECS)],
+    ),
+    (["slope-factor"], [("-p", PRIMES), (None, POLYS)], [("--prec", PRECS)]),
+    (["weierstrass"], [("-p", PRIMES), (None, POLYS), ("--tail", INTS)], [("--prec", PRECS)]),
+    (["resultant"], [(None, POLYS)], [(None, POLYS), ("--discriminant", None)]),
+    (["eisenstein"], [("-p", PRIMES), (None, POLYS)], []),
+    (
+        ["ramification", "cyclotomic"],
+        [("-p", PRIMES), ("-n", [*INTS, "10000000"])],
+        [("--residual-degree", INTS)],
+    ),
+    (["extensions", "count"], [("-q", FIELD_SIZES), ("-e", INTS), ("-f", INTS)], []),
+    (
+        ["extensions", "classify"],
+        [("-q", FIELD_SIZES), ("-e", INTS), ("-f", INTS), ("-r", INTS)],
+        [],
+    ),
+    (["reproduce"], [], [("--all", None)]),
+]
+
+
+@st.composite
+def generated_argv(draw):
+    words, required, optional = draw(st.sampled_from(ARGV_GRAMMAR))
+    slots = required + [slot for slot in optional if draw(st.booleans())]
+    if words != ["reproduce"] and draw(st.booleans()):
+        slots.append(("--format", ["text", "json"]))
+    argv = list(words)
+    for flag, pool in slots:
+        argv += [flag] if flag else []
+        argv += [draw(st.sampled_from(pool))] if pool else []
+    return argv
+
+
+class TestGeneratedArgv:
+    def test_grammar_covers_every_subcommand(self):
+        assert [" ".join(words) for words, _, _ in ARGV_GRAMMAR] == list(_leaves(build_parser()))
+
+    @given(generated_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the argument parser's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue().strip()

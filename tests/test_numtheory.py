@@ -27,6 +27,7 @@ from localarith import (
     teichmuller,
     weierstrass_prepare,
 )
+from localarith.errors import ResourceLimitError
 from localarith.extensions import (
     GaloisPresentation,
     galois_census,
@@ -35,6 +36,7 @@ from localarith.extensions import (
     unit_group_structure,
 )
 from localarith.finitefield import FiniteField, monic_irreducibles
+from localarith.formats import MAX_DEGREE, parse_polynomial
 from localarith.numtheory import (
     INFINITY,
     _inverse_mod_prime_power,
@@ -46,7 +48,13 @@ from localarith.numtheory import (
     least_primitive_root,
     multiplicative_order,
 )
-from localarith.polynomials import PadicPolynomial, primitive_rescale, resultant_mn, sylvester_matrix
+from localarith.polynomials import (
+    PadicPolynomial,
+    TruncatedSeries,
+    primitive_rescale,
+    resultant_mn,
+    sylvester_matrix,
+)
 from localarith.ramification import (
     FilteredGroup,
     PiecewiseLinear,
@@ -207,6 +215,8 @@ def test_integer_arguments_reject_floats_and_bools(call):
         lambda: resultant_mn([1, 1], [1, 1], True, 1),
         lambda: newton_lift([-2, 0, 1.0], 3, p=7),
         lambda: newton_lift([True, 0, 1], 3, p=7),
+        lambda: PiecewiseLinear((-1,), (-1,), 0.5),
+        lambda: PiecewiseLinear((-1, 0.5), (-1, 0), 1),
     ],
 )
 def test_exact_arguments_reject_floats_and_bools(call):
@@ -279,8 +289,25 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: resultant_mn([1, 2, 3], [1, 1], 1, 1), "above its degree bound"),
         (lambda: resultant_mn([1, 1], [1, 1], 0, 1), "above its degree bound"),
         (lambda: sylvester_matrix([1, 1], [1, 2, 3], 1, 1), "above its degree bound"),
+        # unchecked data that used to be stored, or to fail with a bare
+        # IndexError, ZeroDivisionError, RecursionError or ValueError
+        (lambda: PiecewiseLinear.from_data([-1, 0, 1], [-1, 0], 1), "non-empty and equally long"),
+        (lambda: PiecewiseLinear.from_data([], [], 1), "non-empty and equally long"),
+        (lambda: PiecewiseLinear.from_data([0, -1], [0, 1], 1), "strictly increase"),
+        (lambda: PiecewiseLinear((-1, -1), (0, 1), 1), "strictly increase"),
+        (lambda: PiecewiseLinear(5, (0,), 1), "must be sequences"),
+        (lambda: parse_polynomial("T^2+1/0"), "cannot parse rational"),
+        (lambda: TruncatedSeries(1, [1, 0, 1], 0), "1 is not a prime"),
+        (lambda: TruncatedSeries(0, [1, 0, 1], 0), "0 is not a prime"),
+        (lambda: slope_factorization(PadicPolynomial(11, [2]), 8), "degree >= 1"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):
     with pytest.raises(InvalidArgumentError, match=message):
         call()
+
+
+def test_a_degree_past_the_bound_is_rejected_before_allocation():
+    with pytest.raises(ResourceLimitError, match="exceeds the bound"):
+        parse_polynomial(f"1 + T^{MAX_DEGREE + 1}")
+    assert len(parse_polynomial(f"1 + T^{MAX_DEGREE}")) == MAX_DEGREE + 1

@@ -275,6 +275,7 @@ class TestNewtonLift:
             ([-2, 0, 1], PadicNumber.from_rational(7, 10, 2), 10),
             ([7, -1, 1], PadicNumber.zero(7), 0),  # an exact zero start
             (PadicPolynomial(7, [-2, 0, 1]), PadicNumber.from_rational(7, 3, 1), 3),
+            (PadicPolynomial(7, [-2, 0, 1]), 3, 3),  # p comes from f
         ],
     )
     def test_padic_start_matches_the_integer_start(self, f, start, a0):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from localarith import (
     FilteredGroup,
     INFINITY,
+    InconsistencyError,
     InvalidArgumentError,
     PiecewiseLinear,
     ResourceLimitError,
@@ -261,9 +262,10 @@ class TestFilteredGroup:
                 [INFINITY] + [1] * (n - 1),
             )
 
-    @pytest.mark.parametrize("p, n", [(2, 11), (31, 2)])
+    @pytest.mark.parametrize("p, n", [(2, 11), (31, 2), (2, 10**9)])
     def test_cyclotomic_order_bound(self, p, n, monkeypatch):
-        # rejected from p and n alone, before any table is built
+        # rejected from p and n alone, before any table is built, and for a
+        # large n before (p - 1) p^(n - 1) itself is computed
         monkeypatch.setattr(ramification, "FilteredGroup", None)
         with pytest.raises(ResourceLimitError):
             cyclotomic_group(p, n)
@@ -357,6 +359,13 @@ class TestHerbrandFunctions:
     def test_from_data_matches_the_two_pass_normalization(self, data):
         assert PiecewiseLinear.from_data(*data) == oracle_from_data(*data)
 
+    def test_the_constructor_normalizes(self):
+        # the identity with redundant breakpoints at 0 and 1
+        redundant = PiecewiseLinear((-1, 0, 1), (-1, 0, 1), 1)
+        normal = PiecewiseLinear((Fraction(-1),), (Fraction(-1),), Fraction(1))
+        assert redundant == normal and repr(redundant) == repr(normal)
+        assert redundant.evaluate(2) == 2
+
     def test_piecewise_linear_composition(self):
         inner = PiecewiseLinear.from_data([-1, 0, 1], [-1, 0, Fraction(1, 2)], Fraction(1, 4))
         outer = PiecewiseLinear.from_data([-1, 0], [-1, 0], Fraction(1, 3))
@@ -411,8 +420,8 @@ class TestQuotientFiltration:
             is_normal(group, elements)
 
     def test_quotient_reads_phi_of_the_subgroup_from_the_parent(self, monkeypatch):
-        # phi_H comes from H's depths in the parent: building the quotient
-        # builds the quotient table, checked or derived, and no table for H
+        # coset depths are averages of the parent's depths: building the
+        # quotient builds the quotient table, checked or derived, and no group for H
         built, construct, derive = [], FilteredGroup.__init__, FilteredGroup._derived.__func__
 
         def recording(self, table, identity, depths):
@@ -431,6 +440,32 @@ class TestQuotientFiltration:
             quotient, _ = ramification.quotient_with_projection(group, elements)
             assert quotient.order == order
             assert built == [order]
+
+    def test_non_integral_average_raises(self):
+        # C2 x C2 under XOR: the coset {2, 3} of H = {0, 1} averages (2 + 1) / 2,
+        # and Herbrand's route gives phi_H(1) + 1 = 3/2 too
+        table = [[a ^ b for b in range(4)] for a in range(4)]
+        group = FilteredGroup(table, 0, [INFINITY, 1, 2, 1])
+        assert oracle_quotient_depths(group, {0, 1})[2] == Fraction(3, 2)
+        with pytest.raises(InconsistencyError, match="non-integral"):
+            quotient_filtration(group, {0, 1})
+
+    def test_quotients_build_no_phi(self, monkeypatch):
+        # D4 with its center one level deeper, and two cyclotomic groups
+        table, identity = SMALL_GROUPS["D4"]
+        center = {s for s in range(8) if all(table[s][t] == table[t][s] for t in range(8))}
+        depths = [INFINITY if s == identity else 1 + (s in center) for s in range(8)]
+        groups = [FilteredGroup(table, identity, depths), cyclotomic_group(3, 4), cyclotomic_group(2, 6)]
+        cases = [(group, h) for group in groups for h in all_subgroups(group) if is_normal(group, h)]
+        routes = [oracle_quotient_depths(group, h) for group, h in cases]
+
+        def no_phi(finite):
+            raise AssertionError("a quotient built phi_H")
+
+        monkeypatch.setattr(ramification, "_phi_of_depths", no_phi)
+        for (group, h), route in zip(cases, routes):
+            quotient, proj = ramification.quotient_with_projection(group, h)
+            assert [quotient.depths[proj[x]] for x in range(group.order)] == route
 
     def test_phi_of_depths_matches_the_rebuilt_subgroup(self):
         for p, n in [(2, 4), (3, 3), (5, 2)]:
@@ -639,6 +674,18 @@ def oracle_ramification(group):
     return phi, phi.inverse(), tuple(phi.evaluate(u) for u in group.lower_jumps())
 
 
+def oracle_quotient_depths(group, h):
+    """Herbrand's route to the quotient depths, one per element x of G:
+    phi_H(j - 1) + 1, j the largest depth over the coset xH, with phi_H
+    built from H's depths in G; +inf on H itself."""
+    phi_h = ramification._phi_of_depths(sorted(group.depths[t] for t in h if t != group.identity))
+    route = []
+    for x in range(group.order):
+        j = max(group.depths[group.table[x][t]] for t in h)
+        route.append(INFINITY if x in h else phi_h.evaluate(j - 1) + 1)
+    return route
+
+
 def assert_passes_the_checks(group):
     """The public constructor accepts the group's data and rebuilds it exactly:
     table, depths, inverses and Light's S; every lower filtration level,
@@ -803,13 +850,13 @@ def oracle_lower_filtration(group):
 
 
 @st.composite
-def filtered_groups(draw):
-    """A small group with a random valid depth function.
+def filtered_groups(draw, names=tuple(sorted(SMALL_GROUPS))):
+    """A small group, one of ``names``, with a random valid depth function.
 
     Valid depths are those whose levels {s : depth(s) >= d} form a chain of
     normal subgroups; the depth steps up by 1-3 along the chain.
     """
-    name = draw(st.sampled_from(sorted(SMALL_GROUPS)))
+    name = draw(st.sampled_from(names))
     table, identity = SMALL_GROUPS[name]
     normals = [h for h in oracle_all_subgroups(name) if oracle_is_normal(table, identity, h)]
     chain = [frozenset(range(len(table)))]
@@ -858,6 +905,32 @@ def test_queries_match_brute_force(case, data):
         else:
             with pytest.raises(InvalidArgumentError):
                 FilteredGroup(table, identity, changed)
+
+
+# the non-abelian groups, and the cyclic ones
+QUOTIENT_GROUPS = (
+    "S3", "D4", "Q8", "C2", "C5", "C6", "C8", "C12",
+    "cyclotomic(3,2)", "cyclotomic(5,2)", "cyclotomic(7,2)", "cyclotomic(61,1)",
+)
+
+
+@given(filtered_groups(QUOTIENT_GROUPS))
+@settings(deadline=None, max_examples=80)
+def test_quotient_depths_follow_the_herbrand_route(case):
+    # by every normal H: the quotient raises exactly when the route is not
+    # integral, and otherwise its coset depths are the route's
+    name, table, identity, depths = case
+    group = FilteredGroup(table, identity, depths)
+    for h in oracle_all_subgroups(name):
+        if not oracle_is_normal(table, identity, h):
+            continue
+        route = oracle_quotient_depths(group, h)
+        if any(d != INFINITY and d.denominator != 1 for d in route):
+            with pytest.raises(InconsistencyError, match="non-integral"):
+                quotient_filtration(group, h)
+        else:
+            quotient, proj = ramification.quotient_with_projection(group, h)
+            assert [quotient.depths[proj[x]] for x in range(group.order)] == route
 
 
 def three_depth_checks(group, depths):

@@ -274,6 +274,23 @@ class TestWeakApproximation:
         with pytest.raises(InvalidArgumentError):
             weak_approximation(targets)
 
+    # no y meets |x - y| < eps <= 0: one infinite place alone returned x, and
+    # with a finite place the search for an archimedean window never ended
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [(RationalPlace.infinite(), Fraction(1), Fraction(0))],
+            [(RationalPlace.infinite(), Fraction(1), Fraction(-1, 2))],
+            [
+                (RationalPlace.finite(2), Fraction(0), Fraction(1, 2)),
+                (RationalPlace.infinite(), Fraction(0), Fraction(0)),
+            ],
+        ],
+    )
+    def test_tolerance_at_the_infinite_place_must_be_positive(self, targets):
+        with pytest.raises(InvalidArgumentError, match="tolerances must be positive"):
+            weak_approximation(targets)
+
     def test_bad_denominator_rejected(self):
         with pytest.raises(InvalidArgumentError):
             weak_approximation(

@@ -44,10 +44,13 @@ def parse_polynomial(text: str) -> list[Fraction]:
         coef = parse_rational(m.group(2)) if m.group(2) else Fraction(1)
         if m.group(2) is None and "T" not in part:
             raise InvalidArgumentError(f"cannot parse polynomial term {part!r}")
-        if "T" in part:
-            exp = int(m.group(3)) if m.group(3) else 1
-        else:
-            exp = 0
+        digits = (m.group(3) or ("1" if "T" in part else "0")).lstrip("0") or "0"
+        # lengths are compared first, so a long exponent is never converted
+        if len(digits) > len(str(MAX_DEGREE)):
+            raise ResourceLimitError(
+                f"a degree of {len(digits)} digits exceeds the bound {MAX_DEGREE}"
+            )
+        exp = int(digits)
         if exp > MAX_DEGREE:
             raise ResourceLimitError(f"degree {exp} exceeds the bound {MAX_DEGREE}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef

@@ -550,9 +550,15 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
     # the order is at least 2^(n - 1), so a large n is rejected without computing it
-    if n > MAX_VERIFIED_ORDER.bit_length() or (p - 1) * p ** (n - 1) > MAX_VERIFIED_ORDER:
+    if n > MAX_VERIFIED_ORDER.bit_length():
         raise ResourceLimitError(
-            f"group order {p - 1}*{p}^{n - 1} exceeds the verified bound {MAX_VERIFIED_ORDER}"
+            f"n = {n} gives a group order of at least 2^{n - 1}, "
+            f"past the verified bound {MAX_VERIFIED_ORDER}"
+        )
+    order = (p - 1) * p ** (n - 1)
+    if order > MAX_VERIFIED_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
         )
     q = p**n
     units = [a for a in range(1, q) if a % p != 0]

@@ -310,4 +310,8 @@ def test_bad_arguments_raise_invalid_argument(call, message):
 def test_a_degree_past_the_bound_is_rejected_before_allocation():
     with pytest.raises(ResourceLimitError, match="exceeds the bound"):
         parse_polynomial(f"1 + T^{MAX_DEGREE + 1}")
+    # past Python's 4300-digit limit on int-from-str, so it must not be converted
+    with pytest.raises(ResourceLimitError, match="exceeds the bound"):
+        parse_polynomial("T^" + "9" * 5000)
+    assert parse_polynomial("T^" + "0" * 5000 + "2") == [0, 0, 1]
     assert len(parse_polynomial(f"1 + T^{MAX_DEGREE}")) == MAX_DEGREE + 1

@@ -84,7 +84,10 @@ def oracle_from_data(breakpoints, values, final_slope):
         s_in = (vals[i] - vals[keep[-1]]) / (bps[i] - bps[keep[-1]])
         if s_in != final_slope:
             keep.append(i)
-    return PiecewiseLinear(tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope)
+    # unchecked, so the reference does not pass through the normalization under test
+    return ramification._piecewise(
+        tuple(bps[i] for i in keep), tuple(vals[i] for i in keep), final_slope
+    )
 
 
 SIXTHS = st.integers(-120, 120).map(lambda k: Fraction(k, 6))  # in [-20, 20]
@@ -268,6 +271,18 @@ class TestFilteredGroup:
         # large n before (p - 1) p^(n - 1) itself is computed
         monkeypatch.setattr(ramification, "FilteredGroup", None)
         with pytest.raises(ResourceLimitError):
+            cyclotomic_group(p, n)
+
+    @pytest.mark.parametrize(
+        "p, n, message",
+        [
+            (31, 2, "group order 930 exceeds"),  # printed as FilteredGroup prints it
+            (3, 7, "group order 1458 exceeds"),
+            (2, 11, "n = 11 gives a group order of at least 2\\^10, past"),
+        ],
+    )
+    def test_cyclotomic_order_bound_message(self, p, n, message):
+        with pytest.raises(ResourceLimitError, match=message):
             cyclotomic_group(p, n)
 
     def test_cyclotomic_below_order_bound(self):

@@ -1,8 +1,9 @@
 """Bernoulli numbers, power sums and the von Staudt-Clausen decomposition.
 
-B_k is defined by T/(e^T - 1) = sum B_k T^k / k!; computationally we use
-the equivalent recurrence sum_{j<=k} C(k+1, j) B_j = 0, which is exact
-and O(k^2) with rational arithmetic.
+B_k is defined by T/(e^T - 1) = sum B_k T^k / k!.  The even ones come from
+the tangent numbers T_n, computed in one sweep of O(k^2) integer steps:
+B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) (Brent and Harvey, "Fast
+computation of Bernoulli, tangent and secant numbers", 2013).
 """
 
 from __future__ import annotations
@@ -30,12 +31,25 @@ class BernoulliTable:
             raise InvalidArgumentError("Bernoulli numbers have non-negative index")
         if k > 1 and k % 2 == 1:
             return Fraction(0)
-        while len(self._values) <= k:  # pairs B_m, B_(m+1) = 0 for even m
-            m = len(self._values)
-            # the sum skips the zero B_j, odd j >= 3; j = 1 adds C(m+1, 1) B_1 = -(m+1)/2
-            acc = sum(comb(m + 1, j) * self._values[j] for j in range(0, m, 2))
-            self._values += [Fraction(1, 2) - acc / (m + 1), Fraction(0)]
+        if len(self._values) <= k:
+            self._values = _bernoulli_numbers(max(k, 2 * len(self._values)))
         return self._values[k]
+
+
+def _bernoulli_numbers(k: int) -> list[Fraction]:
+    """B_0, ..., B_k (and B_(k+1) = 0 for even k) from the tangent numbers
+    T_1, ..., T_n, n = k // 2 (Brent and Harvey, Algorithm TangentNumbers)."""
+    n = k // 2
+    tangent = [0, 1] + [0] * (n - 1)  # T_j at index j
+    for j in range(2, n + 1):
+        tangent[j] = (j - 1) * tangent[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for j in range(1, n + 1):
+        values += [Fraction((-1) ** (j - 1) * 2 * j * tangent[j], 4**j * (4**j - 1)), Fraction(0)]
+    return values
 
 
 def _table(table) -> BernoulliTable:

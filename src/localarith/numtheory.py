@@ -101,7 +101,8 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def least_primitive_root(p: int) -> int:
-    """Smallest generator of (Z/pZ)^* for an odd prime p."""
+    """Smallest generator of (Z/pZ)^* for a prime p: 1 for the trivial group
+    at p = 2, which FiniteField(2).multiplicative_generator() returns."""
     require_prime(p)
     if p == 2:
         return 1

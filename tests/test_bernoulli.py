@@ -31,7 +31,7 @@ REFERENCE = {
 
 def full_recurrence(n):
     """B_0, ..., B_n by sum_{j<=m} C(m+1, j) B_j = 0 over every j, odd zeros
-    included: the oracle for BernoulliTable, which skips them."""
+    included: an oracle independent of BernoulliTable's tangent numbers."""
     values = [Fraction(1)]
     for m in range(1, n + 1):
         values.append(-sum(comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
@@ -41,7 +41,13 @@ def full_recurrence(n):
 class TestBernoulli:
     def test_matches_the_full_recurrence(self):
         table = BernoulliTable()
-        assert [table.value(k) for k in range(120)] == full_recurrence(119)
+        assert [table.value(k) for k in range(200)] == full_recurrence(199)
+
+    def test_grows_from_any_order_of_queries(self):
+        expected = full_recurrence(90)
+        table = BernoulliTable()
+        for k in (90, 3, 88, 0, 41, 60, 1, 2):
+            assert table.value(k) == expected[k] == bernoulli(k)
 
     def test_reference_table(self):
         table = BernoulliTable()

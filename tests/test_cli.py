@@ -395,6 +395,7 @@ FUZZ_ROWS = [
     (["polygon", "-p", "3", "1 + T^999999999"], 2),
     (["weak-approx", "inf:1:0"], 2),
     (["ramification", "cyclotomic", "-p", "2", "-n", "10000000"], 2),
+    (["ff-val", "-q", "131072", "--place", "T", "T"], 2),  # past finitefield.MAX_TABLE_ORDER
 ]
 
 # rejected by the argument parser: usage lines, then one error line
@@ -473,9 +474,9 @@ class TestMalformedInput:
 # unexpectedly or not at all.  Precisions stay <= 64 and degrees <= 12, apart
 # from the degrees past formats.MAX_DEGREE, which are rejected unbuilt.
 EDGE = ["", "+5", "\u0663", "\uff17"]  # ARABIC-INDIC THREE, FULLWIDTH SEVEN
-INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", *EDGE]  # B_1000 alone takes seconds
+INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", "1_000", *EDGE]
 PRIMES = ["2", "3", "7", "11", "0", "1", "4", "6", "-3", "1000003", "1_000", *EDGE]
-FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", *EDGE]
+FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", "131072", *EDGE]
 PRECS = ["1", "2", "8", "64", "0", "-1", *EDGE]
 RATIONALS = ["0", "1", "12", "15", "-1/4", "1/3", "1/2", "1/0", "abc", "2^100000", "1_000", *EDGE]
 POLYS = [

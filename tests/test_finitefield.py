@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localarith import FiniteField, FqPoly, factor_monic, monic_irreducibles
-from localarith.errors import InvalidArgumentError
+from localarith import finitefield
+from localarith.errors import InvalidArgumentError, ResourceLimitError
 from localarith.finitefield import monic_polys
 
 # -- trial-division oracles --------------------------------------------------
@@ -48,6 +49,34 @@ def stepping_generator(field):
             n += 1
         if n == field.q - 1:
             return g
+
+
+# -- the digit-polynomial reference for GF(p^m) element arithmetic ----------
+
+
+def digits(field, a):
+    """Base-p digits of an element code, constant term first."""
+    return [a // field.p**i % field.p for i in range(field.degree)]
+
+
+def code(field, ds):
+    """The code of a digit list, each digit reduced mod p."""
+    return sum(c % field.p * field.p**i for i, c in enumerate(ds))
+
+
+def schoolbook_mul(field, da, db):
+    """The product of two digit lists as a code: multiply the digit
+    polynomials, then reduce modulo the field's modulus from the top down."""
+    p, m = field.p, field.degree
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(len(prod) - 1, m - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(m):
+            prod[i - m + j] = (prod[i - m + j] - c * field.modulus[j]) % p
+    return code(field, prod[:m])
 
 
 def power(f, e):
@@ -136,6 +165,52 @@ class TestFieldConstruction:
             except InvalidArgumentError:
                 continue
             assert field.multiplicative_generator() == stepping_generator(field), q
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])  # 243 alone: ~1.5 s, 2-core host
+    def test_tables_match_the_schoolbook_reference(self, q):
+        """add, neg, mul, inv and pow on every pair of elements, and pow at
+        every exponent from 1 - q to q, p^(m-1) (the p-th root in
+        _squarefree_parts) among them."""
+        field = FiniteField(q)
+        table = [digits(field, a) for a in range(q)]
+        for a, da in enumerate(table):
+            assert field.neg(a) == code(field, [-x for x in da])
+            powers = [1]  # a^n for n = 0..q by the reference
+            for b, db in enumerate(table):
+                assert field.add(a, b) == code(field, [x + y for x, y in zip(da, db)])
+                product = schoolbook_mul(field, da, db)
+                assert field.mul(a, b) == product
+                if product == 1:
+                    assert field.inv(a) == b
+                powers.append(schoolbook_mul(field, table[powers[-1]], da))
+            assert [field.pow(a, n) for n in range(q + 1)] == powers
+            if a:  # a^(q-1) = 1, so a^(-n) = a^(q-1-n)
+                assert [field.pow(a, -n) for n in range(1, q)] == powers[q - 2 :: -1]
+        for call in (lambda: field.inv(0), lambda: field.pow(0, -1), lambda: field.pow(0, -q)):
+            with pytest.raises(ZeroDivisionError):
+                call()
+
+    def test_table_bound(self, monkeypatch):
+        """Past MAX_TABLE_ORDER a GF(p^m), m > 1, is refused before any
+        product is taken; prime fields have no bound."""
+
+        def refuse(*args):
+            raise AssertionError("a field past the bound started building")
+
+        monkeypatch.setattr(finitefield, "_mulmod", refuse)
+        for q in (2**17, 3**11):
+            with pytest.raises(ResourceLimitError, match="table bound"):
+                FiniteField(q)
+        field = FiniteField(65537)
+        assert field.multiplicative_generator() == 3
+        assert field.mul(field.inv(12345), 12345) == 1
+        assert field.pow(3, 65536) == 1 and field.pow(3, 32768) == 65536
+
+    def test_table_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(finitefield, "MAX_TABLE_ORDER", 16)
+        assert finitefield._FiniteField(16).exp == FiniteField(16).exp
+        with pytest.raises(ResourceLimitError):
+            finitefield._FiniteField(25)
 
     def test_multiplicative_generator(self):
         for q in (3, 4, 5, 8, 9):

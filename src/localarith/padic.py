@@ -426,18 +426,16 @@ def _newton(p, a, values, t, target):
     s <- s(2 - s f'(a')/p^t) gives s at a' to 2e digits.  On this Newton
     precision schedule (von zur Gathen-Gerhard, Modern Computer Algebra,
     9.1) the round that raises e to k, k running up the halvings of
-    target - t, keeps a and s modulo p^(2t + k).  The first and last
-    evaluations are modulo the full p^M, M = target + 2t + 1: the first
-    reads e, the last runs the stop test v(f(a)) >= target + t, which is
-    exact as M > target + t and certifies the result, since with
-    v(f'(a)) = t the root lies within p^(v(f(a)) - t) of a.
+    target - t, keeps a and s modulo p^(2t + k).  The first evaluation,
+    modulo p^(target + t), reads e exactly or finds v(f(a)) >= target + t;
+    the last round evaluates nothing.  After it v(f(a)) >= target + t, so
+    with v(f'(a)) = t the root lies within p^target of a (Hensel's lemma).
     """
-    M = target + 2 * t + 1
-    mod, done, p_t = p**M, p ** (target + t), p**t
-    a %= mod
-    fa, dfa = values(a, mod)
-    if fa % done:
-        e, k, mods = int_valuation(fa, p) - 2 * t, target - t, [mod]
+    done, p_t = p ** (target + t), p**t
+    a %= done
+    fa, dfa = values(a, done)
+    if fa:
+        e, k, mods = int_valuation(fa, p) - 2 * t, target - t, []
         while k > e:
             mods.append(p ** (2 * t + k))
             k = (k + 1) // 2
@@ -446,8 +444,7 @@ def _newton(p, a, values, t, target):
             a = (a - fa // p_t * s) % mods[i]
             fa, dfa = values(a, mods[i - 1])
             s = s * (2 - dfa // p_t * s) % mods[i]
-        if fa % done:
-            raise HypothesisFailedError("Newton iteration failed to converge")
+        a -= fa // p_t * s
     return a % p**target
 
 

@@ -267,6 +267,23 @@ def gauss_valuation(C, coeff_valuations) -> tuple[Fraction, frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _least_exponent(base: int, x: Fraction) -> int:
+    """The least n >= 0 with base^n > x, for an integer base >= 2.
+
+    base^n is an integer, so base^n > x exactly when base^n > floor(x);
+    bisection on [0, bit length of floor(x)] compares integers only.
+    """
+    bound = math.floor(x)
+    lo, hi = 0, max(bound, 0).bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if base**mid > bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def weak_approximation(targets) -> Fraction:
     """Find one rational y with |x_j - y|_j < eps_j at every listed place.
 
@@ -306,13 +323,10 @@ def weak_approximation(targets) -> Fraction:
     if not infinite and len(finite) == 1:
         return finite[0][1]
 
-    # smallest n with p^(-n) < eps, clamped at 0
+    # smallest n >= 0 with p^(-n) < eps
     moduli, residues = [], []
     for p, x, eps in finite:
-        n = 0
-        while Fraction(p) ** (-n) >= eps:
-            n += 1
-        n = max(n, 0)
+        n = _least_exponent(p, 1 / eps)
         moduli.append(p**n)
         residues.append(
             x.numerator * pow(x.denominator, -1, p**n) % p**n if n > 0 else 0
@@ -328,8 +342,7 @@ def weak_approximation(targets) -> Fraction:
     aux = 2
     while aux in primes or not is_prime(aux):
         aux += 1
-    d = aux
-    while Fraction(M, 2 * d) >= eps_inf:
-        d *= aux
+    # the least power d = aux^m, m >= 1, with M/(2d) < eps_inf
+    d = aux ** max(1, _least_exponent(aux, M / (2 * eps_inf)))
     c = round((x_inf - y0) * d / M)
     return y0 + Fraction(c, d) * M

@@ -396,6 +396,9 @@ FUZZ_ROWS = [
     (["weak-approx", "inf:1:0"], 2),
     (["ramification", "cyclotomic", "-p", "2", "-n", "10000000"], 2),
     (["ff-val", "-q", "131072", "--place", "T", "T"], 2),  # past finitefield.MAX_TABLE_ORDER
+    # a residual degree whose q^f would take gigabytes: only q^f mod e is computed
+    (["extensions", "count", "-q", "2", "-e", "3", "-f", "10000000000"], 0),
+    (["extensions", "classify", "-q", "2", "-e", "3", "-f", "10000000000", "-r", "0"], 0),
 ]
 
 # rejected by the argument parser: usage lines, then one error line

@@ -17,6 +17,7 @@ from localarith import (
     unit_group_structure,
 )
 from localarith import ramification
+from localarith.numtheory import multiplicative_order
 from localarith.polynomials import eisenstein_test, root_valuations
 
 # every descriptor with q <= 9, f <= 4 and e*f <= 48
@@ -72,6 +73,31 @@ class TestCounting:
     def test_census(self):
         assert galois_census(2, 3, 2) == math.gcd(3, 1)
         assert galois_census(5, 4, 1) == 4
+
+    @pytest.mark.parametrize(
+        "q, e", [(2, 1), (2, 3), (2, 7), (2, 9), (3, 7), (4, 15), (5, 31), (7, 60), (9, 40)]
+    )
+    def test_residual_degree_past_any_power(self, q, e):
+        # q^f is only ever needed modulo e: at f = 10^12 the four agree with
+        # their values at f mod ord_e(q) + ord_e(q), where q^f mod e repeats
+        big = 10**12
+        order = multiplicative_order(q, e)
+        small = big % order + order
+        assert count_tame_extensions(q, e, big) == count_tame_extensions(q, e, small)
+        classes = TameExtensionDescriptor(q, e, small, 0).class_count
+        assert TameExtensionDescriptor(q, e, big, 0).class_count == classes
+        for r in range(classes):
+            got = classify_tame(TameExtensionDescriptor(q, e, big, r))
+            want = classify_tame(TameExtensionDescriptor(q, e, small, r))
+            assert (got.galois, got.abelian) == (want.galois, want.abelian)
+            assert got.presentation is None or got.presentation.order == e * big
+        try:
+            census = galois_census(q, e, small)
+        except InvalidArgumentError:
+            with pytest.raises(InvalidArgumentError, match="the census needs"):
+                galois_census(q, e, big)
+        else:
+            assert galois_census(q, e, big) == census
 
 
 class TestClassification:

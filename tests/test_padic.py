@@ -400,8 +400,9 @@ class TestNewtonSchedule:
         assert sum(isinstance(x, str) for x in got) > len(got) // 2
 
     def test_rounds_and_full_modulus_evaluations(self, monkeypatch):
-        """At most ceil(log2 N) + 3 evaluations of f, at most 2 of them at
-        the full modulus p^(target + 2t + 1)."""
+        """At most ceil(log2 N) + 3 evaluations of f, none modulo more than
+        p^(target + t) and at most 2 of them at it: no evaluation runs at the
+        full modulus p^(target + 2t + 1) of the oracle loop."""
         scheduled, runs = padic._newton, []
 
         def counting(p, a, values, t, target):
@@ -412,7 +413,9 @@ class TestNewtonSchedule:
                 return values(a, mod)
 
             result = scheduled(p, a, counted, t, target)
-            runs.append((t, len(moduli), moduli.count(p ** (target + 2 * t + 1))))
+            top = p ** (target + t)
+            assert all(mod <= top for mod in moduli), (p, t, target, moduli)
+            runs.append((t, len(moduli), moduli.count(top)))
             return result
 
         monkeypatch.setattr(padic, "_newton", counting)
@@ -424,8 +427,8 @@ class TestNewtonSchedule:
             except PrecisionLossError:  # N < 3 at p = 2 never reaches the loop
                 assert len(runs) == before
                 continue
-            ((t, rounds, full),) = runs[before:]
-            assert rounds <= math.ceil(math.log2(N)) + 3 and full <= 2, (N, t, rounds, full)
+            ((t, rounds, at_top),) = runs[before:]
+            assert rounds <= math.ceil(math.log2(N)) + 3 and at_top <= 2, (N, t, rounds, at_top)
             shapes.add((t, N))
         assert shapes == {(t, N) for t in (0, 1, 2) for N in (1, 2, 32, 512, 2048)}
 

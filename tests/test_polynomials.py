@@ -108,6 +108,46 @@ def pure_factor_products(draw):
     return p, draw(st.integers(1, 60)), sides, PadicPolynomial(p, f)
 
 
+@functools.cache
+def p_adic_rationals(p, low, high):
+    """Strategies for u * p^k or 0, and for u * p^k alone, u a p-adic unit
+    fraction and low <= k <= high."""
+    numerators = st.sampled_from([n for n in range(-99, 100) if n % p])
+    denominators = st.sampled_from([d for d in range(1, 50) if d % p])
+    scaled = st.builds(
+        lambda n, d, k: Fraction(n, d) * Fraction(p) ** k,
+        numerators,
+        denominators,
+        st.integers(low, high),
+    )
+    return st.one_of(st.just(Fraction(0)), scaled), scaled
+
+
+@st.composite
+def rational_polynomials(draw):
+    """(p, precision, f): degree 1 to 9, coefficient valuations -6..12, some
+    coefficients 0, f(0) and the leading coefficient nonzero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coefficient, nonzero = p_adic_rationals(p, -6, 12)
+    middle = draw(st.lists(coefficient, max_size=8))
+    f = [draw(nonzero)] + middle + [draw(nonzero)]
+    return p, draw(st.integers(1, 60)), PadicPolynomial(p, f)
+
+
+@st.composite
+def truncated_series(draw):
+    """(p, precision, f): some coefficients 0, and the tail bound and the
+    precision often at or just above the minimal valuation w."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    coefficients = draw(st.lists(p_adic_rationals(p, -4, 8)[0], min_size=1, max_size=10))
+    assume(any(coefficients))
+    w = min(vp_rational(p, c) for c in coefficients if c)
+    near = st.one_of(st.integers(0, 2), st.integers(0, 30))
+    tail = w + 1 + draw(near)
+    precision = max(1, w + draw(st.integers(-1, 1)) + draw(near))
+    return p, precision, TruncatedSeries(p, coefficients, tail)
+
+
 def record_calls(monkeypatch, name):
     """The argument tuples of the calls of polynomials.<name> from here on."""
     calls, inner = [], getattr(polynomials, name)
@@ -790,6 +830,17 @@ class TestSlopeFactorization:
         with pytest.raises(InvalidArgumentError):
             slope_factorization(PadicPolynomial(2, [2, 1, 0, 1]), precision)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rational_polynomials())
+    def test_any_rational_polynomial(self, case):
+        # nothing is checked after the entry checks: the sides, the purity of
+        # each factor and the product are what Hensel's lemma guarantees
+        p, precision, f = case
+        factors = slope_factorization(f, precision)
+        assert [side for _, side in factors] == list(newton_polygon(f).sides)
+        assert all(is_pure_of(g.coefficients, p, side) for g, side in factors)
+        assert product_agrees(f, factors, p, precision)
+
     @settings(max_examples=60, deadline=None)
     @given(pure_factor_products())
     def test_factors_are_residues_of_the_true_factors(self, case):
@@ -847,6 +898,22 @@ class TestWeierstrass:
     def test_precision_below_one_rejected(self, precision):
         with pytest.raises(InvalidArgumentError):
             weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), precision)
+
+    @settings(max_examples=200, deadline=None)
+    @given(truncated_series())
+    def test_any_series_past_the_tail_check(self, case):
+        # nothing is checked after the tail check: the degree, h(0) = 1,
+        # w(h - 1) > 0 and the product are what the preparation theorem gives
+        p, precision, f = case
+        vals = [vp_rational(p, c) if c else INFINITY for c in f.coefficients]
+        w = min(vals)
+        g, h = weierstrass_prepare(f, precision)
+        assert g.degree == max(j for j, v in enumerate(vals) if v == w)
+        assert h.coefficients[0] == 1
+        assert all(vp_rational(p, c) > 0 for c in h.coefficients[1:] if c)
+        product = poly_mul(list(g.coefficients), list(h.coefficients))[: f.truncation + 1]
+        defect = poly_sub(list(f.coefficients), product)
+        assert all(vp_rational(p, c) >= min(precision, f.tail) for c in defect if c)
 
     @pytest.mark.parametrize("coefficients", [[5**7 * 2, 0], [5**7, 5**8]])
     def test_precision_below_minimal_valuation(self, coefficients):

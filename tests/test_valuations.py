@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from localarith import (
     vp_rational,
     weak_approximation,
 )
+from localarith import valuations
 from localarith.polynomials import poly_mul
 
 from conftest import random_rational
@@ -228,6 +230,24 @@ class TestGaussValuation:
             )
 
 
+def one_step_exponent(p, eps):
+    """The least n >= 0 with p^(-n) < eps, one step at a time: the oracle
+    for weak_approximation's exponent at a finite place."""
+    n = 0
+    while Fraction(p) ** (-n) >= eps:
+        n += 1
+    return n
+
+
+def one_step_denominator(M, eps, aux):
+    """The least d = aux^m, m >= 1, with M/(2d) < eps, one step at a time:
+    the oracle for weak_approximation's archimedean window."""
+    d = aux
+    while Fraction(M, 2 * d) >= eps:
+        d *= aux
+    return d
+
+
 class TestWeakApproximation:
     def test_crt_example(self):
         y = weak_approximation(
@@ -299,6 +319,32 @@ class TestWeakApproximation:
                     (RationalPlace.finite(3), Fraction(0), Fraction(1)),
                 ]
             )
+
+    def test_exponents_match_the_one_step_loops(self, rng):
+        for _ in range(2000):
+            p = rng.choice([2, 3, 5, 7, 11, 101])
+            num, den = (rng.randint(1, 10 ** rng.randint(1, 30)) for _ in range(2))
+            eps = Fraction(num, den)
+            assert valuations._least_exponent(p, 1 / eps) == one_step_exponent(p, eps)
+            M = rng.randint(1, 10**rng.randint(1, 40))
+            d = p ** max(1, valuations._least_exponent(p, M / (2 * eps)))
+            assert d == one_step_denominator(M, eps, p)
+
+    def test_exponent_of_a_tolerance_with_100000_digits(self):
+        # the one-step loops take time quadratic in the digits of 1/eps; each
+        # exponent is now a bisection
+        eps = Fraction(1, 2**100000)
+        targets = [
+            (RationalPlace.finite(2), Fraction(1), eps),
+            (RationalPlace.finite(3), Fraction(0), Fraction(1, 2)),
+            (RationalPlace.infinite(), Fraction(1, 3), Fraction(1, 2**100000)),
+        ]
+        started = time.perf_counter()
+        y = weak_approximation(targets)
+        assert time.perf_counter() - started < 5
+        for place, x, tolerance in targets:
+            assert normalized_absolute_value(place, x - y) < tolerance
+        assert valuations._least_exponent(2, 1 / eps) == 100001
 
     def test_postcondition_random(self, rng):
         for _ in range(60):

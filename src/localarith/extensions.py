@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .numtheory import (
     INFINITY,
     _count,
@@ -179,8 +179,12 @@ class GaloisPresentation:
     def verified_order(self) -> int:
         """Order of the presented group, after checking the table is a group
         and that the conjugation relation closes on it; classify_tame does not."""
-        from .ramification import FilteredGroup
+        from .ramification import MAX_VERIFIED_ORDER, FilteredGroup
 
+        if self.order > MAX_VERIFIED_ORDER:
+            raise ResourceLimitError(
+                f"group order {self.order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
+            )
         table, identity = self.multiplication_table()
         depths = [1] * (self.e * self.f)
         depths[identity] = INFINITY

@@ -169,15 +169,31 @@ def _inverse_mod_prime_power(u: int, p: int, M: int) -> int:
     u x(2 - ux) = 1 mod p^2k.  The cost is a few multiplications at the
     final size, far below extended Euclid on numbers of thousands of bits.
     """
-    steps = []
-    while M > 1:
-        steps.append(M)
-        M = (M + 1) // 2
     x = pow(u % p, -1, p)
-    for k in reversed(steps):
+    for k in _halvings(M, 1):
         mod = p**k
         x = x * (2 - u % mod * x) % mod
     return x
+
+
+def _halvings(top: int, floor, shift: int = 0) -> list[int]:
+    """The Newton precision schedule top, ceil(top/2) + shift, ... above
+    floor > 2 shift, bottom first: a round from level w reaches 2(w - shift),
+    so each level is reached from the one below it, the first from floor
+    (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1)."""
+    levels = []
+    while top > floor:
+        levels.append(top)
+        top = (top + 1) // 2 + shift
+    return levels[::-1]
+
+
+def _residue(x, p: int, n: int) -> int:
+    """The residue in [0, p^n) of an int or Fraction x with denominator prime to p."""
+    if x.denominator % p == 0:
+        raise InvalidArgumentError(f"coefficient {x} is not p-integral")
+    mod = p**n
+    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 def _exact(x):

@@ -30,9 +30,11 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
+    _halvings,
     _instance,
     _least_nonresidue,
     _precision,
+    _residue,
     _sqrt_mod_prime,
     int_valuation,
     rational_valuation,
@@ -424,26 +426,22 @@ def _newton(p, a, values, t, target):
     polynomial; t = v(f'(a)) and v(f(a)) > 2t.  If v(f(a)) >= 2t + e and
     s = p^t/f'(a) to e digits, the step gives v(f(a')) >= 2t + 2e and
     s <- s(2 - s f'(a')/p^t) gives s at a' to 2e digits.  On this Newton
-    precision schedule (von zur Gathen-Gerhard, Modern Computer Algebra,
-    9.1) the round that raises e to k, k running up the halvings of
-    target - t, keeps a and s modulo p^(2t + k).  The first evaluation,
-    modulo p^(target + t), reads e exactly or finds v(f(a)) >= target + t;
-    the last round evaluates nothing.  After it v(f(a)) >= target + t, so
-    with v(f'(a)) = t the root lies within p^target of a (Hensel's lemma).
+    precision schedule (numtheory._halvings) the round that raises v(f(a))
+    to k keeps a and s modulo p^k.  The first evaluation, modulo
+    p^(target + t), reads e exactly or finds v(f(a)) >= target + t; the
+    last round evaluates nothing.  After it v(f(a)) >= target + t, so with
+    v(f'(a)) = t the root lies within p^target of a (Hensel's lemma).
     """
     done, p_t = p ** (target + t), p**t
     a %= done
     fa, dfa = values(a, done)
     if fa:
-        e, k, mods = int_valuation(fa, p) - 2 * t, target - t, []
-        while k > e:
-            mods.append(p ** (2 * t + k))
-            k = (k + 1) // 2
-        s = pow(dfa // p_t, -1, mods[-1])
-        for i in range(len(mods) - 1, 0, -1):
-            a = (a - fa // p_t * s) % mods[i]
-            fa, dfa = values(a, mods[i - 1])
-            s = s * (2 - dfa // p_t * s) % mods[i]
+        mods = [p**k for k in _halvings(target + t, int_valuation(fa, p), t)]
+        s = pow(dfa // p_t, -1, mods[0])
+        for mod, next_mod in zip(mods, mods[1:]):
+            a = (a - fa // p_t * s) % mod
+            fa, dfa = values(a, next_mod)
+            s = s * (2 - dfa // p_t * s) % mod
         a -= fa // p_t * s
     return a % p**target
 
@@ -555,7 +553,7 @@ def _unit_representative(p, u, precision):
     x = Fraction(_exact(u))
     if x.numerator % p == 0 or x.denominator % p == 0:
         raise InvalidArgumentError("u must be a unit")
-    return x.numerator * pow(x.denominator, -1, p**precision) % p**precision
+    return _residue(x, p, precision)
 
 
 def pth_power_on_units(

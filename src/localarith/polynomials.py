@@ -35,9 +35,11 @@ from .numtheory import (
     INFINITY,
     _count,
     _exact,
+    _halvings,
     _instance,
     _inverse_mod_prime_power,
     _precision,
+    _residue,
     _trim,
     int_valuation,
     poly_derivative,
@@ -418,18 +420,6 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
     return xs
 
 
-def _int_reps(p, M, coeffs):
-    """Canonical integer representatives modulo p^M of p-integral rationals."""
-    mod = p**M
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise InvalidArgumentError(f"coefficient {c} is not p-integral")
-        out.append(c.numerator * pow(c.denominator, -1, mod) % mod)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting of factorizations (discrete valuation version)
 # ---------------------------------------------------------------------------
@@ -460,7 +450,7 @@ def hensel_lift_factors(
         )
     if w0 < 2 * alpha + 1:
         raise HypothesisFailedError(f"f != g0*h0 mod p^{2 * alpha + 1}")
-    return _lift_factorization(f, g0, h0, beta, precision)
+    return _lift_factorization(f, g0, h0, beta, w0, precision)
 
 
 def refine_factorization(
@@ -483,12 +473,12 @@ def refine_factorization(
     beta, w0 = _lift_data(f, big_g, big_h, precision, "G*H")
     if w0 == INFINITY:
         # nothing to lift: v(res) would only size the working modulus
-        return _lift_factorization(f, big_g, big_h, 0, precision)
+        return _lift_factorization(f, big_g, big_h, 0, w0, precision)
     if beta == INFINITY or w0 <= 2 * beta:
         raise HypothesisFailedError(
             f"w(f - GH) = {w0} is not > 2 v(res(G, H)) = {2 * beta}"
         )
-    return _lift_factorization(f, big_g, big_h, beta, precision)
+    return _lift_factorization(f, big_g, big_h, beta, w0, precision)
 
 
 def _lift_data(f, g, h, precision, product):
@@ -505,54 +495,45 @@ def _lift_data(f, g, h, precision, product):
     return rational_valuation(resultant(g, h), p), w0
 
 
-def _lift_factorization(f, g0, h0, beta, precision):
+def _lift_factorization(f, g0, h0, beta, w0, precision):
     """The factors of f near g0, h0, reduced modulo p^precision, given
-    beta = v(res(g0, h0)) and w(f - g0*h0) > 2*beta.
+    beta = v(res(g0, h0)) and w0 = w(f - g0*h0) > 2*beta.
 
     Each round solves the Sylvester system of the current pair for the
-    defect e, of valuation w.  The correction has valuation >= w - beta,
-    so the next defect has valuation >= 2(w - beta) > w and v(res) stays
-    beta.  The round needs the defect to reach only K = min(2(w - beta),
-    precision + beta), so it solves for correction / p^(w - beta) from
-    e / p^(w - beta) modulo p^(K - w + 2 beta), the digits it can use
-    (the Newton precision schedule: von zur Gathen-Gerhard, Modern
-    Computer Algebra, 9.1).  That modulus grows with the rounds to about
-    (precision + 3 beta) / 2; g, h and e stay modulo p^(precision +
-    2 beta + 2).  The scale must be p^(w - beta), not p^w: the correction
-    / p^w is not integral when beta > 0.  Once w >= precision + beta every
-    later correction is 0 mod p^precision, so the reduced pair is that of
-    the true factors, whatever the starting pair.
+    defect e, of valuation w or more.  The correction has valuation
+    >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
+    v(res) stays beta (Hensel's lemma), and the rounds are those of the
+    Newton precision schedule _halvings(precision + beta, w0, beta).  The
+    round that raises w to K solves for correction / p^(w - beta) from
+    e / p^(w - beta) modulo p^(K - w + 2 beta), the digits it can use; that
+    modulus grows to about (precision + 3 beta) / 2, while g, h and e stay
+    modulo p^(precision + 2 beta + 2).  The scale must be p^(w - beta), not
+    p^w: the correction / p^w is not integral when beta > 0.  After the
+    last round w >= precision + beta, so every later correction is 0 mod
+    p^precision and the reduced pair is that of the true factors, whatever
+    the starting pair.
     """
     p = f.p
     s, t = g0.degree, h0.degree
     M = precision + 2 * beta + 2
     mod = p**M
-    f_i = _int_reps(p, M, f.coefficients)
-    g = _int_reps(p, M, g0.coefficients)
-    h = _int_reps(p, M, h0.coefficients)
-    for _ in range(precision + 2):
-        gh = poly_mul(g, h)
-        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
-        w = int_valuation(math.gcd(*diff), p)
-        if w >= precision + beta:
-            break
-        K, scale = min(2 * (w - beta), precision + beta), p ** (w - beta)
-        rhs = [diff[s + t - 1 - i] // scale for i in range(s + t)]
+    f_i, g, h = ([_residue(c, p, M) for c in x.coefficients] for x in (f, g0, h0))
+    levels = _halvings(precision + beta, w0, beta)
+    for w, K in zip([w0, *levels], levels):
+        gh, scale = poly_mul(g, h), p ** (w - beta)
+        e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f_i[: s + t])]
+        rhs = [c // scale for c in reversed(e)]
         x = _solve_mod_prime_power(p, K - w + 2 * beta, _sylvester(g, h, s, t), rhs)
         delta = [scale * c for c in reversed(x[:t])]  # added to H
         gamma = [scale * c for c in reversed(x[t:])]  # added to G
         g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
         h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
-    else:
-        raise HypothesisFailedError("factor lifting failed to converge")
-
+    # the exact leading terms of g0, h0: the reduction may have changed them
     modN = p**precision
-    g_out = [c % modN for c in g]
-    h_out = [c % modN for c in h]
-    # restore the exact leading terms (reduction may have changed them)
-    g_out[-1] = g0.coefficients[-1]
-    h_out[-1] = h0.coefficients[-1]
-    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+    return tuple(
+        PadicPolynomial(p, [c % modN for c in x[:-1]] + [x0.coefficients[-1]])
+        for x, x0 in ((g, g0), (h, h0))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +589,7 @@ def _lift(p, f, g, h, t, beta, C, target):
 
     M = digits(target)
     full, p_beta, p_lead = p**M, p**beta, p**v_lead
-    f, g, h, t = (_int_reps(p, M, x) for x in (f, g, h, t))
+    f, g, h, t = ([_residue(c, p, M) for c in x] for x in (f, g, h, t))
     w_g, w_h = _gauss_w(p, g, a, b), _gauss_w(p, h, a, b)
     # w(t) <= b*beta as t*h = p^beta mod g; an empty t (g constant) takes b*beta
     w_t = min(_gauss_w(p, t, a, b), b * beta)

@@ -20,6 +20,7 @@ from .numtheory import (
     _count,
     _exact,
     _instance,
+    _residue,
     crt,
     factorint,
     is_prime,
@@ -328,9 +329,7 @@ def weak_approximation(targets) -> Fraction:
     for p, x, eps in finite:
         n = _least_exponent(p, 1 / eps)
         moduli.append(p**n)
-        residues.append(
-            x.numerator * pow(x.denominator, -1, p**n) % p**n if n > 0 else 0
-        )
+        residues.append(_residue(x, p, n))
     y0 = Fraction(crt(residues, moduli))
     if not infinite:
         return y0

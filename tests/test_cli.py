@@ -163,6 +163,10 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_coefficient_not_p_integral(self, capsys):
+        code, out, err = run_cli(capsys, *NOT_P_INTEGRAL)
+        assert (code, out, err) == (2, "", "error: coefficient 10/3 is not p-integral\n")
+
     def test_precision_loss(self, capsys):
         code, _, err = run_cli(
             capsys, "weierstrass", "-p", "3", "9 + 3*T + 9*T^2", "--tail", "1"
@@ -314,6 +318,12 @@ class TestReproduce:
 
 # Malformed and edge inputs, with the exit code each must give: 0 success,
 # 2 invalid input, 3 hypothesis failed, 4 precision loss.
+# a factor lift whose coefficients are not 3-integral, caught as they are reduced
+NOT_P_INTEGRAL = [
+    "factor-lift", "-p", "3", "--f", "T^2 + 1/3*T + 3*T", "--g0", "T + 1/3", "--h0", "T",
+    "--prec", "8",
+]
+
 FUZZ_ROWS = [
     (["vp", "-p", "4", "12"], 2),
     (["vp", "-p", "-3", "12"], 2),
@@ -359,6 +369,7 @@ FUZZ_ROWS = [
     (["polygon", "-p", "2", "1 + T^5000"], 0),
     (["factor-lift", "-p", "7", "--f", "T^2 - 2", "--g0", "T - 3", "--h0", "T - 3"], 3),
     (["factor-lift", "-p", "7", "--f", "", "--g0", "T - 3", "--h0", "T + 3"], 2),
+    (NOT_P_INTEGRAL, 2),
     (["slope-factor", "-p", "2", "0"], 2),
     (["slope-factor", "-p", "6", "1 + T"], 2),
     (["weierstrass", "-p", "3", "3 + T", "--tail", "-1"], 4),

@@ -17,6 +17,8 @@ from localarith import (
     unit_group_structure,
 )
 from localarith import ramification
+from localarith.errors import ResourceLimitError
+from localarith.extensions import GaloisPresentation
 from localarith.numtheory import multiplicative_order
 from localarith.polynomials import eisenstein_test, root_valuations
 
@@ -120,6 +122,19 @@ class TestClassification:
         assert len(galois) == 319
         for d in galois:
             assert classify_tame(d).presentation.verified_order() == d.e * d.f
+
+    @pytest.mark.parametrize("f", [400, 10**10])
+    def test_verified_order_bound_comes_before_the_table(self, monkeypatch, f):
+        def refuse(self):
+            raise AssertionError("verified_order built a table")
+
+        monkeypatch.setattr(GaloisPresentation, "multiplication_table", refuse)
+        message = f"^group order {3 * f} exceeds the verified bound 512$"
+        with pytest.raises(ResourceLimitError, match=message):
+            GaloisPresentation(2, 3, f, 0).verified_order()
+
+    def test_verified_order_at_the_bound(self):
+        assert GaloisPresentation(3, 8, 64, 0).verified_order() == 512
 
     def test_classification_builds_no_group(self, monkeypatch):
         def refuse(*args):

@@ -39,6 +39,7 @@ from localarith.finitefield import FiniteField, monic_irreducibles
 from localarith.formats import MAX_DEGREE, parse_polynomial
 from localarith.numtheory import (
     INFINITY,
+    _halvings,
     _inverse_mod_prime_power,
     _least_nonresidue,
     _sqrt_mod_prime,
@@ -85,6 +86,62 @@ def test_inverse_mod_prime_power(p, M, u):
     x = _inverse_mod_prime_power(u, p, M)
     assert 0 <= x < p**M
     assert u * x % p**M == 1
+
+
+# the hand-written schedules that _halvings replaced
+
+
+def inverse_steps(M):
+    """The exponents of _inverse_mod_prime_power's doubling steps."""
+    steps = []
+    while M > 1:
+        steps.append(M)
+        M = (M + 1) // 2
+    return steps[::-1]
+
+
+def newton_exponents(t, target, v_fa):
+    """The moduli exponents of padic._newton's rounds, v(f(a0)) = v_fa."""
+    e, k, exponents = v_fa - 2 * t, target - t, []
+    while k > e:
+        exponents.append(2 * t + k)
+        k = (k + 1) // 2
+    return exponents[::-1]
+
+
+def guaranteed_defects(beta, w0, top):
+    """The factor lift's measured loop run on the least defect each round
+    guarantees: w <- min(2(w - beta), top) until w >= top."""
+    w, levels = w0, []
+    while w < top:
+        w = min(2 * (w - beta), top)
+        levels.append(w)
+    return levels
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    shift=st.integers(0, 40),
+    excess=st.integers(1, 300),
+    top=st.integers(1, 5000),
+)
+def test_halvings_match_the_loops_they_replace(shift, excess, top):
+    floor = 2 * shift + excess
+    levels = _halvings(top, floor, shift)
+    assert levels == sorted(set(levels)) and all(k > floor for k in levels)
+    # each level is reached from the one below it, the first from floor
+    assert all(k <= 2 * (w - shift) for w, k in zip([floor, *levels], levels))
+    assert levels[-1:] == ([top] if top > floor else [])
+    assert _halvings(top, INFINITY, shift) == []
+    if shift == 0:
+        assert _halvings(top, 1) == inverse_steps(top)
+    # padic._newton: t = shift, target = top - t, v(f(a0)) = floor
+    assert levels == newton_exponents(shift, top - shift, floor)
+    # the measured factor lift, on the least defect each round guarantees:
+    # as many rounds, each reaching at least the schedule's level
+    measured = guaranteed_defects(shift, floor, top)
+    assert len(measured) == len(levels)
+    assert all(m >= k for m, k in zip(measured, levels))
 
 
 def digit_valuation(n, p):

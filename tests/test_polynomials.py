@@ -33,7 +33,7 @@ from localarith import (
 )
 from localarith import polynomials
 from localarith.formats import parse_polynomial
-from localarith.numtheory import INFINITY
+from localarith.numtheory import INFINITY, _halvings, _residue, int_valuation
 from localarith.polynomials import poly_add, poly_mul, poly_sub
 
 from conftest import random_rational
@@ -572,17 +572,29 @@ def lifting_cases(draw):
     return f, g0, h0, alpha, draw(st.integers(1, 6))
 
 
-def full_modulus_lift(f, g0, h0, beta, precision):
+def residues(p, M, f):
+    return [_residue(c, p, M) for c in f.coefficients]
+
+
+def reduced_pair(p, g, h, g0, h0, precision):
+    """g, h modulo p^precision with the exact leading terms of g0, h0 (the
+    reduction may have changed them)."""
+    modN = p**precision
+    g_out = [c % modN for c in g[:-1]] + [g0.coefficients[-1]]
+    h_out = [c % modN for c in h[:-1]] + [h0.coefficients[-1]]
+    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+
+
+def full_modulus_lift(f, g0, h0, beta, w0, precision):
     """polynomials._lift_factorization with every round solving the
-    Sylvester system modulo the full p^(precision + 2 beta + 2): the oracle
-    for the rounds that solve modulo only the digits they can use."""
+    Sylvester system modulo the full p^(precision + 2 beta + 2) and a stop
+    test in place of the schedule (w0 is ignored): the oracle for the rounds
+    that solve modulo only the digits they can use."""
     p = f.p
     s, t = g0.degree, h0.degree
     M = precision + 2 * beta + 2
     mod, done = p**M, p ** (precision + beta)
-    f_i = polynomials._int_reps(p, M, f.coefficients)
-    g = polynomials._int_reps(p, M, g0.coefficients)
-    h = polynomials._int_reps(p, M, h0.coefficients)
+    f_i, g, h = (residues(p, M, x) for x in (f, g0, h0))
     for _ in range(precision + 2):
         gh = poly_mul(g, h)
         diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
@@ -596,14 +608,47 @@ def full_modulus_lift(f, g0, h0, beta, precision):
         h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
     else:
         raise HypothesisFailedError("factor lifting failed to converge")
+    return reduced_pair(p, g, h, g0, h0, precision)
 
-    modN = p**precision
-    g_out = [c % modN for c in g]
-    h_out = [c % modN for c in h]
-    # restore the exact leading terms (reduction may have changed them)
-    g_out[-1] = g0.coefficients[-1]
-    h_out[-1] = h0.coefficients[-1]
-    return PadicPolynomial(p, g_out), PadicPolynomial(p, h_out)
+
+def measured_defect_lift(f, g0, h0, beta, w0, precision):
+    """polynomials._lift_factorization as it was before its rounds were fixed
+    by w0 (which is ignored here): each round measures the valuation w of
+    f - g*h, stops once w >= precision + beta and otherwise raises w to
+    min(2(w - beta), precision + beta).  The oracle for the scheduled rounds."""
+    p = f.p
+    s, t = g0.degree, h0.degree
+    M = precision + 2 * beta + 2
+    mod = p**M
+    f_i, g, h = (residues(p, M, x) for x in (f, g0, h0))
+    for _ in range(precision + 2):
+        gh = poly_mul(g, h)
+        diff = [(f_i[i] - (gh[i] if i < len(gh) else 0)) % mod for i in range(len(f_i))]
+        w = int_valuation(math.gcd(*diff), p)
+        if w >= precision + beta:
+            break
+        K, scale = min(2 * (w - beta), precision + beta), p ** (w - beta)
+        rhs = [diff[s + t - 1 - i] // scale for i in range(s + t)]
+        x = polynomials._solve_mod_prime_power(
+            p, K - w + 2 * beta, polynomials._sylvester(g, h, s, t), rhs
+        )
+        delta = [scale * c for c in reversed(x[:t])]  # added to H
+        gamma = [scale * c for c in reversed(x[t:])]  # added to G
+        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
+        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
+    else:
+        raise HypothesisFailedError("factor lifting failed to converge")
+    return reduced_pair(p, g, h, g0, h0, precision)
+
+
+# (f, G, H) over Q_2 with beta = 5, w(f - GH) = 11 and neither lead a unit:
+# G = 2T^3 + T^2 + T + 2 and H = 2T^3 + 3T^2 + T + 4 both reduce to T^2 + T,
+# whose roots 0, 1 and infinity cover P^1(F_2), so no substitution
+# T = c + 1/S makes either factor regular
+COVERING = tuple(
+    PadicPolynomial(2, x)
+    for x in ([2056, 6, 2059, 16, 7, 2056, 4], [2, 1, 1, 2], [4, 1, 3, 2])
+)
 
 
 def near_root_pairs(rng):
@@ -639,8 +684,27 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def assert_lifts_agree(monkeypatch, oracle, cases):
+    """Both factor lifts return what they return with oracle in place of
+    _lift_factorization, on cases that cover beta 0-4 and 0-2 non-unit leads."""
+    betas, leads = set(), set()
+    for f, g0, h0, beta, precision in cases:
+        betas.add(beta)
+        leads.add(sum(x.coefficients[-1] % f.p == 0 for x in (g0, h0)))
+        calls = (
+            lambda: hensel_lift_factors(f, g0, h0, beta, precision),
+            lambda: refine_factorization(f, g0, h0, precision),
+        )
+        got = [outcome(call) for call in calls]
+        with monkeypatch.context() as patched:
+            patched.setattr(polynomials, "_lift_factorization", oracle)
+            assert got == [outcome(call) for call in calls], (f, g0, h0, precision)
+    assert betas >= set(range(5)) and leads == {0, 1, 2}
+
+
 def assert_solve_schedule(monkeypatch, g0, h0, defect, beta, precision):
-    """One Sylvester solve per round, each modulo only the digits it can use.
+    """One Sylvester solve per round of the schedule that w0 = w(defect) and
+    the precision fix, each modulo only the digits it can use.
 
     A round that starts from a defect of valuation w solves modulo p^w
     while its target 2(w - beta) is short of precision + beta, so these
@@ -652,8 +716,10 @@ def assert_solve_schedule(monkeypatch, g0, h0, defect, beta, precision):
     g0, h0 = PadicPolynomial(3, g0), PadicPolynomial(3, h0)
     f = g0 * h0 + PadicPolynomial(3, defect)
     assert vp_rational(3, resultant(g0, h0)) == beta
+    w0 = min(vp_rational(3, c) for c in defect)
     solves = record_calls(monkeypatch, "_solve_mod_prime_power")
     hensel_lift_factors(f, g0, h0, beta, precision)
+    assert len(solves) == len(_halvings(precision + beta, w0, beta))
     assert 1 <= len(solves) <= math.ceil(math.log2(precision)) + 2
     exponents = [M for _, M, _, _ in solves]
     growing = exponents[:-1]
@@ -733,19 +799,39 @@ class TestRefineFactorization:
         assert_solve_schedule(monkeypatch, [-1, 1], [-2, 0, 1], [3 * 5, 3 * 7, 3], 0, precision)
 
     def test_lifts_agree_with_the_full_modulus_oracle(self, monkeypatch, rng):
-        betas, leads = set(), set()
-        for f, g0, h0, beta, precision in near_root_pairs(rng):
-            betas.add(beta)
-            leads.add(sum(x.coefficients[-1] % f.p == 0 for x in (g0, h0)))
-            calls = (
-                lambda: hensel_lift_factors(f, g0, h0, beta, precision),
-                lambda: refine_factorization(f, g0, h0, precision),
-            )
-            got = [outcome(call) for call in calls]
-            with monkeypatch.context() as patched:
-                patched.setattr(polynomials, "_lift_factorization", full_modulus_lift)
-                assert got == [outcome(call) for call in calls], (f, g0, h0, precision)
-        assert betas >= set(range(5)) and leads == {0, 1, 2}
+        assert_lifts_agree(monkeypatch, full_modulus_lift, near_root_pairs(rng))
+
+    def test_lifts_agree_with_the_measured_defect_oracle(self, monkeypatch, rng):
+        cases = itertools.chain(near_root_pairs(rng), [COVERING + (5, 2048)])
+        assert_lifts_agree(monkeypatch, measured_defect_lift, cases)
+
+    @given(lifting_cases())
+    @settings(deadline=None)
+    def test_scheduled_rounds_match_the_measured_defect_loop(self, case):
+        f, g0, h0, alpha, precision = case
+        beta = vp_rational(f.p, resultant(g0, h0))
+        expected = measured_defect_lift(f, g0, h0, beta, None, precision)
+        assert hensel_lift_factors(f, g0, h0, alpha, precision) == expected
+        assert refine_factorization(f, g0, h0, precision) == expected
+
+    def test_each_round_starts_from_its_scheduled_defect(self, monkeypatch, rng):
+        """The measurement the rounds no longer make, as an assertion: the
+        pair each round solves for has w(f - g*h) at least the level the
+        schedule starts that round from, and there is one round per level."""
+        pairs = record_calls(monkeypatch, "_sylvester")
+        for f, g0, h0, beta, precision in [*near_root_pairs(rng), COVERING + (5, 2048)]:
+            p, M = f.p, precision + 2 * beta + 2
+            w0 = min(vp_rational(p, c) for c in (f - g0 * h0).coefficients)
+            levels = _halvings(precision + beta, w0, beta)
+            before = len(pairs)
+            g, h = hensel_lift_factors(f, g0, h0, beta, precision)
+            assert len(pairs) - before == len(levels)
+            f_i = residues(p, M, f)
+            for (g_i, h_i, _, _), w in zip(pairs[before:], [w0, *levels]):
+                gh = poly_mul(g_i, h_i) + [0] * len(f_i)
+                defect = [(c - d) % p**M for c, d in zip(f_i, gh)]
+                assert int_valuation(math.gcd(*defect), p) >= w, (f, g0, h0, precision)
+            assert all(vp_rational(p, c) >= precision for c in (f - g * h).coefficients)
 
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root

@@ -3,7 +3,9 @@
 B_k is defined by T/(e^T - 1) = sum B_k T^k / k!.  The even ones come from
 the tangent numbers T_n, computed in one sweep of O(k^2) integer steps:
 B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) (Brent and Harvey, "Fast
-computation of Bernoulli, tangent and secant numbers", 2013).
+computation of Bernoulli, tangent and secant numbers", 2013).  Indices up
+to MAX_BERNOULLI_INDEX are computed; a larger one is rejected before any
+table is allocated.
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .numtheory import _count, divisors, is_prime
+
+MAX_BERNOULLI_INDEX = 3000  # B_3000 takes ~4 s on a 2-core host
+
+
+def _check_index(k: int) -> None:
+    if k > MAX_BERNOULLI_INDEX:
+        raise ResourceLimitError(f"Bernoulli index exceeds the bound {MAX_BERNOULLI_INDEX}")
 
 
 class BernoulliTable:
@@ -32,7 +41,9 @@ class BernoulliTable:
         if k > 1 and k % 2 == 1:
             return Fraction(0)
         if len(self._values) <= k:
-            self._values = _bernoulli_numbers(max(k, 2 * len(self._values)))
+            _check_index(k)
+            grown = min(max(k, 2 * len(self._values)), MAX_BERNOULLI_INDEX)
+            self._values = _bernoulli_numbers(grown)
         return self._values[k]
 
 
@@ -81,6 +92,7 @@ def power_sum(k: int, n: int) -> int:
 def power_sum_faulhaber(k: int, n: int, table: BernoulliTable | None = None) -> int:
     """S_k(n) evaluated through Bernoulli numbers; agrees with power_sum."""
     _check_power_sum(k, n)
+    _check_index(k)  # B_k is the last term
     table = _table(table)
     acc = sum(
         comb(k, m) * table.value(m) * Fraction(n) ** (k + 1 - m) / (k + 1 - m)
@@ -108,6 +120,7 @@ def staudt_clausen(k: int, table: BernoulliTable | None = None) -> StaudtClausen
     """
     if k <= 0 or k % 2 != 0:
         raise InvalidArgumentError("the decomposition applies to even k > 0")
+    _check_index(k)  # before divisors(k) factors k
     primes = tuple(d + 1 for d in divisors(k) if is_prime(d + 1))
     w = bernoulli(k, table) + sum(Fraction(1, l) for l in primes)  # an integer
     denominator = 1

@@ -352,6 +352,9 @@ class FqPoly:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    # iterating by __getitem__ would never stop, so iter() raises TypeError
+    __iter__ = None
+
     def __eq__(self, other):
         return isinstance(other, FqPoly) and self.field is other.field and self.coeffs == other.coeffs
 

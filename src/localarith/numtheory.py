@@ -15,17 +15,22 @@ from .errors import InvalidArgumentError
 INFINITY = float("inf")
 DEFAULT_PRECISION = 32  # relative p-adic precision, in digits, when none is given
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Miller-Rabin on the 13 prime bases up to 41.
+
+    Exact below psi_13 = 3317044064679887385961981 ~ 3.3e24, the least
+    strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993);
+    above it the answer is a strong-probable-prime test, not a proof.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:  # a composite below 41^2 has a prime factor below 41
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor below 43
         return True
     d, s = n - 1, 0
     while d % 2 == 0:

@@ -210,7 +210,11 @@ def _sylvester(gc, hc, m, n, zero=0):
 def _coeffs_of(f):
     if isinstance(f, PadicPolynomial):
         return list(f.coefficients)
-    return _trim([Fraction(_exact(c)) for c in f])
+    try:
+        coeffs = iter(f)
+    except TypeError:
+        raise InvalidArgumentError(f"{type(f).__name__} is not a coefficient sequence") from None
+    return _trim([Fraction(_exact(c)) for c in coeffs])
 
 
 def resultant_mn(g, h, m: int, n: int) -> Fraction:

@@ -16,21 +16,20 @@ Tables passed to FilteredGroup are checked to be groups at run time, for
 orders up to 512, and depths to make each level {s : depth(s) >= n} a
 normal subgroup.  Associativity is decided exactly by Light's test
 (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, section
-1.2): it checks (xs)y = x(sy) only for s in a set S from which right
-multiplication reaches the whole table, starting at the identity.  A greedy
-S of a group has at most log2(g) elements, so the check costs O(g^2 log g).
-The tables of cyclotomic_group, subgroup_filtration and
+1.2): it checks (xs)y = x(sy) only for s in a set S from which left
+multiplication by S reaches the whole table, starting at the identity.  A
+greedy S of a group has at most log2(g) elements, so the check costs
+O(g^2 log g).  The groups of cyclotomic_group, subgroup_filtration and
 quotient_with_projection are groups by construction (a quotient's depths by
 Herbrand's theorem), so they skip these checks; tests/test_ramification.py
-runs them on each.  Tables are built and checked a row at a time, by C-level
-``operator.itemgetter`` calls that compose two rows.  Every subgroup
-question reuses Light's S: a set is a subgroup exactly when its greedy S
-reaches the set itself, never by pairwise products.  G_n changes only one
-below each finite depth, so filtration queries step through those depths.
-They rely on each G_n being normal and G_0 = G, and check neither again.
-A quotient's coset depth is the coset's average depth, which is
-phi_H(j - 1) + 1 (j the coset's largest depth) once each level is a
-subgroup, so no phi_H is built for it.
+runs them on each.  They build a row on first use and the table, by C-level
+``operator.itemgetter`` calls that compose two rows, only when it is read.
+Subgroup questions read generators' rows only: a set is a subgroup exactly
+when its greedy S reaches it, and a coset xH = Hx of a normal H is what H's S
+reaches from x.  Filtration queries read no row: G_n changes only one below
+each finite depth, and they rely on each G_n being normal and G_0 = G.  A
+quotient's coset depth is its average depth, phi_H(j - 1) + 1 for j its
+largest depth once each level is a subgroup, so no phi_H is built for it.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -139,23 +139,34 @@ def _piecewise(breakpoints, values, final_slope) -> PiecewiseLinear:
 # ---------------------------------------------------------------------------
 
 
-def _right_closure(table, identity: int, generators) -> set[int]:
-    """Everything reached from the identity by right multiplication by generators."""
-    reached = {identity}
-    stack = [identity]
-    while stack:
-        row = table[stack.pop()]
-        for s in generators:
-            if row[s] not in reached:
-                reached.add(row[s])
-                stack.append(row[s])
+class _Rows(dict):
+    """The rows of a derived group, each built by row_of on first use."""
+
+    def __init__(self, row_of):
+        self.row_of = row_of
+
+    def __missing__(self, s):
+        row = self[s] = self.row_of(s)
+        return row
+
+
+def _closure(rows, start: int, generators) -> set[int]:
+    """Everything reached from start by left multiplication by generators;
+    s x is rows[s][x], so only the generators' rows are read."""
+    generator_rows = [rows[s] for s in generators]
+    reached, found = {start}, [start]
+    for x in found:  # found grows while it is read
+        for row in generator_rows:
+            if (y := row[x]) not in reached:
+                reached.add(y)
+                found.append(y)
     return reached
 
 
-def _greedy_generators(table, identity: int, elements) -> list[int] | None:
+def _greedy_generators(rows, identity: int, elements) -> list[int] | None:
     """Greedy S of ``elements``, or None if it is not a subgroup.
 
-    An element joins S when right multiplication by S does not yet reach it
+    An element joins S when left multiplication by S does not yet reach it
     from the identity.  In a group each one at least doubles the subgroup
     reached, so a subgroup H has an S of at most log2|H| elements reaching H.
     """
@@ -167,7 +178,7 @@ def _greedy_generators(table, identity: int, elements) -> list[int] | None:
             generators.append(a)
             if len(generators) > cap:
                 return None
-            reached = _right_closure(table, identity, generators)
+            reached = _closure(rows, identity, generators)
     return generators if reached == elements else None
 
 
@@ -181,34 +192,45 @@ class FilteredGroup:
             raise InvalidArgumentError("table rows and depths must be sequences") from None
         self.identity = identity
         self.order = len(self.table)
+        self._rows = self.table
         self._validate()
         self._validate_depths()
 
     @classmethod
     def _derived(cls, identity, row_of, depths, inverses) -> "FilteredGroup":
         """A group whose construction proves what __init__ checks, so none is run.
-
-        row_of(s) is row s, asked for only for s in Light's greedy S: s joins S
-        when no row is built for it yet, as in _greedy_generators.  Every other row
-        xt is row x composed with row t, since (xt)y = x(ty): one itemgetter call.
-        """
+        row_of(s) is row s, asked for when a query first reads it."""
         self = cls.__new__(cls)
         self.identity, self.depths, self.inverses = identity, tuple(depths), tuple(inverses)
-        self.order = order = len(self.depths)
-        table: list = [None] * order
-        table[identity] = tuple(range(order))
-        built, self._generators, times = [identity], [], []
-        for s in range(order):
-            if table[s] is None:  # so order >= 2 and itemgetter returns tuples
-                self._generators.append(s)
-                times.append(itemgetter(*row_of(s)))
-                for x in built:
-                    for t, times_t in zip(self._generators, times):
-                        if table[xt := table[x][t]] is None:
-                            table[xt] = times_t(table[x])
-                            built.append(xt)
-        self.table = tuple(table)
+        self.order = len(self.depths)
+        self._rows = _Rows(row_of)
         return self
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """A derived group's table: past the rows of Light's S (empty unless
+        order >= 2, so itemgetter returns tuples), row xt is row x composed
+        with row t, since (xt)y = x(ty): one itemgetter call."""
+        table: list = [None] * self.order
+        table[self.identity] = tuple(range(self.order))
+        built = [self.identity]
+        times = [(t, itemgetter(*self._rows[t])) for t in self._generators]
+        for x in built:
+            for t, times_t in times:
+                if table[xt := table[x][t]] is None:
+                    table[xt] = times_t(table[x])
+                    built.append(xt)
+        self._rows = table = tuple(table)
+        return table
+
+    @cached_property
+    def _generators(self) -> list[int] | None:
+        """Light's greedy S; None if it does not reach every element."""
+        return _greedy_generators(self._rows, self.identity, set(range(self.order)))
+
+    def __getstate__(self):
+        self.table  # a pickle carries the table, not row_of
+        return vars(self)
 
     # -- construction checks ----------------------------------------------
 
@@ -239,7 +261,7 @@ class FilteredGroup:
             raise InvalidArgumentError(f"element {i} has no inverse") from None
 
         # a group never needs more than log2(g) greedy generators
-        generators = _greedy_generators(mul, e, set(range(g)))
+        generators = self._generators
         if generators is None:
             raise InvalidArgumentError("multiplication table is not associative")
         # s is good when (xs)y = x(sy), i.e. row xs is row x composed with row
@@ -249,7 +271,6 @@ class FilteredGroup:
             times_s = itemgetter(*mul[s])
             if any(mul[row[s]] != times_s(row) for row in mul):
                 raise InvalidArgumentError("multiplication table is not associative")
-        self._generators = generators
 
     def _validate_depths(self):
         """Depth checks: each level {s : depth(s) >= d} is a normal subgroup.
@@ -269,7 +290,7 @@ class FilteredGroup:
         for level in set(self.depths) - {INFINITY}:
             elements = {s for s in range(g) if self.depths[s] >= level}
             if not is_normal(self, elements):
-                if _greedy_generators(self.table, self.identity, elements) is None:
+                if _greedy_generators(self._rows, self.identity, elements) is None:
                     raise InvalidArgumentError("depth sets G_n are not closed under multiplication")
                 raise InvalidArgumentError("depths must be a class function")
 
@@ -324,37 +345,33 @@ def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
 
 def is_subgroup(group: FilteredGroup, elements) -> bool:
     elements = _element_set(group, elements)
-    return _greedy_generators(group.table, group.identity, elements) is not None
+    return _greedy_generators(group._rows, group.identity, elements) is not None
 
 
 def is_normal(group: FilteredGroup, elements) -> bool:
     """Conjugating H's generators by S suffices: conjugation by a product composes."""
     elements = _element_set(group, elements)
-    generators = _greedy_generators(group.table, group.identity, elements)
+    generators = _greedy_generators(group._rows, group.identity, elements)
     if generators is None:
         return False
-    mul, inv = group.table, group.inverses
-    return all(
-        mul[t][mul[s][inv[t]]] in elements
-        for t in group._generators
-        for s in generators
-    )
+    rows, inv = group._rows, group.inverses
+    return all(rows[t][rows[s][inv[t]]] in elements for t in group._generators for s in generators)
 
 
 def all_subgroups(group: FilteredGroup) -> list[frozenset[int]]:
     """Every subgroup, as a join of cyclic subgroups: each distinct <x> first,
     then each subgroup found joined with one <x> it does not contain."""
     _instance(FilteredGroup, group)
-    table, e = group.table, group.identity
+    table, e = group.table, group.identity  # every row is read
     cyclic = {}  # <x> -> its least generator x
     for x in range(group.order):
-        cyclic.setdefault(frozenset(_right_closure(table, e, [x])), x)
+        cyclic.setdefault(frozenset(_closure(table, e, [x])), x)
     found, frontier = set(cyclic), [(c, [x]) for c, x in cyclic.items()]
     while frontier:
         base, generators = frontier.pop()
         for x in cyclic.values():
             if x not in base:  # base is a subgroup, so this is <x> <= base
-                new = frozenset(_right_closure(table, e, generators + [x]))
+                new = frozenset(_closure(table, e, generators + [x]))
                 if new not in found:
                     found.add(new)
                     frontier.append((new, generators + [x]))
@@ -409,11 +426,11 @@ def phi_via_infimum(group: FilteredGroup, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _induced_rows(table, elems, label):
+def _induced_rows(rows, elems, label):
     """row_of(s) of FilteredGroup._derived for the table induced on elems:
     label[ab] for a = elems[s] and b in elems, by two C-level itemgetter calls."""
     pick = itemgetter(*elems)
-    return lambda s: itemgetter(*pick(table[elems[s]]))(label)
+    return lambda s: itemgetter(*pick(rows[elems[s]]))(label)
 
 
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
@@ -425,7 +442,7 @@ def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
     index = {e: i for i, e in enumerate(elems)}
     depths = [group.depths[e] for e in elems]
     inverses = [index[group.inverses[e]] for e in elems]
-    row_of = _induced_rows(group.table, elems, index)
+    row_of = _induced_rows(group._rows, elems, index)
     return FilteredGroup._derived(index[group.identity], row_of, depths, inverses)
 
 
@@ -448,13 +465,14 @@ def quotient_with_projection(
     h = _element_set(group, subgroup_elements)
     if not is_normal(group, h):
         raise InvalidArgumentError("H must be a normal subgroup")
+    generators = _greedy_generators(group._rows, group.identity, h)
     e = len(h)  # every depth is at least 1, so H_0 = H
 
     reps, cosets, coset_of = [], [], {}
     for x in range(group.order):
         if x not in coset_of:  # so x is the least element of its coset
             reps.append(x)
-            cosets.append([group.table[x][t] for t in h])
+            cosets.append(_closure(group._rows, x, generators))  # Hx, which is xH
             coset_of.update(dict.fromkeys(cosets[-1], len(reps) - 1))
     identity = coset_of[group.identity]
 
@@ -471,7 +489,7 @@ def quotient_with_projection(
         depths.append(total // e)
     projection = tuple(coset_of[x] for x in range(group.order))
     inverses = [coset_of[group.inverses[r]] for r in reps]
-    row_of = _induced_rows(group.table, reps, coset_of)
+    row_of = _induced_rows(group._rows, reps, coset_of)
     return FilteredGroup._derived(identity, row_of, depths, inverses), projection
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -6,13 +7,17 @@ import pytest
 from localarith import (
     BernoulliTable,
     InvalidArgumentError,
+    ResourceLimitError,
     bernoulli,
     power_sum,
     power_sum_faulhaber,
     staudt_clausen,
     vp_rational,
 )
+from localarith.bernoulli import MAX_BERNOULLI_INDEX
 from localarith.numtheory import is_prime
+
+BERNOULLI_MODULE = sys.modules["localarith.bernoulli"]  # localarith.bernoulli is the function
 
 # numerators and denominators of B_2 .. B_20
 REFERENCE = {
@@ -138,3 +143,26 @@ class TestStaudtClausen:
             staudt_clausen(7)
         with pytest.raises(InvalidArgumentError):
             staudt_clausen(0)
+
+
+class TestIndexBound:
+    @pytest.mark.parametrize("k", [MAX_BERNOULLI_INDEX + 2, 10**11, 10**30])
+    def test_rejected_before_allocation(self, k, monkeypatch):
+        monkeypatch.setattr(BERNOULLI_MODULE, "_bernoulli_numbers", None)
+        monkeypatch.setattr(BERNOULLI_MODULE, "divisors", None)
+        calls = [lambda: bernoulli(k), lambda: staudt_clausen(k), lambda: power_sum_faulhaber(k, 2)]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="exceeds the bound"):
+                call()
+
+    def test_odd_indices_past_the_bound_vanish(self):
+        assert bernoulli(10**30 + 1) == 0
+
+    def test_growth_stops_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(BERNOULLI_MODULE, "MAX_BERNOULLI_INDEX", 40)
+        table = BernoulliTable()
+        table.value(30)
+        table.value(32)  # doubles the table, but not past the bound
+        assert len(table._values) == 42
+        with pytest.raises(ResourceLimitError):
+            table.value(42)

@@ -176,6 +176,42 @@ def test_is_prime_against_a_sieve():
     assert [is_prime(k) for k in range(-5, n)] == [False] * 5 + sieve
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441 (Jaeschke 1993)
+
+
+def twelve_base_is_prime(n):
+    """is_prime before base 41 joined: Miller-Rabin on the 12 prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def test_is_prime_rejects_the_twelve_base_pseudoprime():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert twelve_base_is_prime(PSI_12) and not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_is_prime_agrees_with_twelve_bases_below_10_5():
+    assert all(is_prime(n) == twelve_base_is_prime(n) for n in range(10**5))
+
+
+def test_is_prime_agrees_with_sympy_near_2_64_and_10_24(rng):
+    sympy = pytest.importorskip("sympy")
+    odd = [base + 2 * rng.randrange(10**9) + 1 for base in (2**64, 10**24) for _ in range(300)]
+    answers = [is_prime(n) for n in odd]
+    assert answers == [sympy.isprime(n) for n in odd]
+    assert 0 < sum(answers) < len(odd)
+
+
 def test_least_primitive_root_against_brute_force():
     # (Z/pZ)^* is cyclic, so a least generator exists, which
     # least_primitive_root no longer checks

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from localarith import (
     weierstrass_prepare,
 )
 from localarith import polynomials
+from localarith.finitefield import FiniteField, FqPoly
 from localarith.formats import parse_polynomial
 from localarith.numtheory import INFINITY, _halvings, _residue, int_valuation
 from localarith.polynomials import poly_add, poly_mul, poly_sub
@@ -312,6 +314,24 @@ class TestResultant:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(InvalidArgumentError):
             resultant([], [1, 1])
+
+    @pytest.mark.parametrize("g", [FqPoly(FiniteField(3), [0, 1]), 5, None])
+    def test_non_sequences_rejected(self, g):
+        # FqPoly indexes past its degree to 0, so iterating it by __getitem__
+        # never stopped; the alarm turns such a hang into a failure
+        def hang(signum, frame):
+            raise AssertionError("resultant did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            calls = [lambda: resultant(g, [1]), lambda: resultant([1], g), lambda: discriminant(g)]
+            for call in calls:
+                with pytest.raises(InvalidArgumentError, match="not a coefficient sequence"):
+                    call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_multiplicative_in_second_argument(self, rng):
         for _ in range(60):

@@ -1,4 +1,6 @@
 import functools
+import math
+import pickle
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
@@ -707,8 +709,12 @@ def assert_passes_the_checks(group):
     which lower_filtration does not check, is normal; the different
     exponent, a sum of depths, is sum_n (|G_n| - 1), which
     different_discriminant does not check; and phi, psi and the jumps match
-    the two-step oracle, types included."""
+    the two-step oracle, types included.  The table, composed from the
+    rows of Light's S on first use, has each row row_of builds (row_of is
+    never asked for the identity's, which the constructor checks)."""
+    eager = {s: group._rows.row_of(s) for s in range(group.order) if s != group.identity}
     checked = FilteredGroup(group.table, group.identity, group.depths)
+    assert all(group.table[s] == row for s, row in eager.items())
     assert vars(checked) == vars(group)
     levels = {level for _, level in lower_filtration(group)}
     assert all(is_normal(group, level) for level in levels)
@@ -745,6 +751,53 @@ def test_derived_subgroups_and_quotients_pass_the_checks(name):
 def test_derived_subgroups_and_quotients_of_cyclotomic_groups_pass_the_checks(p, n):
     # the parent is itself derived, and its depths are not all 1
     assert_subgroups_and_quotients_pass_the_checks(cyclotomic_group(p, n))
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The indices that derived groups ask row_of for, in order."""
+    calls, derive = [], FilteredGroup._derived.__func__
+
+    def counting(cls, identity, row_of, depths, inverses):
+        return derive(cls, identity, lambda s: calls.append(s) or row_of(s), depths, inverses)
+
+    monkeypatch.setattr(FilteredGroup, "_derived", classmethod(counting))
+    return calls
+
+
+def test_depth_only_queries_build_no_row(row_calls):
+    group = cyclotomic_group(2, 10)
+    report = different_discriminant(group)
+    phi, psi = herbrand_functions(group)
+    upper = upper_numbering(group)
+    assert report.lower_jumps == tuple(2**m - 1 for m in range(1, 10))
+    assert upper.jumps == phi.values[1:] == tuple(range(1, 10))
+    assert psi.evaluate(9) == 2**9 - 1
+    assert row_calls == [] and "table" not in vars(group)
+
+
+def test_derived_groups_pickle_with_their_table():
+    group = cyclotomic_group(3, 4)
+    sub = subgroup_filtration(group, cyclotomic_reduction_kernel(3, 4, 1))
+    quotient = quotient_filtration(group, cyclotomic_reduction_kernel(3, 4, 2))
+    for derived in (group, sub, quotient):
+        copy = pickle.loads(pickle.dumps(derived))
+        assert vars(copy) == vars(derived) and "table" in vars(derived)
+
+
+@pytest.mark.parametrize("s", range(11))
+def test_quotients_read_the_rows_of_generators_only(row_calls, s):
+    # the rows of G's, H's and the quotient's greedy generators, and those of
+    # the representatives that become the quotient's generators
+    group = cyclotomic_group(2, 10)
+    kernel = cyclotomic_reduction_kernel(2, 10, s)
+    quotient, proj = ramification.quotient_with_projection(group, kernel)
+    table = quotient.table
+    assert len(row_calls) <= 2 * math.ceil(math.log2(group.order))
+    assert "table" not in vars(group)
+    eager = comprehension_cyclotomic_table(2, 10)
+    reps = [proj.index(i) for i in range(quotient.order)]
+    assert table == tuple(tuple(proj[eager[a][b]] for b in reps) for a in reps)
 
 
 PRIME_POWERS_TO_243 = [

@@ -45,7 +45,7 @@ def splitting_degree_of_unity(q: int, n: int) -> int:
     prime_power_decomposition(_count(q))
     if _count(n) < 1 or math.gcd(n, q) != 1:
         raise InvalidArgumentError("n must be positive and prime to q")
-    return multiplicative_order(q, n) if n > 1 else 1
+    return multiplicative_order(q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def count_tame_extensions(q: int, e: int, f: int) -> int:
     g = math.gcd(e, pow(q, f, e) - 1)
     total = 0
     for t in divisors(g):
-        total += euler_phi(t) // (multiplicative_order(q, t) if t > 1 else 1)  # exact by Lagrange
+        total += euler_phi(t) // multiplicative_order(q, t)  # exact by Lagrange
     return total
 
 

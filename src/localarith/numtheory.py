@@ -1,7 +1,8 @@
 """Elementary integer number theory helpers (desk scale, exact).
 
 Everything here works with plain Python integers and stays exact.  The
-factoring routines use trial division and are meant for the moderate
+factoring routines use trial division, which stops at a prime cofactor
+below psi_13 (where is_prime is exact), and are meant for the moderate
 sizes this package deals in, not cryptographic ones.
 """
 
@@ -16,12 +17,13 @@ INFINITY = float("inf")
 DEFAULT_PRECISION = 32  # relative p-adic precision, in digits, when none is given
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin on the 13 prime bases up to 41.
 
-    Exact below psi_13 = 3317044064679887385961981 ~ 3.3e24, the least
+    Exact below _PSI_13 = 3317044064679887385961981 ~ 3.3e24, the least
     strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993);
     above it the answer is a strong-probable-prime test, not a proof.
     """
@@ -56,24 +58,26 @@ def require_prime(p) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Factor |n| by trial division; returns {prime: exponent}."""
+    """Factor |n|; returns {prime: exponent}.  Trial division stops at a
+    cofactor below _PSI_13 that is_prime calls prime, asked once 2 and 3 are
+    out and after each later prime; above _PSI_13 it runs to the square root."""
     if n == 0:
         raise InvalidArgumentError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
     for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            factors[p], n = _split_power(n, p)
+    prime = n < _PSI_13 and is_prime(n)
     f = 5
-    while f * f <= n:
+    while not prime and f * f <= n:
         for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                factors[p], n = _split_power(n, p)
+                prime = n < _PSI_13 and is_prime(n)
         f += 6
     if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+        factors[n] = 1
     return factors
 
 
@@ -96,8 +100,6 @@ def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/nZ)^*; requires gcd(a, n) = 1."""
     if n <= 0 or math.gcd(a, n) != 1:
         raise InvalidArgumentError(f"{a} is not invertible modulo {n}")
-    if n == 1:
-        return 1
     order = euler_phi(n)
     for p in factorint(order):
         while order % p == 0 and pow(a, order // p, n) == 1:
@@ -106,13 +108,12 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def least_primitive_root(p: int) -> int:
-    """Smallest generator of (Z/pZ)^* for a prime p: 1 for the trivial group
-    at p = 2, which FiniteField(2).multiplicative_generator() returns."""
+    """Smallest generator of (Z/pZ)^* for a prime p: the least g >= 1 with
+    g^((p-1)/r) != 1 mod p for every prime r | p - 1.  At p = 2 there is no
+    r, so it is 1, which FiniteField(2).multiplicative_generator() returns."""
     require_prime(p)
-    if p == 2:
-        return 1
-    # (Z/pZ)^* is cyclic, so some g < p has order p - 1
-    return next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+    cofactors = [(p - 1) // r for r in factorint(p - 1)]
+    return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:

@@ -30,6 +30,7 @@ from .errors import (
     HypothesisFailedError,
     InvalidArgumentError,
     PrecisionLossError,
+    ResourceLimitError,
 )
 from .numtheory import (
     INFINITY,
@@ -369,11 +370,21 @@ def eisenstein_test(f: PadicPolynomial) -> bool:
 
 
 def cyclotomic(p: int, n: int) -> list[int]:
-    """Coefficients of the p^n-th cyclotomic polynomial Phi_p(T^(p^(n-1)))."""
+    """Coefficients of the p^n-th cyclotomic polynomial Phi_p(T^(p^(n-1))),
+    whose degree (p - 1) p^(n-1) must not exceed formats.MAX_DEGREE."""
+    from .formats import MAX_DEGREE
+
     require_prime(p)
     if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
+    # the degree is at least 2^(n - 1), so a large n is rejected without computing it
+    if n > MAX_DEGREE.bit_length():
+        raise ResourceLimitError(
+            f"n = {n} gives a degree of at least 2^{n - 1}, past the bound {MAX_DEGREE}"
+        )
     step = p ** (n - 1)
+    if (p - 1) * step > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {(p - 1) * step} exceeds the bound {MAX_DEGREE}")
     out = [0] * ((p - 1) * step + 1)
     for i in range(p):
         out[i * step] = 1
@@ -509,8 +520,9 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     v(res) stays beta (Hensel's lemma), and the rounds are those of the
     Newton precision schedule _halvings(precision + beta, w0, beta).  The
     round that raises w to K solves for correction / p^(w - beta) from
-    e / p^(w - beta) modulo p^(K - w + 2 beta), the digits it can use; that
-    modulus grows to about (precision + 3 beta) / 2, while g, h and e stay
+    e / p^(w - beta) modulo p^(K - w + beta), the digits it can use: A x = b
+    holds modulo that power, so the new defect vanishes modulo p^K.  That
+    modulus grows to about (precision + beta) / 2, while g, h and e stay
     modulo p^(precision + 2 beta + 2).  The scale must be p^(w - beta), not
     p^w: the correction / p^w is not integral when beta > 0.  After the
     last round w >= precision + beta, so every later correction is 0 mod
@@ -527,7 +539,7 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
         gh, scale = poly_mul(g, h), p ** (w - beta)
         e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f_i[: s + t])]
         rhs = [c // scale for c in reversed(e)]
-        x = _solve_mod_prime_power(p, K - w + 2 * beta, _sylvester(g, h, s, t), rhs)
+        x = _solve_mod_prime_power(p, K - w + beta, _sylvester(g, h, s, t), rhs)
         delta = [scale * c for c in reversed(x[:t])]  # added to H
         gamma = [scale * c for c in reversed(x[t:])]  # added to G
         g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]

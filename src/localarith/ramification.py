@@ -349,13 +349,20 @@ def is_subgroup(group: FilteredGroup, elements) -> bool:
 
 
 def is_normal(group: FilteredGroup, elements) -> bool:
-    """Conjugating H's generators by S suffices: conjugation by a product composes."""
-    elements = _element_set(group, elements)
-    generators = _greedy_generators(group._rows, group.identity, elements)
+    """Whether the elements form a normal subgroup of the group."""
+    return _normal_generators(group, _element_set(group, elements)) is not None
+
+
+def _normal_generators(group: FilteredGroup, h) -> list[int] | None:
+    """H's greedy S, or None if H is not a normal subgroup.  Conjugating S
+    by G's generators suffices: conjugation by a product composes."""
+    generators = _greedy_generators(group._rows, group.identity, h)
     if generators is None:
-        return False
+        return None
     rows, inv = group._rows, group.inverses
-    return all(rows[t][rows[s][inv[t]]] in elements for t in group._generators for s in generators)
+    if all(rows[t][rows[s][inv[t]]] in h for t in group._generators for s in generators):
+        return generators
+    return None
 
 
 def all_subgroups(group: FilteredGroup) -> list[frozenset[int]]:
@@ -436,7 +443,7 @@ def _induced_rows(rows, elems, label):
 def subgroup_filtration(group: FilteredGroup, elements) -> FilteredGroup:
     """The subgroup with the restricted depth function (depths restrict)."""
     h = _element_set(group, elements)
-    if not is_subgroup(group, h):
+    if _greedy_generators(group._rows, group.identity, h) is None:
         raise InvalidArgumentError("the given elements do not form a subgroup")
     elems = sorted(h)
     index = {e: i for i, e in enumerate(elems)}
@@ -463,9 +470,9 @@ def quotient_with_projection(
 ) -> tuple[FilteredGroup, tuple[int, ...]]:
     """quotient_filtration plus the element -> coset index projection."""
     h = _element_set(group, subgroup_elements)
-    if not is_normal(group, h):
+    generators = _normal_generators(group, h)
+    if generators is None:
         raise InvalidArgumentError("H must be a normal subgroup")
-    generators = _greedy_generators(group._rows, group.identity, h)
     e = len(h)  # every depth is at least 1, so H_0 = H
 
     reps, cosets, coset_of = [], [], {}

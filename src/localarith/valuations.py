@@ -96,18 +96,11 @@ def product_formula_report(x) -> ProductFormulaReport:
     x = Fraction(_exact(x))
     if x == 0:
         raise InvalidArgumentError("the product formula concerns nonzero rationals")
-    primes = sorted(set(factorint(x.numerator)) | set(factorint(x.denominator)))
-    entries = []
-    product = Fraction(1)
-    for p in primes:
-        a = normalized_absolute_value(RationalPlace.finite(p), x)
-        if a != 1:
-            entries.append((RationalPlace.finite(p), a))
-            product *= a
-    a_inf = abs(x)
-    entries.append((RationalPlace.infinite(), a_inf))
-    product *= a_inf
-    return ProductFormulaReport(tuple(entries), product)
+    # numerator and denominator are coprime: v_p(x) is p's exponent in one, signed
+    v = factorint(x.numerator) | {p: -e for p, e in factorint(x.denominator).items()}
+    entries = [(RationalPlace.finite(p), Fraction(p) ** -v[p]) for p in sorted(v)]
+    entries.append((RationalPlace.infinite(), abs(x)))
+    return ProductFormulaReport(tuple(entries), math.prod(a for _, a in entries))
 
 
 # ---------------------------------------------------------------------------

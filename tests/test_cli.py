@@ -23,6 +23,8 @@ from localarith.formats import (
     polynomial_to_json,
 )
 
+from conftest import deadline
+
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_all.txt"
 CLI_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -417,6 +419,11 @@ FUZZ_ROWS = [
     (["bernoulli", str(10**30)], 2),
     (["staudt-clausen", str(10**30)], 2),
     (["bernoulli", "100000000000"], 2),
+    # the prime 2^61 - 1 as a field size and as a rational: it is not trial-divided
+    (["extensions", "count", "-q", "2305843009213693951", "-e", "3", "-f", "1"], 0),
+    (["extensions", "classify", "-q", "2305843009213693951", "-e", "3", "-f", "1", "-r", "0"], 0),
+    (["ff-val", "-q", "2305843009213693951", "--place", "T", "T"], 0),
+    (["product-formula", "2305843009213693951"], 0),
 ]
 
 # rejected by the argument parser: usage lines, then one error line
@@ -458,7 +465,8 @@ FIRST_ROWS = _first_rows(FUZZ_ROWS)  # one per subcommand, for a fresh process e
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, expected", FUZZ_ROWS, ids=lambda v: str(v)[:60])
     def test_in_process(self, capsys, argv, expected):
-        code, out, err = run_cli(capsys, *argv)
+        with deadline(5):  # a row that hangs fails
+            code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert "Traceback" not in err
         if code:
@@ -494,12 +502,22 @@ class TestMalformedInput:
 # tokens, the tokens of FUZZ_ROWS, and strings that int() and Fraction() take
 # unexpectedly or not at all.  Precisions stay <= 64 and degrees <= 12, apart
 # from the degrees past formats.MAX_DEGREE, which are rejected unbuilt.
+# Large tokens: the prime 2^61 - 1; psi_12 and psi_13, the least strong
+# pseudoprimes to the prime bases up to 37 and 41; (2^31 - 1)^2; and 10^30.
+# psi_12, psi_13 and (2^31 - 1)^2 are "primes" only: as a rational or a
+# field size each would be trial-divided up to a prime factor past 10^9.
 EDGE = ["", "+5", "\u0663", "\uff17"]  # ARABIC-INDIC THREE, FULLWIDTH SEVEN
-INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", "1_000", *EDGE]
-PRIMES = ["2", "3", "7", "11", "0", "1", "4", "6", "-3", "1000003", "1_000", *EDGE]
-FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", "131072", *EDGE]
+M61, PSI_12, PSI_13 = str(2**61 - 1), "318665857834031151167461", "3317044064679887385961981"
+INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", "1_000", str(10**30), *EDGE]
+PRIMES = [
+    "2", "3", "7", "11", "0", "1", "4", "6", "-3", "1000003", "1_000",
+    M61, PSI_12, PSI_13, str((2**31 - 1) ** 2), *EDGE,
+]
+FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", "131072", M61, *EDGE]
 PRECS = ["1", "2", "8", "64", "0", "-1", *EDGE]
-RATIONALS = ["0", "1", "12", "15", "-1/4", "1/3", "1/2", "1/0", "abc", "2^100000", "1_000", *EDGE]
+RATIONALS = [
+    "0", "1", "12", "15", "-1/4", "1/3", "1/2", "1/0", "abc", "2^100000", "1_000", M61, *EDGE,
+]
 POLYS = [
     "T^2 + 1", "T^2 - 2", "T^2 + 2", "3 + T", "1 + T", "T - 3", "T + 3", "-T^2 + 1",
     "-1 + T + 4*T^2", "7 + 14*T + T^2", "1/2*T^12 - 3", "1 + T + 1/2*T^2 + 1/6*T^3",

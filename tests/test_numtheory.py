@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from localarith import (
     teichmuller,
     weierstrass_prepare,
 )
+from localarith import numtheory
 from localarith.errors import ResourceLimitError
 from localarith.extensions import (
     GaloisPresentation,
@@ -44,6 +46,7 @@ from localarith.numtheory import (
     _least_nonresidue,
     _sqrt_mod_prime,
     euler_phi,
+    factorint,
     int_valuation,
     is_prime,
     least_primitive_root,
@@ -70,6 +73,8 @@ from localarith.ramification import (
     upper_numbering,
 )
 from localarith.valuations import FunctionFieldPlace, ff_valuation, gauss_valuation, product_formula_report
+
+from conftest import deadline
 
 ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if is_prime(p)]
 
@@ -210,6 +215,57 @@ def test_is_prime_agrees_with_sympy_near_2_64_and_10_24(rng):
     answers = [is_prime(n) for n in odd]
     assert answers == [sympy.isprime(n) for n in odd]
     assert 0 < sum(answers) < len(odd)
+
+
+def order_loop_primitive_root(p):
+    """least_primitive_root before it read p - 1: the least g of order p - 1."""
+    return 1 if p == 2 else next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+
+
+def test_least_primitive_root_agrees_with_the_order_loop():
+    for p in range(10**4):
+        if is_prime(p):
+            assert least_primitive_root(p) == order_loop_primitive_root(p)
+    with deadline(5):  # the order loop factors p itself: a prime is not trial-divided
+        assert least_primitive_root(2**61 - 1) == order_loop_primitive_root(2**61 - 1) == 37
+
+
+def test_factorint_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    near_2_61 = [n for n in range(2**61 - 200, 2**61 + 200) if is_prime(n)]
+    numbers = [rng.randrange(1, 10**12) for _ in range(300)]
+    numbers += [rng.randrange(1, 10**4) * q for q in near_2_61 for _ in range(3)]
+    numbers += [2**100, 3**60 * 7**5, -(6**40), 2**61 - 1]
+    assert len(near_2_61) > 5
+    with deadline(10):  # a cofactor near 2^61 is prime, so it is not trial-divided
+        assert [factorint(n) for n in numbers] == [sympy.factorint(abs(n)) for n in numbers]
+
+
+def test_factorint_trusts_is_prime_only_below_psi_13(monkeypatch):
+    # is_prime fooled into calling 91 = 7 * 13 prime stands for a strong
+    # pseudoprime: past the gate the cofactor is still divided
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: n == 91 or is_prime(n))
+    monkeypatch.setattr(numtheory, "_PSI_13", 91)
+    assert factorint(91) == {7: 1, 13: 1} and factorint(2 * 91) == {2: 1, 7: 1, 13: 1}
+    monkeypatch.setattr(numtheory, "_PSI_13", 92)
+    assert factorint(91) == {91: 1}  # below the gate is_prime is believed
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: FiniteField(2**61 - 1).multiplicative_generator(), 37),
+        (lambda: splitting_degree_of_unity(2**61 - 1, 7), 1),  # 2^61 - 1 = 1 mod 7
+        (lambda: count_tame_extensions(2**61 - 1, 3, 1), 3),
+        (lambda: unit_group_structure(2**61 - 1, 2).factor_orders, (2**61 - 2, 2**61 - 1)),
+    ],
+)
+def test_a_large_prime_is_not_trial_divided(call, expected):
+    # trial division of 2^61 - 1 would take about 7.6e8 divisions
+    with deadline(5):
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 1
 
 
 def test_least_primitive_root_against_brute_force():

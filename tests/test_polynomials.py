@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,11 +33,12 @@ from localarith import (
 )
 from localarith import polynomials
 from localarith.finitefield import FiniteField, FqPoly
-from localarith.formats import parse_polynomial
+from localarith.errors import ResourceLimitError
+from localarith.formats import MAX_DEGREE, parse_polynomial
 from localarith.numtheory import INFINITY, _halvings, _residue, int_valuation
 from localarith.polynomials import poly_add, poly_mul, poly_sub
 
-from conftest import random_rational
+from conftest import deadline, random_rational
 
 EXP7 = parse_polynomial(
     "1 + T + 1/2*T^2 + 1/6*T^3 + 1/24*T^4 + 1/120*T^5 + 1/720*T^6 + 1/5040*T^7"
@@ -318,20 +318,12 @@ class TestResultant:
     @pytest.mark.parametrize("g", [FqPoly(FiniteField(3), [0, 1]), 5, None])
     def test_non_sequences_rejected(self, g):
         # FqPoly indexes past its degree to 0, so iterating it by __getitem__
-        # never stopped; the alarm turns such a hang into a failure
-        def hang(signum, frame):
-            raise AssertionError("resultant did not return within 5 s")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(5)
-        try:
+        # never stopped; the deadline turns such a hang into a failure
+        with deadline(5):
             calls = [lambda: resultant(g, [1]), lambda: resultant([1], g), lambda: discriminant(g)]
             for call in calls:
                 with pytest.raises(InvalidArgumentError, match="not a coefficient sequence"):
                     call()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_multiplicative_in_second_argument(self, rng):
         for _ in range(60):
@@ -486,6 +478,18 @@ class TestEisenstein:
         for p, n in [(2, 2), (2, 3), (3, 2), (5, 2)]:
             f = PadicPolynomial(p, cyclotomic(p, n)).shifted_by_one()
             assert eisenstein_test(f)
+
+    def test_a_degree_past_the_bound_is_rejected_before_allocation(self):
+        # (p - 1) p^(n-1) with p = 2^61 - 1 and n = 9 has 166 digits, and n
+        # past the bound's bit length is rejected before p^(n-1) is built
+        with pytest.raises(ResourceLimitError, match="exceeds the bound"):
+            cyclotomic(2**61 - 1, 9)
+        with pytest.raises(ResourceLimitError, match="past the bound"):
+            cyclotomic(2, 10**30)
+        with pytest.raises(ResourceLimitError, match=f"degree {MAX_DEGREE + 6} exceeds"):
+            cyclotomic(10007, 1)
+        assert len(cyclotomic(2, 14)) == 2**13 + 1 <= MAX_DEGREE + 1
+        assert len(cyclotomic(9973, 1)) == 9973  # the largest prime p with p - 1 <= MAX_DEGREE
 
 
 class TestHenselLiftFactors:
@@ -726,12 +730,12 @@ def assert_solve_schedule(monkeypatch, g0, h0, defect, beta, precision):
     """One Sylvester solve per round of the schedule that w0 = w(defect) and
     the precision fix, each modulo only the digits it can use.
 
-    A round that starts from a defect of valuation w solves modulo p^w
-    while its target 2(w - beta) is short of precision + beta, so these
-    exponents grow and at least double less 2 beta; the last round needs
-    only precision + 3 beta - w < w digits.  No exponent exceeds about
-    half of precision + 3 beta, where a full-modulus solve takes
-    precision + 2 beta + 2.
+    A round that raises a defect of valuation w to K solves modulo
+    p^(K - w + beta), which is p^(w - beta) while its target 2(w - beta)
+    is short of precision + beta, so these exponents grow and at least
+    double less 2 beta; the last round needs only precision + 2 beta - w
+    <= w - beta digits.  No exponent exceeds about half of precision + beta,
+    where a full-modulus solve takes precision + 2 beta + 2.
     """
     g0, h0 = PadicPolynomial(3, g0), PadicPolynomial(3, h0)
     f = g0 * h0 + PadicPolynomial(3, defect)
@@ -744,7 +748,7 @@ def assert_solve_schedule(monkeypatch, g0, h0, defect, beta, precision):
     exponents = [M for _, M, _, _ in solves]
     growing = exponents[:-1]
     assert all(b >= max(a + 1, 2 * (a - beta)) for a, b in zip(growing, growing[1:]))
-    assert max(exponents) <= math.ceil((precision + 3 * beta) / 2) + 1
+    assert max(exponents) <= math.ceil((precision + beta) / 2) + 1
 
 
 class TestRefineFactorization:
@@ -817,6 +821,11 @@ class TestRefineFactorization:
     @pytest.mark.parametrize("precision", [16, 128, 1024])
     def test_rounds_grow_like_log_precision_when_beta_is_0(self, monkeypatch, precision):
         assert_solve_schedule(monkeypatch, [-1, 1], [-2, 0, 1], [3 * 5, 3 * 7, 3], 0, precision)
+
+    @pytest.mark.parametrize("precision", [16, 128, 1024])
+    def test_rounds_grow_like_log_precision_when_beta_is_2(self, monkeypatch, precision):
+        # v(res(T - 1, T - 10)) = v(-9) = 2, and the defect starts at 3^5
+        assert_solve_schedule(monkeypatch, [-1, 1], [-10, 1], [3**5 * 5, 3**5 * 7], 2, precision)
 
     def test_lifts_agree_with_the_full_modulus_oracle(self, monkeypatch, rng):
         assert_lifts_agree(monkeypatch, full_modulus_lift, near_root_pairs(rng))

@@ -800,6 +800,19 @@ def test_quotients_read_the_rows_of_generators_only(row_calls, s):
     assert table == tuple(tuple(proj[eager[a][b]] for b in reps) for a in reps)
 
 
+@pytest.mark.parametrize("s", [0, 3, 10])
+def test_a_quotient_finds_each_greedy_generating_set_once(monkeypatch, s):
+    # G's S and H's S: H's shows H normal and then closes its cosets
+    group = cyclotomic_group(2, 10)
+    kernel = cyclotomic_reduction_kernel(2, 10, s)
+    closed, greedy = [], ramification._greedy_generators
+    monkeypatch.setattr(
+        ramification, "_greedy_generators", lambda *args: closed.append(args[2]) or greedy(*args)
+    )
+    quotient_filtration(group, kernel)
+    assert sorted(closed, key=len) == sorted([kernel, set(range(group.order))], key=len)
+
+
 PRIME_POWERS_TO_243 = [
     (p, n)
     for p in range(2, 244)

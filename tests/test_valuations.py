@@ -24,7 +24,9 @@ from localarith import (
     weak_approximation,
 )
 from localarith import valuations
+from localarith.numtheory import factorint
 from localarith.polynomials import poly_mul
+from localarith.valuations import ProductFormulaReport
 
 from conftest import random_rational
 
@@ -101,6 +103,30 @@ class TestProductFormula:
     def test_exact_product_random(self, rng):
         for _ in range(200):
             assert product_formula_report(random_rational(rng)).product == 1
+
+    def test_agrees_with_the_normalized_absolute_value_route(self, rng):
+        near_2_61 = 2**61 - 1  # prime
+        xs = [1, -1, 12, -(2**100), Fraction(3**40, 7**30), Fraction(-(5**70), 2 * 11**20)]
+        xs += [near_2_61, Fraction(-6, near_2_61), Fraction(near_2_61 * 9, 2**64)]
+        xs += [random_rational(rng, bound=rng.choice((10, 10**4, 10**9))) for _ in range(300)]
+        for x in xs:
+            assert repr(product_formula_report(x)) == repr(normalized_route_report(x))
+
+
+def normalized_route_report(x):
+    """product_formula_report before it read factorint's exponents: each
+    prime's |x|_p through normalized_absolute_value, then the product."""
+    x = Fraction(x)
+    primes = sorted(set(factorint(x.numerator)) | set(factorint(x.denominator)))
+    entries = []
+    product = Fraction(1)
+    for p in primes:
+        a = normalized_absolute_value(RationalPlace.finite(p), x)
+        if a != 1:
+            entries.append((RationalPlace.finite(p), a))
+            product *= a
+    entries.append((RationalPlace.infinite(), abs(x)))
+    return ProductFormulaReport(tuple(entries), product * abs(x))
 
 
 def _poly(q, coeffs):

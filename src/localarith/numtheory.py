@@ -17,14 +17,19 @@ INFINITY = float("inf")
 DEFAULT_PRECISION = 32  # relative p-adic precision, in digits, when none is given
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+# psi_k, the least strong pseudoprime to the first k of _SMALL_PRIMES (OEIS A014233)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the 13 prime bases up to 41.
+    """Miller-Rabin on the prime bases up to 41, stopping after base k once n < psi_k.
 
-    Exact below _PSI_13 = 3317044064679887385961981 ~ 3.3e24, the least
-    strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993);
+    Exact below psi_13 = _PSI[-1] = 3317044064679887385961981 ~ 3.3e24, the
+    least strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993);
     above it the answer is a strong-probable-prime test, not a proof.
     """
     if n < 2:
@@ -32,22 +37,17 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 43 * 43:  # a composite below 43^2 has a prime factor below 43
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        # base a proves n composite: x is not 1 and none of x, x^2, ..., x^(2^(s-1)) is -1
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
+        if n < psi:
+            return True
     return True
 
 
@@ -59,8 +59,8 @@ def require_prime(p) -> int:
 
 def factorint(n: int) -> dict[int, int]:
     """Factor |n|; returns {prime: exponent}.  Trial division stops at a
-    cofactor below _PSI_13 that is_prime calls prime, asked once 2 and 3 are
-    out and after each later prime; above _PSI_13 it runs to the square root."""
+    cofactor below psi_13 = _PSI[-1] that is_prime calls prime, asked once 2 and
+    3 are out and after each later prime; above psi_13 it runs to the square root."""
     if n == 0:
         raise InvalidArgumentError("cannot factor 0")
     n = abs(n)
@@ -68,13 +68,13 @@ def factorint(n: int) -> dict[int, int]:
     for p in (2, 3):
         if n % p == 0:
             factors[p], n = _split_power(n, p)
-    prime = n < _PSI_13 and is_prime(n)
+    prime = n < _PSI[-1] and is_prime(n)
     f = 5
     while not prime and f * f <= n:
         for p in (f, f + 2):
             if n % p == 0:
                 factors[p], n = _split_power(n, p)
-                prime = n < _PSI_13 and is_prime(n)
+                prime = n < _PSI[-1] and is_prime(n)
         f += 6
     if n > 1:
         factors[n] = 1
@@ -258,8 +258,7 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 
 def rational_valuation(x, p: int) -> int | float:
     """p-adic valuation of a Fraction or int; 0 gives +infinity."""
-    x = Fraction(x)
-    if x == 0:
+    if _exact(x) == 0:
         return INFINITY
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
@@ -274,25 +273,3 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     ((p, m),) = factors.items()
     return p, m
 
-
-# ascending coefficient sequences, shared by padic and polynomials (here so
-# that padic need not load polynomials)
-
-
-def _trim(coeffs):
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def poly_eval(a, x):
-    """a(x) by Horner's rule, a an ascending coefficient sequence."""
-    acc = 0 * x
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(a):
-    return _trim([i * c for i, c in enumerate(a)][1:])

@@ -80,8 +80,7 @@ class PadicNumber:
     def from_rational(cls, p: int, x, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         require_prime(p)
         _precision(precision)
-        x = Fraction(_exact(x))
-        if x == 0:
+        if _exact(x) == 0:
             return cls.zero(p)
         vn = int_valuation(x.numerator, p)
         vd = int_valuation(x.denominator, p)
@@ -164,7 +163,7 @@ class PadicNumber:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return PadicNumber.zero(self.p)
-            v_other = rational_valuation(Fraction(other), self.p)
+            v_other = rational_valuation(other, self.p)
             if self.is_exact_zero:
                 prec = DEFAULT_PRECISION
             elif self.is_inexact_zero:
@@ -376,8 +375,7 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         if p is None:
             raise InvalidArgumentError("a prime is required when a0 is an integer")
         require_prime(p)
-        a0 = Fraction(_exact(a0))
-        if a0.denominator != 1:
+        if _exact(a0).denominator != 1:
             raise InvalidArgumentError("a0 must be an integer or a PadicNumber")
         a_int, a_prec = a0.numerator, INFINITY
     if hasattr(f, "coefficients"):  # a PadicPolynomial, which carries its prime
@@ -390,10 +388,9 @@ def newton_lift(f, a0, p: int | None = None, precision: int = DEFAULT_PRECISION)
         raise InvalidArgumentError("f must be a coefficient list or a PadicPolynomial")
     coeffs = []
     for c in raw:
-        c = Fraction(_exact(c))
-        if c.denominator != 1:
+        if _exact(c).denominator != 1:
             raise InvalidArgumentError("newton_lift expects integer coefficients")
-        coeffs.append(int(c))
+        coeffs.append(c.numerator)
 
     def values(a, mod=0):  # (f(a), f'(a)) by one Horner pass, exact for mod = 0
         fa = dfa = 0

@@ -41,10 +41,7 @@ from .numtheory import (
     _inverse_mod_prime_power,
     _precision,
     _residue,
-    _trim,
     int_valuation,
-    poly_derivative,
-    poly_eval,
     rational_valuation,
     require_prime,
 )
@@ -54,6 +51,25 @@ from .numtheory import (
 # exact polynomial helpers over Q and Z (ascending coefficient sequences;
 # integer inputs give integer results)
 # ---------------------------------------------------------------------------
+
+
+def _trim(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def poly_eval(a, x):
+    """a(x) by Horner's rule, a an ascending coefficient sequence."""
+    acc = 0 * x
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_derivative(a):
+    return _trim([i * c for i, c in enumerate(a)][1:])
 
 
 def poly_add(a, b):
@@ -313,23 +329,23 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
         raise InvalidArgumentError(
             "constant term vanishes: strip the exact T power first (strip_t_power)"
         )
-    vals = f.coefficient_valuations()
-    points = [(j, Fraction(v)) for j, v in enumerate(vals) if v != INFINITY]
-    hull: list[tuple[int, Fraction]] = []
-    for pt in points:
+    # the hull runs on the integer valuations; Fractions are made for the result only
+    hull: list[tuple[int, int]] = []
+    for x, y in enumerate(f.coefficient_valuations()):
+        if y == INFINITY:
+            continue
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop the middle point when it lies on or above the chord
-            if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
+            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
                 break
-        hull.append(pt)
+            hull.pop()
+        hull.append((x, y))
     sides = tuple(
         (x2 - x1, Fraction(y2 - y1, x2 - x1))
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
-    return NewtonPolygon(tuple(hull), sides)
+    return NewtonPolygon(tuple((x, Fraction(y)) for x, y in hull), sides)
 
 
 def root_valuations(f: PadicPolynomial) -> tuple[list[tuple[Fraction, int]], int]:

@@ -574,19 +574,7 @@ def cyclotomic_group(p: int, n: int) -> FilteredGroup:
     require_prime(p)
     if _count(n) < 1:
         raise InvalidArgumentError("n must be at least 1")
-    # the order is at least 2^(n - 1), so a large n is rejected without computing it
-    if n > MAX_VERIFIED_ORDER.bit_length():
-        raise ResourceLimitError(
-            f"n = {n} gives a group order of at least 2^{n - 1}, "
-            f"past the verified bound {MAX_VERIFIED_ORDER}"
-        )
-    order = (p - 1) * p ** (n - 1)
-    if order > MAX_VERIFIED_ORDER:
-        raise ResourceLimitError(
-            f"group order {order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
-        )
-    q = p**n
-    units = [a for a in range(1, q) if a % p != 0]
+    q, units = _cyclotomic_units(p, n)
     index = {a: i for i, a in enumerate(units)}
     depths = [INFINITY if a == 1 else p ** int_valuation(a - 1, p) for a in units]
     inverses = [index[pow(a, -1, q)] for a in units]
@@ -600,6 +588,22 @@ def cyclotomic_reduction_kernel(p: int, n: int, s: int) -> frozenset[int]:
     require_prime(p)
     if _count(n) < 1 or _count(s) < 0:
         raise InvalidArgumentError("n must be at least 1 and s at least 0")
-    q = p**n
-    units = [a for a in range(1, q) if a % p != 0]
+    units = _cyclotomic_units(p, n)[1]
     return frozenset(i for i, a in enumerate(units) if (a - 1) % p ** min(s, n) == 0)
+
+
+def _cyclotomic_units(p: int, n: int) -> tuple[int, list[int]]:
+    """p^n and its units in [1, p^n), once their number is within the verified bound."""
+    # the order is at least 2^(n - 1), so a large n is rejected without computing it
+    if n > MAX_VERIFIED_ORDER.bit_length():
+        raise ResourceLimitError(
+            f"n = {n} gives a group order of at least 2^{n - 1}, "
+            f"past the verified bound {MAX_VERIFIED_ORDER}"
+        )
+    order = (p - 1) * p ** (n - 1)
+    if order > MAX_VERIFIED_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the verified bound {MAX_VERIFIED_ORDER}"
+        )
+    q = p**n
+    return q, [a for a in range(1, q) if a % p != 0]

@@ -67,7 +67,7 @@ class RationalPlace:
 def vp_rational(p: int, x) -> int | float:
     """p-adic valuation of a rational number; v_p(0) = +infinity."""
     require_prime(p)
-    return rational_valuation(_exact(x), p)
+    return rational_valuation(x, p)
 
 
 def normalized_absolute_value(place: RationalPlace, x) -> Fraction:
@@ -119,10 +119,12 @@ class FunctionFieldPlace:
     def __post_init__(self):
         if self.poly is None:
             prime_power_decomposition(_count(self.q))
-        elif not self.poly.is_monic() or not self.poly.is_irreducible():
-            raise InvalidArgumentError(
-                f"{self.poly!r} is not monic irreducible over GF({self.q})"
-            )
+            return
+        from .finitefield import _common_field
+
+        poly = self.poly
+        if _common_field(poly).q != self.q or not poly.is_monic() or not poly.is_irreducible():
+            raise InvalidArgumentError(f"{poly!r} is not monic irreducible over GF({self.q})")
 
     @classmethod
     def finite(cls, poly: FqPoly) -> "FunctionFieldPlace":
@@ -153,11 +155,13 @@ def _finite_place(poly: FqPoly) -> FunctionFieldPlace:
 
 
 def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
-    v = 0
-    f, remainder = divmod(f, place_poly)
-    while remainder.is_zero():
+    """The exponent of the monic place_poly in a nonzero f of the same field."""
+    from .finitefield import _divmod
+
+    v, (a, remainder) = 0, _divmod(f.coeffs, place_poly.coeffs, f.field)
+    while not remainder:
         v += 1
-        f, remainder = divmod(f, place_poly)
+        a, remainder = _divmod(a, place_poly.coeffs, f.field)
     return v
 
 
@@ -191,9 +195,9 @@ def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaRepor
     """Verify sum over places of deg(place) * v_place(x) = 0 for x = num/den."""
     from .finitefield import FqPoly, _common_field, factor_monic
 
+    field = _common_field(num) if den is None else _common_field(num, den)
     if num.is_zero():
         raise InvalidArgumentError("the sum formula concerns nonzero functions")
-    field = num.field if den is None else _common_field(num, den)
     if den is None:
         den = FqPoly(field, (1,))
     if den.is_zero():

@@ -136,6 +136,11 @@ class TestClassification:
     def test_verified_order_at_the_bound(self):
         assert GaloisPresentation(3, 8, 64, 0).verified_order() == 512
 
+    def test_verified_order_rejects_a_relation_that_does_not_close(self):
+        # q = 2 is not 1 mod e = 3 at f = 1: sigma tau sigma^-1 = tau^q fails
+        with pytest.raises(InvalidArgumentError, match="conjugation relation fails to close"):
+            GaloisPresentation(2, 3, 1, 0).verified_order()
+
     def test_classification_builds_no_group(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("classify_tame built a FilteredGroup")

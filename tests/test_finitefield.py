@@ -232,6 +232,23 @@ class TestPolynomials:
         q, r = divmod(a, b)
         assert q * b + r == a
 
+    def test_divmod_by_zero(self):
+        f = FiniteField(3)
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            divmod(FqPoly(f, [1, 1]), FqPoly(f, []))
+
+    def test_divides(self):
+        f = FiniteField(3)
+        t, t1 = FqPoly(f, [0, 1]), FqPoly(f, [1, 1])
+        assert t.divides(t * t1) and t1.divides(t * t1)
+        assert not (t * t).divides(t * t1) and not t.divides(t1)
+
+    def test_sub(self):
+        f3, f9 = FiniteField(3), FiniteField(9)
+        assert FqPoly(f3, [1, 2]) - FqPoly(f3, [2, 2, 1]) == FqPoly(f3, [2, 0, 2])
+        a, b = FqPoly(f9, [3, 5, 1]), FqPoly(f9, [7, 5, 1])
+        assert (a - b) + b == a and (a - a).is_zero() and (a - b).degree == 0
+
     def test_irreducibility(self):
         f2 = FiniteField(2)
         assert FqPoly(f2, [1, 1, 1]).is_irreducible()  # T^2+T+1

@@ -51,6 +51,7 @@ from localarith.numtheory import (
     is_prime,
     least_primitive_root,
     multiplicative_order,
+    rational_valuation,
 )
 from localarith.polynomials import (
     PadicPolynomial,
@@ -209,12 +210,64 @@ def test_is_prime_agrees_with_twelve_bases_below_10_5():
     assert all(is_prime(n) == twelve_base_is_prime(n) for n in range(10**5))
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233),
+# each with a prime factor
+PSI_FACTORS = [
+    (2047, 23),
+    (1373653, 829),
+    (25326001, 2251),
+    (3215031751, 151),
+    (2152302898747, 6763),
+    (3474749660383, 1303),
+    (341550071728321, 10670053),
+    (341550071728321, 10670053),
+    (3825123056546413051, 149491),
+    (3825123056546413051, 149491),
+    (3825123056546413051, 149491),
+    (PSI_12, 399165290221),
+    (3317044064679887385961981, 1287836182261),
+]
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any((x := x * x % n) == n - 1 for _ in range(s - 1))
+
+
+def thirteen_base_is_prime(n):
+    """is_prime before it stopped at psi_k: all 13 prime bases up to 41 on every n."""
+    if n < 2 or any(n % p == 0 for p in BASES):
+        return n in BASES
+    return n < 43 * 43 or all(strong_probable_prime(n, a) for a in BASES)
+
+
+def test_the_psi_table_is_the_one_is_prime_stops_by():
+    assert numtheory._PSI == tuple(psi for psi, _ in PSI_FACTORS)
+    assert numtheory._SMALL_PRIMES == BASES
+    for k, (psi, factor) in enumerate(PSI_FACTORS, 1):
+        assert 1 < factor < psi and psi % factor == 0
+        assert all(strong_probable_prime(psi, a) for a in BASES[:k])
+        # a later base rejects each psi_k but psi_13, which passes all 13: the
+        # documented limit past which is_prime is a strong-probable-prime test
+        assert k == 13 or not is_prime(psi)
+
+
+def test_is_prime_agrees_with_thirteen_bases_below_2_10_5():
+    assert all(is_prime(n) == thirteen_base_is_prime(n) for n in range(2 * 10**5))
+
+
 def test_is_prime_agrees_with_sympy_near_2_64_and_10_24(rng):
-    sympy = pytest.importorskip("sympy")
     odd = [base + 2 * rng.randrange(10**9) + 1 for base in (2**64, 10**24) for _ in range(300)]
     answers = [is_prime(n) for n in odd]
-    assert answers == [sympy.isprime(n) for n in odd]
+    assert answers == [thirteen_base_is_prime(n) for n in odd]
     assert 0 < sum(answers) < len(odd)
+    sympy = pytest.importorskip("sympy")
+    assert answers == [sympy.isprime(n) for n in odd]
+    assert not any(sympy.isprime(psi) for psi, _ in PSI_FACTORS)
 
 
 def order_loop_primitive_root(p):
@@ -245,9 +298,9 @@ def test_factorint_trusts_is_prime_only_below_psi_13(monkeypatch):
     # is_prime fooled into calling 91 = 7 * 13 prime stands for a strong
     # pseudoprime: past the gate the cofactor is still divided
     monkeypatch.setattr(numtheory, "is_prime", lambda n: n == 91 or is_prime(n))
-    monkeypatch.setattr(numtheory, "_PSI_13", 91)
+    monkeypatch.setattr(numtheory, "_PSI", (*numtheory._PSI[:-1], 91))
     assert factorint(91) == {7: 1, 13: 1} and factorint(2 * 91) == {2: 1, 7: 1, 13: 1}
-    monkeypatch.setattr(numtheory, "_PSI_13", 92)
+    monkeypatch.setattr(numtheory, "_PSI", (*numtheory._PSI[:-1], 92))
     assert factorint(91) == {91: 1}  # below the gate is_prime is believed
 
 
@@ -366,6 +419,8 @@ def test_integer_arguments_reject_floats_and_bools(call):
         lambda: newton_lift([True, 0, 1], 3, p=7),
         lambda: PiecewiseLinear((-1,), (-1,), 0.5),
         lambda: PiecewiseLinear((-1, 0.5), (-1, 0), 1),
+        lambda: rational_valuation(0.5, 2),
+        lambda: rational_valuation(True, 2),
     ],
 )
 def test_exact_arguments_reject_floats_and_bools(call):

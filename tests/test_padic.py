@@ -108,6 +108,16 @@ class TestRingOps:
         with pytest.raises(InvalidArgumentError):
             PadicNumber.from_rational(2, 3, 4) / PadicNumber.zero(2)
 
+    def test_division_of_an_exact_zero(self):
+        q = PadicNumber.zero(5) / PadicNumber.from_rational(5, 10, 4)
+        assert q.is_exact_zero and q.p == 5
+
+    def test_division_of_an_inexact_zero(self):
+        # O(5^3) / (5 * unit) is O(5^2): the quotient keeps only what is known
+        q = PadicNumber.zero_at(5, 3) / PadicNumber.from_rational(5, 10, 4)
+        assert q.is_inexact_zero and q.absolute_precision == 2
+        assert (PadicNumber.zero_at(5, 3) / 7).absolute_precision == 3
+
     def test_reflected_operators_match_the_coerced_forward_ones(self):
         def parts(x):
             return x.p, x.valuation, x.unit, x.precision

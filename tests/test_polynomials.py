@@ -36,7 +36,7 @@ from localarith.finitefield import FiniteField, FqPoly
 from localarith.errors import ResourceLimitError
 from localarith.formats import MAX_DEGREE, parse_polynomial
 from localarith.numtheory import INFINITY, _halvings, _residue, int_valuation
-from localarith.polynomials import poly_add, poly_mul, poly_sub
+from localarith.polynomials import NewtonPolygon, poly_add, poly_mul, poly_sub
 
 from conftest import deadline, random_rational
 
@@ -54,6 +54,22 @@ def is_pure_of(coeffs, p, side):
     return vp_rational(p, coeffs[-1]) == v0 + length * slope and all(
         c == 0 or vp_rational(p, c) >= v0 + j * slope for j, c in enumerate(coeffs)
     )
+
+
+def fraction_hull_polygon(f):
+    """newton_polygon before its hull ran on integers: every point a Fraction."""
+    points = [(j, Fraction(v)) for j, v in enumerate(f.coefficient_valuations()) if v != INFINITY]
+    hull = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    sides = tuple((x2 - x1, Fraction(y2 - y1, x2 - x1)) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple(hull), sides)
 
 
 def slope_moduli(f, precision):
@@ -413,6 +429,14 @@ class TestNewtonPolygon:
                 (sides[s], s) for s in sorted(sides)
             )
             assert newton_polygon(PadicPolynomial(p, f)).sides == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_polynomials())
+    def test_integer_hull_matches_the_fraction_hull(self, case):
+        # the hull runs on the integer valuations; the result is the one of the
+        # hull on Fraction points, type for type
+        _, _, f = case
+        assert repr(newton_polygon(f)) == repr(fraction_hull_polygon(f))
 
     def test_pure_coefficient_bound(self, rng):
         for _ in range(200):

@@ -30,6 +30,8 @@ from localarith import (
 from localarith import ramification
 from localarith.ramification import is_normal, is_subgroup
 
+from conftest import deadline
+
 
 def tame_cyclic(order):
     """Cyclic group with every nontrivial element at depth 1."""
@@ -290,6 +292,22 @@ class TestFilteredGroup:
     def test_cyclotomic_below_order_bound(self):
         assert cyclotomic_group(3, 6).order == 486
 
+    @pytest.mark.parametrize(
+        "p, n, message",
+        [
+            (2, 22, "n = 22 gives a group order of at least 2\\^21, past"),
+            (2, 64, "n = 64 gives a group order of at least 2\\^63, past"),
+            (2, 10**30, "past the verified bound 512"),
+            (3, 7, "group order 1458 exceeds"),
+            (31, 2, "group order 930 exceeds"),
+        ],
+    )
+    def test_reduction_kernel_order_bound(self, p, n, message):
+        # the kernel's indices exist only in cyclotomic_group's order: the same
+        # two checks run before any residue is enumerated
+        with deadline(5), pytest.raises(ResourceLimitError, match=message):
+            cyclotomic_reduction_kernel(p, n, 3)
+
 
 class TestLowerFiltration:
     def test_tame_instance(self):
@@ -391,6 +409,19 @@ class TestHerbrandFunctions:
             assert composed.evaluate(u) == outer.evaluate(inner.evaluate(u))
 
 
+class TestPiecewiseLinear:
+    def test_evaluate_left_of_the_domain(self):
+        with pytest.raises(InvalidArgumentError, match="-2 is left of the domain start"):
+            PiecewiseLinear((-1, 0), (-1, 0), 1).evaluate(-2)
+
+    @pytest.mark.parametrize(
+        "function", [PiecewiseLinear((0, 1), (0, -1), 1), PiecewiseLinear((0, 1), (0, 1), -1)]
+    )
+    def test_only_increasing_functions_invert(self, function):
+        with pytest.raises(InvalidArgumentError, match="only increasing functions can be inverted"):
+            function.inverse()
+
+
 class TestQuotientFiltration:
     def test_quotient_by_whole_group(self):
         group = cyclotomic_group(3, 2)
@@ -435,6 +466,13 @@ class TestQuotientFiltration:
             is_subgroup(group, elements)
         with pytest.raises(InvalidArgumentError, match="integer indices"):
             is_normal(group, elements)
+
+    def test_subgroup_filtration_rejects_a_non_subgroup(self):
+        group = cyclotomic_group(3, 2)
+        h = {group.identity, 1}  # the unit 2 generates the whole group of order 6
+        assert not is_subgroup(group, h)
+        with pytest.raises(InvalidArgumentError, match="the given elements do not form a subgroup"):
+            subgroup_filtration(group, h)
 
     def test_quotient_reads_phi_of_the_subgroup_from_the_parent(self, monkeypatch):
         # coset depths are averages of the parent's depths: building the

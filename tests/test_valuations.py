@@ -24,6 +24,7 @@ from localarith import (
     weak_approximation,
 )
 from localarith import valuations
+from localarith.finitefield import monic_irreducibles
 from localarith.numtheory import factorint
 from localarith.polynomials import poly_mul
 from localarith.valuations import ProductFormulaReport
@@ -133,6 +134,13 @@ def _poly(q, coeffs):
     return FqPoly(FiniteField(q), coeffs)
 
 
+def poly_power(f, k):
+    out = FqPoly(f.field, [1])
+    for _ in range(k):
+        out = out * f
+    return out
+
+
 class TestFunctionFieldValuations:
     def test_infinite_place(self):
         assert ff_valuation(FunctionFieldPlace.infinite(2), _poly(2, [1]), _poly(2, [0, 1])) == 1
@@ -164,6 +172,46 @@ class TestFunctionFieldValuations:
         with pytest.raises(InvalidArgumentError, match="share one field"):
             ff_valuation(place, num, den)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: FunctionFieldPlace(5, _poly(3, [0, 1])), r"T is not monic irreducible over GF\(5\)"),
+            (lambda: FunctionFieldPlace(3, "T"), "operands must be FqPoly polynomials"),
+        ],
+    )
+    def test_a_place_agrees_with_its_polynomial(self, call, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
+
+    def test_place_valuations_match_the_divmod_loop(self, rng, monkeypatch):
+        # a place valuation divides code lists by the monic place: no FqPoly
+        # operator runs, and the exponents are those of divmod on FqPoly
+        def divmod_loop(place_poly, f):
+            v, (f, remainder) = 0, divmod(f, place_poly)
+            while remainder.is_zero():
+                v, (f, remainder) = v + 1, divmod(f, place_poly)
+            return v
+
+        cases = []
+        for q in (2, 3, 4, 9):
+            field = FiniteField(q)
+            places = [g for d in (1, 2) for g in monic_irreducibles(field, d) if g.degree == d]
+            for _ in range(30):
+                place = rng.choice(places)
+                other = FqPoly(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(3)])
+                num = poly_power(place, rng.randint(0, 3)) * other
+                den = poly_power(place, rng.randint(0, 2)) * FqPoly(field, [1, 0, 1, 1])
+                expected = divmod_loop(place, num) - divmod_loop(place, den)
+                cases.append((FunctionFieldPlace.finite(place), num, den, expected))
+
+        def refuse(*args):
+            raise AssertionError("an FqPoly operator ran")
+
+        for name in ("__add__", "__sub__", "__mul__", "__divmod__", "__mod__", "__floordiv__"):
+            monkeypatch.setattr(FqPoly, name, refuse)
+        for place, num, den, expected in cases:
+            assert ff_valuation(place, num, den) == expected
+
 
 class TestSumFormula:
     def test_monic_irreducible(self):
@@ -186,6 +234,22 @@ class TestSumFormula:
     def test_mixed_fields_rejected(self):
         with pytest.raises(InvalidArgumentError, match="share one field"):
             sum_formula_check(_poly(4, [1, 1]), _poly(2, [1, 1]))
+
+    def test_a_non_polynomial_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="operands must be FqPoly polynomials"):
+            sum_formula_check(9)
+
+    @pytest.mark.parametrize(
+        "num, den, message",
+        [
+            (_poly(3, []), None, "the sum formula concerns nonzero functions"),
+            (_poly(3, []), _poly(3, [1, 1]), "the sum formula concerns nonzero functions"),
+            (_poly(3, [1, 1]), _poly(3, []), "denominator must be nonzero"),
+        ],
+    )
+    def test_a_zero_numerator_or_denominator_is_rejected(self, num, den, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            sum_formula_check(num, den)
 
     def test_random_functions(self, rng):
         for q in (2, 3, 4):
@@ -287,6 +351,11 @@ class TestWeakApproximation:
     def test_single_place(self):
         y = weak_approximation([(RationalPlace.finite(5), Fraction(2, 3), Fraction(1, 125))])
         assert y == Fraction(2, 3)
+
+    def test_no_finite_target(self):
+        assert weak_approximation([]) == 0
+        y = weak_approximation([(RationalPlace.infinite(), Fraction(-7, 3), Fraction(1, 10**6))])
+        assert y == Fraction(-7, 3)
 
     def test_archimedean_window(self):
         y = weak_approximation(

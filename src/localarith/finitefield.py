@@ -17,13 +17,15 @@ the empty tuple and has degree -1.
 
 Factoring and the irreducibility test run on private kernels over plain
 ascending lists of element codes (remainder, product, powering, the
-q-power Frobenius map and a monic gcd), the same for every q; see von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 14.  ``factor_monic``
-splits off squarefree parts (Yun 1976, with a p-th root for the part
-whose multiplicities p divides), groups their factors by degree (the
-distinct-degree split gcd(f, T^(q^d) - T)), and separates factors of
-one degree by equal-degree splitting (Cantor and Zassenhaus 1981).
-``FqPoly.is_irreducible`` is Ben-Or's test (Ben-Or 1981): the
+q-power Frobenius map and a monic gcd); see von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 14.  Over GF(2), and to fill the tables of
+GF(2^m), the same steps run on Python ints instead, bit i the coefficient
+of T^i; the list kernels, correct there too, are the tests' reference.
+``factor_monic`` splits off squarefree parts (Yun 1976, with a p-th root
+for the part whose multiplicities p divides), groups their factors by
+degree (the distinct-degree split gcd(f, T^(q^d) - T)), and separates
+factors of one degree by equal-degree splitting (Cantor and Zassenhaus
+1981).  ``FqPoly.is_irreducible`` is Ben-Or's test (Ben-Or 1981): the
 distinct-degree loop stopped at its first factor.
 """
 
@@ -49,8 +51,9 @@ class _FiniteField:
     the least generator g of GF(q)^*: exp[i] = g^i, log[g^i] = i and
     zech[i] = log(1 + g^i), None where 1 + g^i = 0.  Products and powers
     are index arithmetic mod q - 1, and a + b = a(1 + b/a) is one lookup.
-    The GF(p)[T] kernels below fill them once per cached field (0.6-0.7 s
-    at q = 2^16, Python 3.11 on a shared 2-core host); past MAX_TABLE_ORDER
+    The GF(p)[T] kernels below fill them once per cached field, on bit
+    vectors for p = 2 and on code lists for odd p (~0.06 s at q = 2^16 and
+    ~0.7 s at 3^10, Python 3.11 on a shared 2-core host); past MAX_TABLE_ORDER
     elements the constructor raises ResourceLimitError before any modulus
     search.  Prime fields keep no table and have no bound."""
 
@@ -69,11 +72,17 @@ class _FiniteField:
         cofactors = [(q - 1) // r for r in factorint(q - 1)]
         digits = (_strip([c // p**i % p for i in range(m)]) for c in range(p, q))
         g = next(g for g in digits if all(_powmod(g, e, f, Fp) != [1] for e in cofactors))
-        self.exp, self.log, x = [], [None] * q, [1]
-        for i in range(q - 1):  # x = g^i; _mul runs one axpy per nonzero digit of g
-            self.exp.append(sum(c * p**j for j, c in enumerate(x)))
-            self.log[self.exp[i]] = i
-            x = _mulmod(g, x, f, Fp)
+        if p == 2:  # a code is the bit vector of its residue, as the GF(2)[T] kernels read it
+            g, f = _gf2(g), _gf2(f)
+            self.exp = [x := 1] + [x := _gf2_mulmod(x, g, f) for _ in range(q - 2)]
+        else:
+            self.exp, x = [], [1]
+            for _ in range(q - 1):  # x = g^i; _mul runs one axpy per nonzero digit of g
+                self.exp.append(sum(c * p**j for j, c in enumerate(x)))
+                x = _mulmod(g, x, f, Fp)
+        self.log = [None] * q
+        for i, a in enumerate(self.exp):
+            self.log[a] = i
         # 1 + a adds 1 to the constant digit of the code a
         self.zech = [self.log[a - a % p + (a + 1) % p] for a in self.exp]
 
@@ -301,6 +310,105 @@ def _equal_degree(g, d, rows, f, F, rng) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# GF(2)[T] kernels on ints, bit i the coefficient of T^i; a^2 is int(bin(a)[2:], 4)
+# ---------------------------------------------------------------------------
+
+
+def _gf2(codes) -> int:
+    # base-2 and base-4 int/str conversions are exempt from int_max_str_digits
+    return int("".join(map(str, reversed(codes))), 2)
+
+
+def _gf2_mod(a: int, f: int) -> int:
+    """a mod f for f != 0: clear a's top bit by f's, shifted under it."""
+    n = f.bit_length()
+    while (k := a.bit_length() - n) >= 0:
+        a ^= f << k
+    return a
+
+
+def _gf2_div(a: int, f: int) -> int:
+    """The quotient of a by f != 0: _gf2_mod, keeping the shifts."""
+    q, n = 0, f.bit_length()
+    while (k := a.bit_length() - n) >= 0:
+        q ^= 1 << k
+        a ^= f << k
+    return q
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_mod(a, b)
+    return a
+
+
+def _gf2_mulmod(a: int, b: int, f: int) -> int:
+    """a*b mod f: one shift-XOR of a per set bit of b."""
+    out = 0
+    for i, bit in enumerate(bin(b)[:1:-1]):
+        if bit == "1":
+            out ^= a << i
+    return _gf2_mod(out, f)
+
+
+def _gf2_derivative(a: int) -> int:
+    # i a_i T^(i-1) keeps the odd i: a's odd bits, shifted down onto even positions
+    return a >> 1 & int("1" * ((a.bit_length() + 1) // 2), 4)
+
+
+def _gf2_squarefree_parts(f: int):
+    """_squarefree_parts for p = 2: the square root of an f with f' = 0,
+    whose bits are all even, is its even bits."""
+    scale = 1
+    while f > 1:
+        df = _gf2_derivative(f)
+        u = _gf2_gcd(f, df)
+        b, c = _gf2_div(f, u), _gf2_div(df, u)
+        k = 1
+        while b > 1:
+            d = c ^ _gf2_derivative(b)
+            a = _gf2_gcd(b, d)
+            if a > 1:
+                yield a, k * scale
+                for _ in range(k):
+                    f = _gf2_div(f, a)
+            b, c = _gf2_div(b, a), _gf2_div(d, a)
+            k += 1
+        f = int(bin(f)[:1:-2][::-1], 2)
+        scale *= 2
+
+
+def _gf2_distinct_degree(f: int):
+    """_distinct_degree for q = 2, h = T^(2^d) mod f squaring from d - 1."""
+    rest, h, d = f, 0b10, 0
+    while 2 * (d + 1) < rest.bit_length():
+        d += 1
+        h = _gf2_mod(int(bin(h)[2:], 4), f)
+        g = _gf2_gcd(rest, h ^ 0b10)
+        if g > 1:
+            yield g, d
+            rest = _gf2_div(rest, g)
+    if rest > 1:
+        yield rest, rest.bit_length() - 1
+
+
+def _gf2_equal_degree(g: int, d: int, rng) -> list[int]:
+    """_equal_degree for q = 2: the trace c = a + a^2 + ... + a^(2^(d-1))
+    mod g is 0 or 1 modulo each factor, so gcd(g, c ^ 1) splits g."""
+    if g.bit_length() - 1 == d:
+        return [g]
+    while True:
+        c = t = rng.getrandbits(g.bit_length() - 1)
+        for _ in range(d - 1):
+            t = _gf2_mod(int(bin(t)[2:], 4), g)
+            c ^= t
+        u = _gf2_gcd(g, c ^ 1)
+        if 1 < u and u.bit_length() < g.bit_length():
+            v = _gf2_div(g, u)
+            return _gf2_equal_degree(u, d, rng) + _gf2_equal_degree(v, d, rng)
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
@@ -406,6 +514,8 @@ class FqPoly:
         if n < 2:
             return n == 1
         F = self.field
+        if F.q == 2:
+            return next(_gf2_distinct_degree(_gf2(self.coeffs)))[1] == n
         return next(_distinct_degree(_monic(list(self.coeffs), F), [[1]], F))[1] == n
 
     def divides(self, other: "FqPoly") -> bool:
@@ -454,10 +564,17 @@ def factor_monic(poly: FqPoly) -> dict[FqPoly, int]:
         raise InvalidArgumentError("cannot factor the zero polynomial")
     rng = random.Random(0)
     multiplicity: dict[tuple[int, ...], int] = {}
-    for part, e in _squarefree_parts(_monic(list(poly.coeffs), F), F):
-        rows = [[1]]
-        for block, d in _distinct_degree(part, rows, F):
-            for g in _equal_degree(block, d, rows, part, F, rng):
-                multiplicity[tuple(g)] = multiplicity.get(tuple(g), 0) + e
+    if F.q == 2:  # bit vectors in, code tuples out
+        for part, e in _gf2_squarefree_parts(_gf2(poly.coeffs)):
+            for block, d in _gf2_distinct_degree(part):
+                for g in _gf2_equal_degree(block, d, rng):
+                    g = tuple(map(int, bin(g)[:1:-1]))
+                    multiplicity[g] = multiplicity.get(g, 0) + e
+    else:
+        for part, e in _squarefree_parts(_monic(list(poly.coeffs), F), F):
+            rows = [[1]]
+            for block, d in _distinct_degree(part, rows, F):
+                for g in _equal_degree(block, d, rows, part, F, rng):
+                    multiplicity[tuple(g)] = multiplicity.get(tuple(g), 0) + e
     order = sorted(multiplicity, key=lambda g: (len(g), g[::-1]))
     return {_wrap(F, g): multiplicity[g] for g in order}

@@ -128,7 +128,9 @@ class FunctionFieldPlace:
 
     @classmethod
     def finite(cls, poly: FqPoly) -> "FunctionFieldPlace":
-        return cls(poly.field.q, poly)
+        from .finitefield import _common_field
+
+        return cls(_common_field(poly).q, poly)
 
     @classmethod
     def infinite(cls, q: int) -> "FunctionFieldPlace":

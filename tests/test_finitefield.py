@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from localarith import FiniteField, FqPoly, factor_monic, monic_irreducibles
 from localarith import finitefield
 from localarith.errors import InvalidArgumentError, ResourceLimitError
 from localarith.finitefield import monic_polys
+from localarith.numtheory import factorint
+
+from conftest import deadline
 
 # -- trial-division oracles --------------------------------------------------
 
@@ -37,6 +41,48 @@ def trial_factor_monic(poly):
                 work = work // g
         d += 1
     return factors
+
+
+# -- the list kernels, the reference for the GF(2)[T] bit kernels ------------
+
+
+def list_is_irreducible(f):
+    """Ben-Or's test on the code-list kernels, which serve every q."""
+    if f.degree < 2:
+        return f.degree == 1
+    F = f.field
+    monic = finitefield._monic(list(f.coeffs), F)
+    return next(finitefield._distinct_degree(monic, [[1]], F))[1] == f.degree
+
+
+def list_factor_monic(poly):
+    """factor_monic's (coeffs, multiplicity) pairs, by the code-list kernels."""
+    F, multiplicity, rng = poly.field, {}, random.Random(0)
+    for part, e in finitefield._squarefree_parts(finitefield._monic(list(poly.coeffs), F), F):
+        rows = [[1]]
+        for block, d in finitefield._distinct_degree(part, rows, F):
+            for g in finitefield._equal_degree(block, d, rows, part, F, rng):
+                multiplicity[tuple(g)] = multiplicity.get(tuple(g), 0) + e
+    return [(g, multiplicity[g]) for g in sorted(multiplicity, key=lambda g: (len(g), g[::-1]))]
+
+
+def list_built_tables(q):
+    """The modulus and the exp, log and zech tables of GF(q), q = 2^m, all
+    by the list kernels, as the constructor fills them for odd p."""
+    F2, m = FiniteField(2), q.bit_length() - 1
+    modulus = next(g.coeffs[:-1] for g in monic_polys(F2, m) if list_is_irreducible(g))
+    f = [*modulus, 1]
+    cofactors = [(q - 1) // r for r in factorint(q - 1)]
+    digits = (finitefield._strip([c >> i & 1 for i in range(m)]) for c in range(2, q))
+    g = next(g for g in digits if all(finitefield._powmod(g, e, f, F2) != [1] for e in cofactors))
+    exp, x = [], [1]
+    for _ in range(q - 1):
+        exp.append(sum(c << j for j, c in enumerate(x)))
+        x = finitefield._mulmod(g, x, f, F2)
+    log = [None] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    return modulus, exp, log, [log[a ^ 1] for a in exp]
 
 
 def stepping_generator(field):
@@ -190,6 +236,12 @@ class TestFieldConstruction:
             with pytest.raises(ZeroDivisionError):
                 call()
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_gf2m_tables_match_the_list_kernels(self, m):
+        """For p = 2 the tables are filled on the GF(2)[T] bit kernels."""
+        field = FiniteField(2**m)
+        assert (field.modulus, field.exp, field.log, field.zech) == list_built_tables(2**m)
+
     def test_table_bound(self, monkeypatch):
         """Past MAX_TABLE_ORDER a GF(p^m), m > 1, is refused before any
         product is taken; prime fields have no bound."""
@@ -297,6 +349,52 @@ class TestPolynomials:
         factors = factor_monic(irreducibles[0] * irreducibles[1])
         assert factors == {g: 1 for g in irreducibles}
         assert list(factors) == sorted(irreducibles, key=lambda g: g.coeffs[::-1])
+
+    def test_gf2_ben_or_matches_the_list_kernels(self):
+        """Every monic polynomial of degree 1-10 over GF(2): 2046 of them."""
+        field = FiniteField(2)
+        polys = [g for d in range(1, 11) for g in monic_polys(field, d)]
+        assert len(polys) == 2046
+        assert [g.is_irreducible() for g in polys] == [list_is_irreducible(g) for g in polys]
+
+    def test_gf2_factor_matches_the_list_kernels(self):
+        """Seeded products over GF(2) with multiplicities 1-8: powers of T
+        and of T + 1, and squares of squares, which Yun's loop reaches
+        through square roots only."""
+        field = FiniteField(2)
+        rng = random.Random(29)
+        cases = [power(FqPoly(field, [0, 1]), 8), power(FqPoly(field, [1, 1]), 4)]
+        for _ in range(2000):
+            poly = FqPoly(field, [1])
+            for _ in range(rng.randint(1, 3)):
+                d, e = rng.randint(1, 4), rng.randint(1, 8)
+                if poly.degree + d * e > 24:
+                    continue
+                base = rng.choice([[0, 1], [1, 1], [rng.randrange(2) for _ in range(d)] + [1]])
+                poly = poly * power(FqPoly(field, base), e)
+            cases.append(poly)
+        for poly in cases:
+            assert [(g.coeffs, e) for g, e in factor_monic(poly).items()] == list_factor_monic(poly)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_gf2_degree_past_the_int_str_digit_limit(self):
+        """T (T^2 + T + 1)^2200, of degree 4401: the bit kernels convert
+        through base-2 and base-4 strings, which the interpreter's limit of
+        4300 digits on int <-> str conversions exempts."""
+        field = FiniteField(2)
+        t, u = FqPoly(field, [0, 1]), FqPoly(field, [1, 1, 1])
+        poly = t
+        for k in (3, 4, 7, 11):  # 2200 = 2^3 + 2^4 + 2^7 + 2^11, and u^(2^k) has three terms
+            poly = poly * FqPoly(field, [1] + [0] * (2**k - 1) + [1] + [0] * (2**k - 1) + [1])
+        assert poly.degree == 4401
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which the CLI lifts in its process
+        try:
+            with deadline(10):
+                assert factor_monic(poly) == {t: 1, u: 2200}
+                assert not poly.is_irreducible()
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_mixed_fields_rejected(self):
         a, b = FqPoly(FiniteField(4), [1, 1]), FqPoly(FiniteField(2), [1, 1])

@@ -177,6 +177,7 @@ class TestFunctionFieldValuations:
         [
             (lambda: FunctionFieldPlace(5, _poly(3, [0, 1])), r"T is not monic irreducible over GF\(5\)"),
             (lambda: FunctionFieldPlace(3, "T"), "operands must be FqPoly polynomials"),
+            (lambda: FunctionFieldPlace.finite("T"), "operands must be FqPoly polynomials"),
         ],
     )
     def test_a_place_agrees_with_its_polynomial(self, call, message):

@@ -589,7 +589,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # print residues past 4300 digits whole
+    # print residues past 4300 digits whole, then give an in-process caller its limit back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         code = run(argv)
@@ -606,6 +608,9 @@ def main(argv=None) -> int:
         return _fail(4, f"precision loss: {exc}")
     except LocalArithError as exc:
         return _fail(2, f"error: {exc}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

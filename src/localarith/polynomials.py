@@ -13,16 +13,17 @@ log(precision) Newton steps on f = G*H and on a cofactor p^beta / H mod G
 in a Gauss valuation w(T) = C, on integer residues modulo powers of p that
 double with the rounds.  The factor lifts (_lift_factorization) solve the
 Sylvester system of the current pair once per round instead, because their
-factors need not be regular; each round solves modulo only the digits it
-can use, about twice as many as the round before.  Outputs are canonical
-residues of the true factors: lifted factors modulo p^N, slope factors
-modulo the power their split needs, and the Weierstrass factors h and
-g / p^w(f) modulo p^(h.tail) after normalizing h(0) = 1.
+factors need not be regular; each round multiplies and solves modulo only
+the digits it can use, about twice as many as the round before.  Outputs
+are canonical residues of the true factors: lifted factors modulo p^N,
+slope factors modulo the power their split needs, and the Weierstrass
+factors h and g / p^w(f) modulo p^(h.tail) after normalizing h(0) = 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,18 +211,12 @@ def sylvester_matrix(g, h, m: int, n: int):
 
 def _sylvester(gc, hc, m, n, zero=0):
     """sylvester_matrix on coefficient lists of degrees at most m and n,
-    entries taken as they are; ``zero`` fills the rest."""
-    rows = []
-    for i in range(m + n):
-        row = []
-        for j in range(n):
-            k = m - i + j
-            row.append(gc[k] if 0 <= k < len(gc) else zero)
-        for j in range(m):
-            k = n - i + j
-            row.append(hc[k] if 0 <= k < len(hc) else zero)
-        rows.append(row)
-    return rows
+    entries taken as they are; ``zero`` fills the rest.  Row i reads n
+    consecutive coefficients of g and m of h, both from index m + n - 1 - i
+    of the lists padded with n - 1 and m - 1 leading zeros."""
+    g = [zero] * (n - 1) + list(gc) + [zero] * (m + n)
+    h = [zero] * (m - 1) + list(hc) + [zero] * (m + n)
+    return [g[k : k + n] + h[k : k + m] for k in range(m + n - 1, -1, -1)]
 
 
 def _coeffs_of(f):
@@ -250,11 +245,15 @@ def resultant_mn(g, h, m: int, n: int) -> Fraction:
     dg, dh = len(gc) - 1, len(hc) - 1
     if min(dg, dh) < 0 or (dg < m and dh < n):
         return Fraction(0)
-    Dg, Dh = math.lcm(*(c.denominator for c in gc)), math.lcm(*(c.denominator for c in hc))
-    a = [c.numerator * (Dg // c.denominator) for c in gc]
-    b = [c.numerator * (Dh // c.denominator) for c in hc]
+    (a, Dg), (b, Dh) = _integral(gc), _integral(hc)
     scale = (-1) ** (n * (m - dg)) * b[-1] ** (m - dg) * a[-1] ** (n - dh)
     return Fraction(scale * _subresultant(a, b), Dg**n * Dh**m)
+
+
+def _integral(coeffs):
+    """([D c for c in coeffs], D), D the lcm of the denominators."""
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (D // c.denominator) for c in coeffs], D
 
 
 def _subresultant(a, b):
@@ -415,39 +414,44 @@ def cyclotomic(p: int, n: int) -> list[int]:
 def _solve_mod_prime_power(p, M, matrix, rhs):
     """Solve A x = b over Z/p^M where v_p(det A) = beta < M and p^beta | b.
 
-    Entries are integers and are reduced modulo p^M first, so a caller
-    pays only for the digits it asks for: the factor lift's rounds pass
-    an M that grows with the digits they can use.  Returns x, valid
-    modulo p^(M - beta).  Pivots are chosen with minimal valuation, so
-    their valuations add up to beta and the spent precision is exactly
-    beta; x = adj(A) b / det A is integral, so the back substitution's
-    divisions are exact.  Each pivot p^t u is inverted once, u by Newton
-    doubling modulo p^M, and the back substitution reuses that inverse.
+    Entries are integers, reduced modulo p^M lazily, so a caller pays only
+    for the digits it asks for: the factor lift's rounds pass an M that
+    grows with the digits they can use.  Returns x, valid modulo
+    p^(M - beta).  Pivots are chosen with minimal valuation (the diagonal
+    whenever it is a unit), so their valuations add up to beta and the
+    spent precision is exactly beta; x = adj(A) b / det A is integral, so
+    the back substitution's divisions are exact.  Each row is reduced once,
+    when it becomes the pivot row; the rows below it subtract factor * y
+    with factor and y below p^M and are not reduced, so an entry given in
+    [0, p^M) stays below (size + 1) p^(2M) in absolute value.  Each pivot
+    p^t u is inverted once, u by Newton doubling on one ladder of moduli
+    p^k shared by all pivots, and the back substitution reuses that inverse.
     """
-    mod = p**M
-    size = len(matrix)
-    a = [[matrix[i][j] % mod for j in range(size)] + [rhs[i] % mod] for i in range(size)]
+    ladder = [p**k for k in _halvings(M, 1)]
+    mod = ladder[-1] if ladder else p
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     pivots = []
-    for col in range(size):
-        best = min(range(col, size), key=lambda r: int_valuation(a[r][col], p))
-        if best != col:
-            a[col], a[best] = a[best], a[col]
-        pivot_row, p_t = a[col], p ** int_valuation(a[col][col], p)
-        inv_u = _inverse_mod_prime_power(pivot_row[col] // p_t, p, M)
-        pivots.append((p_t, inv_u))
-        for r in range(col + 1, size):
-            row = a[r]
-            if row[col]:
-                factor = row[col] * inv_u % mod // p_t
-                row[col:] = [(x - factor * y) % mod for x, y in zip(row[col:], pivot_row[col:])]
-    xs = [0] * size
-    for col in range(size - 1, -1, -1):
-        acc = a[col][size]
-        for c in range(col + 1, size):
-            acc -= a[col][c] * xs[c]
-        acc %= mod
-        p_t, inv_u = pivots[col]
-        xs[col] = acc // p_t * inv_u % mod
+    while rows:
+        p_t = 1
+        if rows[0][0] % p == 0:  # no unit on the diagonal: the least valuation below it
+            vals = [int_valuation(row[0] % mod, p) for row in rows]
+            best = vals.index(min(vals))
+            rows[0], rows[best], p_t = rows[best], rows[0], p ** vals[best]
+        pivot = [x % mod for x in rows[0]]
+        u = pivot[0] // p_t
+        inv_u = pow(u % p, -1, p)
+        for m in ladder:
+            inv_u = inv_u * (2 - u % m * inv_u) % m
+        pivots.append((pivot, p_t, inv_u))
+        rest = []
+        for row in rows[1:]:
+            factor = row[0] * inv_u % mod // p_t
+            rest.append([x - factor * y for x, y in zip(row[1:], pivot[1:])] if factor else row[1:])
+        rows = rest
+    xs = []
+    for pivot, p_t, inv_u in reversed(pivots):
+        acc = (pivot[-1] - sum(map(operator.mul, pivot[1:-1], xs))) % mod
+        xs.insert(0, acc // p_t * inv_u % mod)
     return xs
 
 
@@ -519,10 +523,13 @@ def _lift_data(f, g, h, precision, product):
     p = f.p
     if g.p != p or h.p != p:
         raise InvalidArgumentError("all polynomials must share one prime")
-    gh = poly_mul(g.coefficients, h.coefficients)
-    if f.degree != len(gh) - 1 or f.coefficients[-1] != gh[-1]:
+    lead = g.coefficients[-1] * h.coefficients[-1]
+    if f.degree != g.degree + h.degree or f.coefficients[-1] != lead:
         raise HypothesisFailedError(f"f and {product} must have the same leading term")
-    w0 = min((rational_valuation(c, p) for c in poly_sub(f.coefficients, gh)), default=INFINITY)
+    # f - g*h = (Dg Dh F - Df G H) / (Df Dg Dh), F = Df f, G = Dg g, H = Dh h integral
+    (F, Df), (G, Dg), (H, Dh) = (_integral(x.coefficients) for x in (f, g, h))
+    top = math.gcd(*(Dg * Dh * a - Df * b for a, b in zip(F, poly_mul(G, H))))
+    w0 = int_valuation(top, p) - int_valuation(Df * Dg * Dh, p)
     return rational_valuation(resultant(g, h), p), w0
 
 
@@ -535,31 +542,31 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     >= w - beta, so the next defect has valuation >= 2(w - beta) > w and
     v(res) stays beta (Hensel's lemma), and the rounds are those of the
     Newton precision schedule _halvings(precision + beta, w0, beta).  The
-    round that raises w to K solves for correction / p^(w - beta) from
-    e / p^(w - beta) modulo p^(K - w + beta), the digits it can use: A x = b
-    holds modulo that power, so the new defect vanishes modulo p^K.  That
-    modulus grows to about (precision + beta) / 2, while g, h and e stay
-    modulo p^(precision + 2 beta + 2).  The scale must be p^(w - beta), not
-    p^w: the correction / p^w is not integral when beta > 0.  After the
-    last round w >= precision + beta, so every later correction is 0 mod
-    p^precision and the reduced pair is that of the true factors, whatever
-    the starting pair.
+    round that raises w to K works modulo p^K, the digits it can use: it
+    reduces g and h modulo p^K, which leaves their defect 0 mod p^w, and
+    solves for correction / p^(w - beta) from e / p^(w - beta) modulo
+    p^(K - w + beta); A x = b holds modulo that power, so the new defect
+    vanishes modulo p^K.  The scale must be p^(w - beta), not p^w: the
+    correction / p^w is not integral when beta > 0.  After the last round
+    w >= precision + beta, so every later correction is 0 mod p^precision
+    and the reduced pair is that of the true factors, whatever the
+    starting pair and whichever lift of it modulo each p^K.
     """
     p = f.p
     s, t = g0.degree, h0.degree
-    M = precision + 2 * beta + 2
-    mod = p**M
-    f_i, g, h = ([_residue(c, p, M) for c in x.coefficients] for x in (f, g0, h0))
+    f_i, g, h = ([_residue(c, p, precision + beta) for c in x.coefficients] for x in (f, g0, h0))
     levels = _halvings(precision + beta, w0, beta)
     for w, K in zip([w0, *levels], levels):
-        gh, scale = poly_mul(g, h), p ** (w - beta)
+        mod, scale = p**K, p ** (w - beta)
+        g, h = [c % mod for c in g], [c % mod for c in h]
+        gh = poly_mul(g, h)
         e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f_i[: s + t])]
         rhs = [c // scale for c in reversed(e)]
         x = _solve_mod_prime_power(p, K - w + beta, _sylvester(g, h, s, t), rhs)
         delta = [scale * c for c in reversed(x[:t])]  # added to H
         gamma = [scale * c for c in reversed(x[t:])]  # added to G
-        g = [(gc + (gamma[i] if i < len(gamma) else 0)) % mod for i, gc in enumerate(g)]
-        h = [(hc + (delta[i] if i < len(delta) else 0)) % mod for i, hc in enumerate(h)]
+        g = [gc + (gamma[i] if i < len(gamma) else 0) for i, gc in enumerate(g)]
+        h = [hc + (delta[i] if i < len(delta) else 0) for i, hc in enumerate(h)]
     # the exact leading terms of g0, h0: the reduction may have changed them
     modN = p**precision
     return tuple(

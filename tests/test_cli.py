@@ -36,6 +36,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """The interpreter's int <-> str digit limit set to limit for the body and
+    restored after it; nothing happens on an interpreter without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def cli_process(argv, **kwargs):
     """``python -m localarith.cli argv`` in a fresh interpreter."""
     env = dict(os.environ)
@@ -133,7 +148,8 @@ class TestSubcommands:
         # 16k decimal digits, past the default 4300 of int -> str conversion
         code, out, err = run_cli(capsys, *argv, "--prec", "4096", "--format", fmt)
         x = value()
-        unit = str(x.residue(x.precision))  # main lifted the limit for this process
+        with int_str_digits(0):  # main gives its caller the limit back
+            unit = str(x.residue(x.precision))
         assert code == 0 and err == "" and len(unit) > 4300
         if fmt == "json":
             assert json.loads(out)["unit"] == unit
@@ -250,6 +266,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "polygon", "-p", "2", "--file", missing)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv, expected", [(["vp", "-p", "2", "12"], 0), (["vp", "-p", "4", "12"], 2)]
+    )
+    def test_main_gives_the_caller_its_int_str_digit_limit_back(self, capsys, argv, expected):
+        with int_str_digits(4300):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == expected and sys.get_int_max_str_digits() == 4300
 
 
 class TestJsonOutput:

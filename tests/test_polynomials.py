@@ -35,7 +35,16 @@ from localarith import polynomials
 from localarith.finitefield import FiniteField, FqPoly
 from localarith.errors import ResourceLimitError
 from localarith.formats import MAX_DEGREE, parse_polynomial
-from localarith.numtheory import INFINITY, _halvings, _residue, int_valuation
+from localarith.numtheory import (
+    INFINITY,
+    _halvings,
+    _instance,
+    _inverse_mod_prime_power,
+    _precision,
+    _residue,
+    int_valuation,
+    rational_valuation,
+)
 from localarith.polynomials import NewtonPolygon, poly_add, poly_mul, poly_sub
 
 from conftest import deadline, random_rational
@@ -689,6 +698,137 @@ def measured_defect_lift(f, g0, h0, beta, w0, precision):
     return reduced_pair(p, g, h, g0, h0, precision)
 
 
+def eager_reduction_solve(p, M, matrix, rhs):
+    """polynomials._solve_mod_prime_power as it was before its elimination
+    reduced lazily: every entry is reduced modulo p^M up front and after
+    every update, the pivot is the first entry of least valuation in its
+    column and each unit is inverted on its own ladder of moduli.  The
+    oracle for the lazy solver, which must return the same x everywhere."""
+    mod = p**M
+    size = len(matrix)
+    a = [[matrix[i][j] % mod for j in range(size)] + [rhs[i] % mod] for i in range(size)]
+    pivots = []
+    for col in range(size):
+        best = min(range(col, size), key=lambda r: int_valuation(a[r][col], p))
+        if best != col:
+            a[col], a[best] = a[best], a[col]
+        pivot_row, p_t = a[col], p ** int_valuation(a[col][col], p)
+        inv_u = _inverse_mod_prime_power(pivot_row[col] // p_t, p, M)
+        pivots.append((p_t, inv_u))
+        for r in range(col + 1, size):
+            row = a[r]
+            if row[col]:
+                factor = row[col] * inv_u % mod // p_t
+                row[col:] = [(x - factor * y) % mod for x, y in zip(row[col:], pivot_row[col:])]
+    xs = [0] * size
+    for col in range(size - 1, -1, -1):
+        acc = a[col][size]
+        for c in range(col + 1, size):
+            acc -= a[col][c] * xs[c]
+        acc %= mod
+        p_t, inv_u = pivots[col]
+        xs[col] = acc // p_t * inv_u % mod
+    return xs
+
+
+def valued_systems(rng):
+    """(p, M, A, b, beta) with v_p(det A) = beta < M, for every size 1..12 and
+    beta 0..4.  A permutes the rows and columns of L D U, L and U
+    unitriangular with a third of their entries 0 and D = diag(p^t_i u_i),
+    sum t_i = beta: column 0 of L D U is 0 wherever L's is, and its row 0
+    is d_0 times U's, so the diagonal holds zeros and non-units and the
+    elimination swaps rows.  A quarter of the entries
+    are shifted by multiples of p^M and b = p^beta c runs past p^M, so the
+    solver reduces inputs that are not residues."""
+    for size in range(1, 13):
+        for beta in range(5):
+            for _ in range(6):
+                p, M = rng.choice([2, 3, 5, 7]), beta + rng.randint(1, 30)
+
+                def entry():
+                    return 0 if rng.random() < 0.33 else rng.randint(-(p**2), p**2)
+
+                t = [0] * size
+                for _ in range(beta):
+                    t[rng.randrange(size)] += 1
+                d = [p**k * rng.choice([u for u in range(1, 2 * p) if u % p]) for k in t]
+                L = [[entry() if j < i else int(i == j) for j in range(size)] for i in range(size)]
+                U = [[entry() if j > i else int(i == j) for j in range(size)] for i in range(size)]
+                LDU = [
+                    [sum(L[i][k] * d[k] * U[k][j] for k in range(size)) for j in range(size)]
+                    for i in range(size)
+                ]
+                rows, cols = rng.sample(range(size), size), rng.sample(range(size), size)
+                def shift():
+                    return p**M * rng.randint(-2, 2) if rng.random() < 0.25 else 0
+
+                A = [[LDU[i][j] + shift() for j in cols] for i in rows]
+                b = [p**beta * rng.randint(-(p**M), p**M) for _ in range(size)]
+                yield p, M, A, b, beta
+
+
+def loop_sylvester(gc, hc, m, n, zero=0):
+    """polynomials._sylvester as it was before it sliced padded lists: entry
+    (i, j) is g_(m - i + j) and entry (i, n + j) is h_(n - i + j) where that
+    coefficient exists, and zero elsewhere."""
+    rows = []
+    for i in range(m + n):
+        row = []
+        for j in range(n):
+            k = m - i + j
+            row.append(gc[k] if 0 <= k < len(gc) else zero)
+        for j in range(m):
+            k = n - i + j
+            row.append(hc[k] if 0 <= k < len(hc) else zero)
+        rows.append(row)
+    return rows
+
+
+def fraction_lift_data(f, g, h, precision, product):
+    """polynomials._lift_data as it was before it ran on integer numerators:
+    g*h and f - g*h in Fractions, then one valuation per coefficient."""
+    _instance(PadicPolynomial, f, g, h)
+    _precision(precision)
+    p = f.p
+    if g.p != p or h.p != p:
+        raise InvalidArgumentError("all polynomials must share one prime")
+    gh = poly_mul(g.coefficients, h.coefficients)
+    if f.degree != len(gh) - 1 or f.coefficients[-1] != gh[-1]:
+        raise HypothesisFailedError(f"f and {product} must have the same leading term")
+    w0 = min((rational_valuation(c, p) for c in poly_sub(f.coefficients, gh)), default=INFINITY)
+    return rational_valuation(resultant(g, h), p), w0
+
+
+@st.composite
+def lift_data_cases(draw):
+    """(f, g, h, precision, product): Fraction coefficients whose denominators
+    are prime to p or divisible by p; f is g*h, g*h plus a defect below its
+    degree, or any polynomial (so its leading term or degree may differ); h
+    is sometimes over another prime and the precision sometimes 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def coefficient():
+        denominator = draw(st.integers(1, 9)) * draw(st.sampled_from([1, 1, p, p**3]))
+        return Fraction(draw(st.integers(-60, 60)), denominator)
+
+    def poly(degree):
+        return [coefficient() for _ in range(degree)] + [coefficient() or Fraction(1)]
+
+    g, h = poly(draw(st.integers(0, 3))), poly(draw(st.integers(0, 3)))
+    gh = poly_mul(g, h)
+    shape = draw(st.sampled_from(["exact", "defect", "defect", "any"]))
+    if shape == "exact":
+        f = gh
+    elif shape == "defect":
+        f = poly_add(gh, [coefficient() * p ** draw(st.integers(0, 8)) for _ in gh[1:]])
+    else:
+        f = poly(draw(st.integers(0, 6)))
+    q = draw(st.sampled_from([p, p, p, 7]))
+    precision = draw(st.sampled_from([1, 9, 9, 0]))
+    product = draw(st.sampled_from(["G*H", "g0*h0"]))
+    return PadicPolynomial(p, f), PadicPolynomial(p, g), PadicPolynomial(q, h), precision, product
+
+
 # (f, G, H) over Q_2 with beta = 5, w(f - GH) = 11 and neither lead a unit:
 # G = 2T^3 + T^2 + T + 2 and H = 2T^3 + 3T^2 + T + 4 both reduce to T^2 + T,
 # whose roots 0, 1 and infinity cover P^1(F_2), so no substitution
@@ -886,6 +1026,21 @@ class TestRefineFactorization:
                 assert int_valuation(math.gcd(*defect), p) >= w, (f, g0, h0, precision)
             assert all(vp_rational(p, c) >= precision for c in (f - g * h).coefficients)
 
+    def test_each_round_works_modulo_its_level(self, monkeypatch, rng):
+        """The pair each round solves for is reduced modulo p^K, K the level
+        the round raises the defect to: no round multiplies digits it cannot
+        use, the first one included."""
+        pairs = record_calls(monkeypatch, "_sylvester")
+        for f, g0, h0, beta, precision in [*near_root_pairs(rng), COVERING + (5, 2048)]:
+            p = f.p
+            w0 = min(vp_rational(p, c) for c in (f - g0 * h0).coefficients)
+            levels = _halvings(precision + beta, w0, beta)
+            before = len(pairs)
+            hensel_lift_factors(f, g0, h0, beta, precision)
+            assert len(pairs) - before == len(levels)
+            for (g, h, _, _), K in zip(pairs[before:], levels):
+                assert all(0 <= c < p**K for c in g + h), (f, g0, h0, precision, K)
+
     def test_hypothesis_failure(self):
         f = PadicPolynomial(2, [1, 1, 1])  # residue factors share a root
         with pytest.raises(HypothesisFailedError):
@@ -907,6 +1062,53 @@ class TestRefineFactorization:
                 list(f.coefficients), poly_mul(list(g.coefficients), list(h.coefficients))
             )
             assert all(vp_rational(p, c) >= 3 for c in defect if c)
+
+
+class TestLiftKernels:
+    def test_lazy_solve_matches_the_eager_reduction(self, rng):
+        betas, sizes, swaps, zero_pivots = set(), set(), 0, 0
+        for p, M, A, b, beta in valued_systems(rng):
+            mod, given_A = p**M, [row[:] for row in A]
+            column = [int_valuation(row[0] % mod, p) for row in A]
+            swaps += column[0] > min(column)
+            zero_pivots += column[0] == INFINITY
+            xs = polynomials._solve_mod_prime_power(p, M, A, b)
+            assert xs == eager_reduction_solve(p, M, A, b), (p, M, A, b)
+            assert A == given_A
+            assert all(
+                (sum(a * x for a, x in zip(row, xs)) - c) % p ** (M - beta) == 0
+                for row, c in zip(A, b)
+            )
+            betas.add(beta)
+            sizes.add(len(A))
+        assert betas == set(range(5)) and sizes == set(range(1, 13))
+        assert swaps > 50 and zero_pivots > 20
+
+    def test_sylvester_matches_the_loop_builder(self, rng):
+        shorter = 0
+        for _ in range(3000):
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            if m + n == 0:
+                continue
+            gc = [rng.randint(-9, 9) for _ in range(rng.randint(0, m + 1))]
+            hc = [rng.randint(-9, 9) for _ in range(rng.randint(0, n + 1))]
+            shorter += len(gc) <= m or len(hc) <= n
+            zero = rng.choice((0, Fraction(0)))
+            got = polynomials._sylvester(gc, hc, m, n, zero)
+            assert repr(got) == repr(loop_sylvester(gc, hc, m, n, zero)), (gc, hc, m, n)
+        assert shorter > 1000
+
+    @given(lift_data_cases())
+    @example(  # the degrees agree, the leading terms do not
+        (PadicPolynomial(3, [1, 2]), PadicPolynomial(3, [0, 1]), PadicPolynomial(3, [1]), 4, "G*H")
+    )
+    @example(  # the leading terms agree, the degrees do not
+        (PadicPolynomial(3, [1, 0, 1]), PadicPolynomial(3, [0, 1]), PadicPolynomial(3, [1]), 4, "G*H")
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lift_data_matches_the_fraction_route(self, case):
+        expected = outcome(lambda: fraction_lift_data(*case))
+        assert outcome(lambda: polynomials._lift_data(*case)) == expected
 
 
 class TestSlopeFactorization:

@@ -167,17 +167,18 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _inverse_mod_prime_power(u: int, p: int, M: int) -> int:
+def _inverse_mod_prime_power(u: int, p: int, M: int, moduli=None) -> int:
     """The inverse of a unit u modulo p^M, in [0, p^M).
 
     Starts from the inverse modulo p and doubles its precision with the
     Newton step x <- x(2 - ux) mod p^k: if ux = 1 mod p^k then
     u x(2 - ux) = 1 mod p^2k.  The cost is a few multiplications at the
     final size, far below extended Euclid on numbers of thousands of bits.
+    A caller that inverts many units modulo one p^M passes moduli, the
+    list of p^k for k in _halvings(M, 1), and builds it only once.
     """
     x = pow(u % p, -1, p)
-    for k in _halvings(M, 1):
-        mod = p**k
+    for mod in (p**k for k in _halvings(M, 1)) if moduli is None else moduli:
         x = x * (2 - u % mod * x) % mod
     return x
 

@@ -427,8 +427,7 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
     p^t u is inverted once, u by Newton doubling on one ladder of moduli
     p^k shared by all pivots, and the back substitution reuses that inverse.
     """
-    ladder = [p**k for k in _halvings(M, 1)]
-    mod = ladder[-1] if ladder else p
+    mod, ladder = p**M, [p**k for k in _halvings(M, 1)]
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
     pivots = []
     while rows:
@@ -438,10 +437,7 @@ def _solve_mod_prime_power(p, M, matrix, rhs):
             best = vals.index(min(vals))
             rows[0], rows[best], p_t = rows[best], rows[0], p ** vals[best]
         pivot = [x % mod for x in rows[0]]
-        u = pivot[0] // p_t
-        inv_u = pow(u % p, -1, p)
-        for m in ladder:
-            inv_u = inv_u * (2 - u % m * inv_u) % m
+        inv_u = _inverse_mod_prime_power(pivot[0] // p_t, p, M, ladder)
         pivots.append((pivot, p_t, inv_u))
         rest = []
         for row in rows[1:]:
@@ -543,7 +539,10 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     v(res) stays beta (Hensel's lemma), and the rounds are those of the
     Newton precision schedule _halvings(precision + beta, w0, beta).  The
     round that raises w to K works modulo p^K, the digits it can use: it
-    reduces g and h modulo p^K, which leaves their defect 0 mod p^w, and
+    reduces g and h modulo p^K, which leaves their defect 0 mod p^w.  Their
+    leads are those of g0, h0 reduced afresh each round: no correction
+    moves a lead and e is read only below degree s + t, so a lead cut to an
+    earlier round's p^K would lift the factors of another f.  The round
     solves for correction / p^(w - beta) from e / p^(w - beta) modulo
     p^(K - w + beta); A x = b holds modulo that power, so the new defect
     vanishes modulo p^K.  The scale must be p^(w - beta), not p^w: the
@@ -555,10 +554,12 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     p = f.p
     s, t = g0.degree, h0.degree
     f_i, g, h = ([_residue(c, p, precision + beta) for c in x.coefficients] for x in (f, g0, h0))
+    lead_g, lead_h = g[-1], h[-1]  # no correction reaches them
     levels = _halvings(precision + beta, w0, beta)
     for w, K in zip([w0, *levels], levels):
         mod, scale = p**K, p ** (w - beta)
-        g, h = [c % mod for c in g], [c % mod for c in h]
+        g = [c % mod for c in g[:-1]] + [lead_g % mod]
+        h = [c % mod for c in h[:-1]] + [lead_h % mod]
         gh = poly_mul(g, h)
         e = [(c - (gh[i] if i < len(gh) else 0)) % mod for i, c in enumerate(f_i[: s + t])]
         rhs = [c // scale for c in reversed(e)]

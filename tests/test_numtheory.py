@@ -94,6 +94,15 @@ def test_inverse_mod_prime_power(p, M, u):
     assert u * x % p**M == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 41])
+@pytest.mark.parametrize("M", [1, 2, 5, 64, 129])
+def test_inverse_mod_prime_power_on_a_shared_ladder(p, M):
+    ladder = [p**k for k in _halvings(M, 1)]
+    for u in range(1, 6 * p, 5):
+        if u % p:
+            assert _inverse_mod_prime_power(u, p, M, ladder) == _inverse_mod_prime_power(u, p, M)
+
+
 # the hand-written schedules that _halvings replaced
 
 

@@ -865,6 +865,17 @@ def near_root_pairs(rng):
                 yield tuple(PadicPolynomial(p, x) for x in (f, g0, h0)) + (beta, precision)
 
 
+def rescaled_by_units(cases):
+    """The cases with g0 times a p-adic unit u and h0 divided by it, u = -1,
+    p^2 + 1 and 1/(p^2 + 1) in turn: f and beta stay, and the leads become
+    negative, fractions or past p^2, unlike any residue in [0, p^K)."""
+    for i, (f, g0, h0, beta, precision) in enumerate(cases):
+        p = f.p
+        u = (Fraction(-1), Fraction(p**2 + 1), Fraction(1, p**2 + 1))[i % 3]
+        g, h = ([c * v for c in x.coefficients] for x, v in ((g0, u), (h0, 1 / u)))
+        yield f, PadicPolynomial(p, g), PadicPolynomial(p, h), beta, precision
+
+
 def outcome(call):
     try:
         return call()
@@ -998,6 +1009,28 @@ class TestRefineFactorization:
         cases = itertools.chain(near_root_pairs(rng), [COVERING + (5, 2048)])
         assert_lifts_agree(monkeypatch, measured_defect_lift, cases)
 
+    def test_lifts_agree_with_the_full_modulus_oracle_at_unit_leads(self, monkeypatch, rng):
+        # a lead reduced modulo the first round's p^K must not stay cut in later rounds
+        cases = rescaled_by_units(near_root_pairs(rng))
+        assert_lifts_agree(monkeypatch, full_modulus_lift, cases)
+
+    @pytest.mark.parametrize(
+        "p, f, g0, h0, precision, expected",
+        [
+            # levels 2, 4, 8: the lead -1 of g0 is 24 modulo 5^2, not -1 modulo 5^4
+            (5, [7, -1, -1], [1, -1], [2, 1], 8, ([207886, -1], [207887, 1])),
+            # levels 2, 3, 5, 10: a unit fraction lead
+            (2, [2, 1, Fraction(1, 3)], [1, Fraction(1, 3)], [0, 1], 10, ([135, Fraction(1, 3)], [622, 1])),
+        ],
+    )
+    def test_leads_outside_the_residues_lift(self, p, f, g0, h0, precision, expected):
+        f, g0, h0 = (PadicPolynomial(p, x) for x in (f, g0, h0))
+        expected = tuple(PadicPolynomial(p, x) for x in expected)
+        assert hensel_lift_factors(f, g0, h0, 0, precision) == expected
+        assert refine_factorization(f, g0, h0, precision) == expected
+        g, h = expected
+        assert all(vp_rational(p, c) >= precision for c in (f - g * h).coefficients)
+
     @given(lifting_cases())
     @settings(deadline=None)
     def test_scheduled_rounds_match_the_measured_defect_loop(self, case):
@@ -1031,7 +1064,8 @@ class TestRefineFactorization:
         the round raises the defect to: no round multiplies digits it cannot
         use, the first one included."""
         pairs = record_calls(monkeypatch, "_sylvester")
-        for f, g0, h0, beta, precision in [*near_root_pairs(rng), COVERING + (5, 2048)]:
+        cases = [*near_root_pairs(rng), *rescaled_by_units(near_root_pairs(rng))]
+        for f, g0, h0, beta, precision in [*cases, COVERING + (5, 2048)]:
             p = f.p
             w0 = min(vp_rational(p, c) for c in (f - g0 * h0).coefficients)
             levels = _halvings(precision + beta, w0, beta)

@@ -118,7 +118,7 @@ def staudt_clausen(k: int, table: BernoulliTable | None = None) -> StaudtClausen
     the denominator of B_k in lowest terms, and adding sum 1/l to B_k
     leaves an integer.
     """
-    if k <= 0 or k % 2 != 0:
+    if _count(k) <= 0 or k % 2 != 0:
         raise InvalidArgumentError("the decomposition applies to even k > 0")
     _check_index(k)  # before divisors(k) factors k
     primes = tuple(d + 1 for d in divisors(k) if is_prime(d + 1))

@@ -79,15 +79,16 @@ def _describe_padic(x: PadicNumber, digit_count: int = 10) -> tuple[str, dict]:
     if x.is_inexact_zero:
         return repr(x), {"p": x.p, "zero_mod": str(x.valuation)}
     digits = expansion(x, min(digit_count, x.precision))
+    text = repr(x)  # it starts with the unit's digits: int -> str is quadratic, so run it once
     payload = {
         "p": x.p,
         "valuation": str(x.valuation),
-        "unit": str(x.unit),
+        "unit": text[: text.index("*")],
         "precision": x.precision,
         "digits": list(digits.digits),
         "digits_from": digits.start,
     }
-    return f"{x!r}  digits {digits} ...", payload
+    return f"{text}  digits {digits} ...", payload
 
 
 def _parse_ff_poly(q: int, text: str) -> FqPoly:

@@ -35,15 +35,19 @@ import random
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .numtheory import _count, factorint, least_primitive_root, prime_power_decomposition
+from .numtheory import _count, _sequence, factorint, least_primitive_root, prime_power_decomposition
 
 MAX_TABLE_ORDER = 2**16  # the most elements of a GF(p^m), m > 1, with Zech tables
 
 
-@lru_cache(maxsize=None, typed=True)
 def FiniteField(q: int) -> "_FiniteField":
     """Return the (cached) field with q elements."""
-    return _FiniteField(_count(q))
+    return _fields(_count(q))
+
+
+# q is checked before the cache hashes it; FiniteField.cache_info() reads the cache
+_fields = lru_cache(maxsize=None)(lambda q: _FiniteField(q))
+FiniteField.cache_info = _fields.cache_info
 
 
 class _FiniteField:
@@ -445,7 +449,8 @@ class FqPoly:
 
     def __init__(self, field, coeffs=()):
         self.field = _field(field)
-        self.coeffs = tuple(_strip([field.element(c) for c in coeffs]))
+        codes = _sequence(coeffs, f"{type(coeffs).__name__} is not a coefficient sequence")
+        self.coeffs = tuple(_strip([field.element(c) for c in codes]))
 
     @property
     def degree(self) -> int:

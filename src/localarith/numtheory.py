@@ -29,8 +29,10 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin on the prime bases up to 41, stopping after base k once n < psi_k.
 
     Exact below psi_13 = _PSI[-1] = 3317044064679887385961981 ~ 3.3e24, the
-    least strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993);
-    above it the answer is a strong-probable-prime test, not a proof.
+    least strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993).
+    At or above it a strong Lucas test follows the 13 bases, which makes the
+    test BPSW (Baillie-Wagstaff, Math. Comp. 35, 1980): it rejects psi_13, and
+    no composite passing it is known, but its answer is not a proof.
     """
     if n < 2:
         return False
@@ -48,7 +50,59 @@ def is_prime(n: int) -> bool:
             return False
         if n < psi:
             return True
-    return True
+    return _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test on an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) =
+    -1, P = 1, Q = (1 - D)/4 (Baillie-Wagstaff, Math. Comp. 35, 1980).
+
+    With n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 for
+    some r < s, all mod n.  U and V double by U_2k = U_k V_k and V_2k =
+    V_k^2 - 2 Q^k, and step by U_(k+1) = (U_k + V_k)/2 and V_(k+1) =
+    (D U_k + V_k)/2.  A square has no such D, so it is rejected first; a D
+    with (D/n) = 0 shares a factor with n, and |D| < n here.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # k = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0, by quadratic reciprocity."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def require_prime(p) -> int:
@@ -195,11 +249,12 @@ def _halvings(top: int, floor, shift: int = 0) -> list[int]:
     return levels[::-1]
 
 
-def _residue(x, p: int, n: int) -> int:
-    """The residue in [0, p^n) of an int or Fraction x with denominator prime to p."""
+def _residue(x, p: int, n: int, mod: int | None = None) -> int:
+    """The residue in [0, p^n) of an int or Fraction x with denominator prime to p;
+    a caller that reduces a list passes mod = p^n, formed once for all of it."""
     if x.denominator % p == 0:
         raise InvalidArgumentError(f"coefficient {x} is not p-integral")
-    mod = p**n
+    mod = p**n if mod is None else mod
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
@@ -223,6 +278,17 @@ def _instance(cls, *values) -> None:
     for x in values:
         if not isinstance(x, cls):
             raise InvalidArgumentError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
+def _sequence(xs, message: str) -> list:
+    """list(xs), or InvalidArgumentError(message) if xs cannot be iterated; the
+    public entry points read every sequence argument through it, and check
+    its elements themselves."""
+    try:
+        xs = iter(xs)
+    except TypeError:
+        raise InvalidArgumentError(message) from None
+    return list(xs)
 
 
 def _count(n) -> int:

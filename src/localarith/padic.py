@@ -81,7 +81,7 @@ class PadicNumber:
         require_prime(p)
         _precision(precision)
         if _exact(x) == 0:
-            return cls.zero(p)
+            return _padic(p, INFINITY, None, INFINITY)
         vn = int_valuation(x.numerator, p)
         vd = int_valuation(x.denominator, p)
         v = vn - vd
@@ -92,13 +92,11 @@ class PadicNumber:
 
     @classmethod
     def _from_integer_at(cls, p, n: int, v, abs_precision) -> "PadicNumber":
-        """Value n * p^v known modulo p^abs_precision."""
-        if abs_precision == INFINITY:
-            raise InvalidArgumentError("unbounded precision needs from_rational")
+        """Value n * p^v known modulo p^abs_precision, a finite precision."""
         rel = abs_precision - v
         n %= p**rel
         if n == 0:
-            return cls.zero_at(p, abs_precision)
+            return _padic(p, abs_precision, None, 0)
         t = int_valuation(n, p)
         unit = n // p**t % p ** (rel - t)
         return _padic(p, v + t, unit, rel - t)
@@ -162,7 +160,7 @@ class PadicNumber:
             return other
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return PadicNumber.zero(self.p)
+                return _padic(self.p, INFINITY, None, INFINITY)
             v_other = rational_valuation(other, self.p)
             if self.is_exact_zero:
                 prec = DEFAULT_PRECISION
@@ -185,7 +183,7 @@ class PadicNumber:
         if self.unit is None or other.unit is None:
             live = other if self.unit is None else self
             if live.unit is None or live.valuation >= cap:
-                return PadicNumber.zero_at(self.p, cap)
+                return _padic(self.p, cap, None, 0)
             return _padic(self.p, live.valuation, live.unit % self.p ** (cap - live.valuation), cap - live.valuation)
         v = min(self.valuation, other.valuation)
         n = self.unit * self.p ** (self.valuation - v) + other.unit * self.p ** (
@@ -214,9 +212,9 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         if self.is_exact_zero or other.is_exact_zero:
-            return PadicNumber.zero(self.p)
+            return _padic(self.p, INFINITY, None, INFINITY)
         if self.unit is None or other.unit is None:
-            return PadicNumber.zero_at(self.p, self.valuation + other.valuation)
+            return _padic(self.p, self.valuation + other.valuation, None, 0)
         n = min(self.precision, other.precision)
         return _padic(
             self.p,
@@ -240,7 +238,7 @@ class PadicNumber:
         if self.is_exact_zero:
             return self
         if self.is_inexact_zero:
-            return PadicNumber.zero_at(self.p, self.valuation - other.valuation)
+            return _padic(self.p, self.valuation - other.valuation, None, 0)
         n = min(self.precision, other.precision)
         return _padic(
             self.p,

@@ -42,6 +42,7 @@ from .numtheory import (
     _inverse_mod_prime_power,
     _precision,
     _residue,
+    _sequence,
     int_valuation,
     rational_valuation,
     require_prime,
@@ -114,7 +115,7 @@ class PadicPolynomial:
 
     def __init__(self, p: int, coefficients):
         require_prime(p)
-        cs = _trim([Fraction(_exact(c)) for c in coefficients])
+        cs = _trim(_fractions(coefficients))
         if not cs:
             raise InvalidArgumentError("the zero polynomial is not representable")
         self.p = p
@@ -204,7 +205,7 @@ def sylvester_matrix(g, h, m: int, n: int):
     of the associated linear system the descending coefficients of the
     cofactor multiplying g.  g and h must have degree at most m and n.
     """
-    gc, hc = [Fraction(_exact(c)) for c in g], [Fraction(_exact(c)) for c in h]
+    gc, hc = _coeffs_of(g), _coeffs_of(h)
     _degree_bounds(gc, hc, m, n)
     return _sylvester(gc, hc, m, n, Fraction(0))
 
@@ -220,13 +221,14 @@ def _sylvester(gc, hc, m, n, zero=0):
 
 
 def _coeffs_of(f):
-    if isinstance(f, PadicPolynomial):
-        return list(f.coefficients)
-    try:
-        coeffs = iter(f)
-    except TypeError:
-        raise InvalidArgumentError(f"{type(f).__name__} is not a coefficient sequence") from None
-    return _trim([Fraction(_exact(c)) for c in coeffs])
+    """The trimmed coefficients of a PadicPolynomial or a coefficient sequence."""
+    return list(f.coefficients) if isinstance(f, PadicPolynomial) else _trim(_fractions(f))
+
+
+def _fractions(coeffs) -> list[Fraction]:
+    """A sequence of exact rationals as Fractions; a polynomial is not one."""
+    cs = _sequence(coeffs, f"{type(coeffs).__name__} is not a coefficient sequence")
+    return [Fraction(_exact(c)) for c in cs]
 
 
 def resultant_mn(g, h, m: int, n: int) -> Fraction:
@@ -551,11 +553,11 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     and the reduced pair is that of the true factors, whatever the
     starting pair and whichever lift of it modulo each p^K.
     """
-    p = f.p
-    s, t = g0.degree, h0.degree
-    f_i, g, h = ([_residue(c, p, precision + beta) for c in x.coefficients] for x in (f, g0, h0))
+    p, s, t = f.p, g0.degree, h0.degree
+    top, mod_top = precision + beta, p ** (precision + beta)
+    f_i, g, h = ([_residue(c, p, top, mod_top) for c in x.coefficients] for x in (f, g0, h0))
     lead_g, lead_h = g[-1], h[-1]  # no correction reaches them
-    levels = _halvings(precision + beta, w0, beta)
+    levels = _halvings(top, w0, beta)
     for w, K in zip([w0, *levels], levels):
         mod, scale = p**K, p ** (w - beta)
         g = [c % mod for c in g[:-1]] + [lead_g % mod]
@@ -629,7 +631,7 @@ def _lift(p, f, g, h, t, beta, C, target):
 
     M = digits(target)
     full, p_beta, p_lead = p**M, p**beta, p**v_lead
-    f, g, h, t = ([_residue(c, p, M) for c in x] for x in (f, g, h, t))
+    f, g, h, t = ([_residue(c, p, M, full) for c in x] for x in (f, g, h, t))
     w_g, w_h = _gauss_w(p, g, a, b), _gauss_w(p, h, a, b)
     # w(t) <= b*beta as t*h = p^beta mod g; an empty t (g constant) takes b*beta
     w_t = min(_gauss_w(p, t, a, b), b * beta)
@@ -745,9 +747,7 @@ class TruncatedSeries:
         require_prime(self.p)
         if isinstance(self.tail, bool) or not isinstance(self.tail, int):
             raise InvalidArgumentError(f"tail bound {self.tail!r} is not an integer")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(_exact(c)) for c in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", tuple(_fractions(self.coefficients)))
 
     @property
     def truncation(self) -> int:

@@ -47,7 +47,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
-from .numtheory import INFINITY, _count, _exact, _instance, int_valuation, require_prime
+from .numtheory import INFINITY, _count, _exact, _instance, _sequence, int_valuation, require_prime
 
 MAX_VERIFIED_ORDER = 512
 
@@ -73,11 +73,9 @@ class PiecewiseLinear:
     final_slope: Fraction
 
     def __post_init__(self):
-        try:
-            bps = [Fraction(_exact(b)) for b in self.breakpoints]
-            vals = [Fraction(_exact(v)) for v in self.values]
-        except TypeError:
-            raise InvalidArgumentError("breakpoints and values must be sequences") from None
+        message = "breakpoints and values must be sequences"
+        bps = [Fraction(_exact(b)) for b in _sequence(self.breakpoints, message)]
+        vals = [Fraction(_exact(v)) for v in _sequence(self.values, message)]
         final_slope = Fraction(_exact(self.final_slope))
         if not bps or len(bps) != len(vals):
             raise InvalidArgumentError("breakpoints and values must be non-empty and equally long")
@@ -186,10 +184,9 @@ class FilteredGroup:
     """Finite group as a multiplication table plus per-element depths."""
 
     def __init__(self, table, identity: int, depths):
-        try:
-            self.table, self.depths = tuple(map(tuple, table)), tuple(depths)
-        except TypeError:
-            raise InvalidArgumentError("table rows and depths must be sequences") from None
+        message = "table rows and depths must be sequences"
+        self.table = tuple(tuple(_sequence(row, message)) for row in _sequence(table, message))
+        self.depths = tuple(_sequence(depths, message))
         self.identity = identity
         self.order = len(self.table)
         self._rows = self.table
@@ -289,7 +286,7 @@ class FilteredGroup:
                 )
         for level in set(self.depths) - {INFINITY}:
             elements = {s for s in range(g) if self.depths[s] >= level}
-            if not is_normal(self, elements):
+            if _normal_generators(self, elements) is None:
                 if _greedy_generators(self._rows, self.identity, elements) is None:
                     raise InvalidArgumentError("depth sets G_n are not closed under multiplication")
                 raise InvalidArgumentError("depths must be a class function")
@@ -334,12 +331,10 @@ def lower_filtration(group: FilteredGroup) -> list[tuple[int, frozenset[int]]]:
 def _element_set(group: FilteredGroup, elements) -> frozenset[int]:
     """The given elements as a set of indices, each an int in [0, order)."""
     _instance(FilteredGroup, group)
-    try:
-        elems = list(elements)
-    except TypeError:
-        elems = [None]  # rejected below with every other non-index
+    message = f"elements must be integer indices in [0, {group.order})"
+    elems = _sequence(elements, message)
     if any(type(x) is not int or not 0 <= x < group.order for x in elems):
-        raise InvalidArgumentError(f"elements must be integer indices in [0, {group.order})")
+        raise InvalidArgumentError(message)
     return frozenset(elems)
 
 

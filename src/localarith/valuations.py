@@ -21,6 +21,7 @@ from .numtheory import (
     _exact,
     _instance,
     _residue,
+    _sequence,
     crt,
     factorint,
     is_prime,
@@ -72,6 +73,7 @@ def vp_rational(p: int, x) -> int | float:
 
 def normalized_absolute_value(place: RationalPlace, x) -> Fraction:
     """|x|_v with the product-formula normalization, as an exact Fraction."""
+    _instance(RationalPlace, place)
     x = Fraction(_exact(x))
     if not place.is_finite:
         return abs(x)
@@ -148,10 +150,11 @@ class FunctionFieldPlace:
         return "inf" if self.poly is None else repr(self.poly)
 
 
-def _finite_place(poly: FqPoly) -> FunctionFieldPlace:
-    """The place of a monic irreducible, without re-running the irreducibility test."""
+def _place(q: int, poly: FqPoly | None) -> FunctionFieldPlace:
+    """The place of GF(q)(T) at a monic irreducible poly over GF(q), or at
+    infinity, without re-running the checks."""
     place = object.__new__(FunctionFieldPlace)
-    object.__setattr__(place, "q", poly.field.q)
+    object.__setattr__(place, "q", q)
     object.__setattr__(place, "poly", poly)
     return place
 
@@ -214,11 +217,11 @@ def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaRepor
     for f in sorted(multiplicities, key=lambda g: (g.degree, g.coeffs)):
         v = multiplicities[f]
         if v != 0:
-            entries.append((_finite_place(f), v))  # factor_monic returns monic irreducibles
+            entries.append((_place(field.q, f), v))  # factor_monic returns monic irreducibles
             total += f.degree * v
     v_inf = den.degree - num.degree
     if v_inf != 0:
-        entries.append((FunctionFieldPlace.infinite(field.q), v_inf))
+        entries.append((_place(field.q, None), v_inf))
         total += v_inf
     return SumFormulaReport(tuple(entries), total, total == 0)
 
@@ -249,7 +252,7 @@ def gauss_valuation(C, coeff_valuations) -> tuple[Fraction, frozenset[int]]:
     C = Fraction(_exact(C.C if isinstance(C, GaussParameter) else C))
     best = None
     attaining: set[int] = set()
-    for j, v in enumerate(coeff_valuations):
+    for j, v in enumerate(_sequence(coeff_valuations, "coefficient valuations must be a sequence")):
         if v == INFINITY:
             continue
         w = j * C + Fraction(_exact(v))

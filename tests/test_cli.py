@@ -439,10 +439,12 @@ FUZZ_ROWS = [
     # a residual degree whose q^f would take gigabytes: only q^f mod e is computed
     (["extensions", "count", "-q", "2", "-e", "3", "-f", "10000000000"], 0),
     (["extensions", "classify", "-q", "2", "-e", "3", "-f", "10000000000", "-r", "0"], 0),
-    # psi_12, the least strong pseudoprime to the 12 prime bases up to 37, and
-    # Bernoulli indices past bernoulli.MAX_BERNOULLI_INDEX, which are rejected
-    # before any table is allocated
+    # psi_12, the least strong pseudoprime to the 12 prime bases up to 37,
+    # psi_13, which passes all 13 bases up to 41 and fails the strong Lucas
+    # test, and Bernoulli indices past bernoulli.MAX_BERNOULLI_INDEX, which
+    # are rejected before any table is allocated
     (["sqrt", "-p", "318665857834031151167461", "4", "--prec", "2"], 2),
+    (["sqrt", "-p", "3317044064679887385961981", "4", "--prec", "2"], 2),
     (["bernoulli", str(10**30)], 2),
     (["staudt-clausen", str(10**30)], 2),
     (["bernoulli", "100000000000"], 2),

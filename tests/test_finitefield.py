@@ -186,6 +186,18 @@ class TestFieldConstruction:
             FiniteField(q)
         assert FiniteField(4).q == 4
 
+    def test_fields_are_cached_and_counted(self):
+        # the size is checked before the cache hashes it, so an unhashable or
+        # inexact size is rejected without a lookup; a field is built once
+        FiniteField(4)
+        before = FiniteField.cache_info()
+        assert FiniteField(4) is FiniteField(4)
+        for q in ([4], {4}, 4.0):
+            with pytest.raises(InvalidArgumentError, match="not an integer"):
+                FiniteField(q)
+        after = FiniteField.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
     def test_prime_field(self):
         f = FiniteField(7)
         assert f.degree == 1 and f.modulus is None

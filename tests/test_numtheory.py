@@ -25,6 +25,7 @@ from localarith import (
     root_valuations,
     slope_factorization,
     sqrt,
+    staudt_clausen,
     teichmuller,
     weierstrass_prepare,
 )
@@ -37,7 +38,7 @@ from localarith.extensions import (
     splitting_degree_of_unity,
     unit_group_structure,
 )
-from localarith.finitefield import FiniteField, monic_irreducibles
+from localarith.finitefield import FiniteField, FqPoly, monic_irreducibles
 from localarith.formats import MAX_DEGREE, parse_polynomial
 from localarith.numtheory import (
     INFINITY,
@@ -73,7 +74,13 @@ from localarith.ramification import (
     subgroup_filtration,
     upper_numbering,
 )
-from localarith.valuations import FunctionFieldPlace, ff_valuation, gauss_valuation, product_formula_report
+from localarith.valuations import (
+    FunctionFieldPlace,
+    ff_valuation,
+    gauss_valuation,
+    normalized_absolute_value,
+    product_formula_report,
+)
 
 from conftest import deadline
 
@@ -260,9 +267,9 @@ def test_the_psi_table_is_the_one_is_prime_stops_by():
     for k, (psi, factor) in enumerate(PSI_FACTORS, 1):
         assert 1 < factor < psi and psi % factor == 0
         assert all(strong_probable_prime(psi, a) for a in BASES[:k])
-        # a later base rejects each psi_k but psi_13, which passes all 13: the
-        # documented limit past which is_prime is a strong-probable-prime test
-        assert k == 13 or not is_prime(psi)
+        # a later base rejects each psi_k but psi_13, which passes all 13 and
+        # is rejected by the strong Lucas test that follows them
+        assert not is_prime(psi)
 
 
 def test_is_prime_agrees_with_thirteen_bases_below_2_10_5():
@@ -277,6 +284,31 @@ def test_is_prime_agrees_with_sympy_near_2_64_and_10_24(rng):
     sympy = pytest.importorskip("sympy")
     assert answers == [sympy.isprime(n) for n in odd]
     assert not any(sympy.isprime(psi) for psi, _ in PSI_FACTORS)
+
+
+# the strong Lucas pseudoprimes below 10^5 with Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+]
+
+
+def test_the_strong_lucas_test_fails_only_its_pseudoprimes_below_10_5():
+    odd = range(43, 10**5, 2)
+    passed = [n for n in odd if numtheory._strong_lucas(n)]
+    assert passed == sorted([n for n in odd if is_prime(n)] + STRONG_LUCAS_PSEUDOPRIMES)
+    with deadline(2):  # a square has no D with (D/n) = -1: the search must not start
+        assert not any(numtheory._strong_lucas(n * n) for n in (43, 1009, 2**61 - 1))
+
+
+def test_is_prime_agrees_with_sympy_past_psi_13(rng):
+    odd = [base + 2 * rng.randrange(10**9) + 1 for base in (10**25, 2**80) for _ in range(300)]
+    mersenne = [2**89 - 1, 2**107 - 1, 2**127 - 1]  # primes
+    answers = [is_prime(n) for n in odd]
+    assert 0 < sum(answers) < len(odd)
+    assert all(is_prime(n) for n in mersenne)
+    assert not is_prime(mersenne[0] * mersenne[1]) and not is_prime(mersenne[2] ** 2)
+    sympy = pytest.importorskip("sympy")
+    assert answers == [sympy.isprime(n) for n in odd]
 
 
 def order_loop_primitive_root(p):
@@ -498,6 +530,21 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: FilteredGroup([[0, 1], [1, 0]], 0, None), "table rows and depths must be sequences"),
         (lambda: subgroup_filtration(cyclotomic_group(3, 2), None), "elements must be integer indices"),
         (lambda: quotient_filtration(cyclotomic_group(3, 2), 5), "elements must be integer indices"),
+        # coefficient sequences that are not sequences, a polynomial among them
+        (lambda: PadicPolynomial(5, 5), "int is not a coefficient sequence"),
+        (
+            lambda: PadicPolynomial(5, PadicPolynomial(5, [1, 1])),
+            "PadicPolynomial is not a coefficient sequence",
+        ),
+        (lambda: TruncatedSeries(5, 5, 3), "int is not a coefficient sequence"),
+        (lambda: FqPoly(FiniteField(5), 5), "int is not a coefficient sequence"),
+        (lambda: gauss_valuation(0, 5), "coefficient valuations must be a sequence"),
+        (lambda: sylvester_matrix(4, [1, 1], 0, 1), "int is not a coefficient sequence"),
+        # an unhashable field size, checked before the field cache hashes it, a
+        # Bernoulli index that cannot be compared, and a place that is not one
+        (lambda: FiniteField([3]), "not an integer"),
+        (lambda: staudt_clausen([2]), "not an integer"),
+        (lambda: normalized_absolute_value(9, 3), "expected a RationalPlace"),
         # coefficients above the degree bounds, which used to be dropped
         (lambda: resultant_mn([1, 2, 3], [1, 1], 1, 1), "above its degree bound"),
         (lambda: resultant_mn([1, 1], [1, 1], 0, 1), "above its degree bound"),

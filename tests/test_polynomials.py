@@ -1144,6 +1144,27 @@ class TestLiftKernels:
         expected = outcome(lambda: fraction_lift_data(*case))
         assert outcome(lambda: polynomials._lift_data(*case)) == expected
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: slope_factorization(PadicPolynomial(2, EXP7), 32),
+            lambda: weierstrass_prepare(TruncatedSeries(3, [3, 1, 3], 40), 8),
+        ],
+    )
+    def test_a_lift_that_does_not_converge_raises(self, monkeypatch, call):
+        # _lift's stop test certifies what it returns: with every correction 0
+        # the defect stays above the target, and after its round budget the
+        # lift raises instead of returning the pair it started from
+        def no_correction(x, g, *_):
+            return [0] * max(0, len(x) - len(g) + 1), [0] * (len(g) - 1)
+
+        monkeypatch.setattr(polynomials, "_divmod", no_correction)
+        divisions, lifts = record_calls(monkeypatch, "_divmod"), record_calls(monkeypatch, "_lift")
+        with pytest.raises(PrecisionLossError, match="did not converge within its round budget"):
+            call()
+        ((*_, target),) = lifts  # four divisions a round, target.bit_length() + 5 rounds
+        assert len(divisions) == 4 * (target.bit_length() + 5)
+
 
 class TestSlopeFactorization:
     def test_exponential_truncation(self):

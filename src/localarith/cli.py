@@ -601,8 +601,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _silence(sys.stdout)
         return 0
-    except InvalidArgumentError as exc:
-        return _fail(2, f"error: {exc}")
     except HypothesisFailedError as exc:
         return _fail(3, f"hypothesis failed: {exc}")
     except PrecisionLossError as exc:

@@ -1,9 +1,9 @@
 """Elementary integer number theory helpers (desk scale, exact).
 
-Everything here works with plain Python integers and stays exact.  The
-factoring routines use trial division, which stops at a prime cofactor
-below psi_13 (where is_prime is exact), and are meant for the moderate
-sizes this package deals in, not cryptographic ones.
+Everything here works with plain Python integers and stays exact.  Trial
+division stops at a cofactor that is_prime calls prime, trusting BPSW past
+psi_13 as the p-adic entry points do; it suits the moderate sizes this
+package deals in, not cryptographic ones.  Prime powers come from roots.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def require_prime(p) -> int:
 
 def factorint(n: int) -> dict[int, int]:
     """Factor |n|; returns {prime: exponent}.  Trial division stops at a
-    cofactor below psi_13 = _PSI[-1] that is_prime calls prime, asked once 2 and
-    3 are out and after each later prime; above psi_13 it runs to the square root."""
+    cofactor that is_prime calls prime, asked once 2 and 3 are out and after
+    each later prime: past psi_13 that answer is BPSW's, as everywhere."""
     if n == 0:
         raise InvalidArgumentError("cannot factor 0")
     n = abs(n)
@@ -122,13 +122,13 @@ def factorint(n: int) -> dict[int, int]:
     for p in (2, 3):
         if n % p == 0:
             factors[p], n = _split_power(n, p)
-    prime = n < _PSI[-1] and is_prime(n)
+    prime = is_prime(n)
     f = 5
     while not prime and f * f <= n:
         for p in (f, f + 2):
             if n % p == 0:
                 factors[p], n = _split_power(n, p)
-                prime = n < _PSI[-1] and is_prime(n)
+                prime = is_prime(n)
         f += 6
     if n > 1:
         factors[n] = 1
@@ -331,12 +331,21 @@ def rational_valuation(x, p: int) -> int | float:
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
-    """Write q = p^m with p prime, or raise."""
-    if q < 2:
-        raise InvalidArgumentError(f"{q} is not a prime power")
-    factors = factorint(q)
-    if len(factors) != 1:
-        raise InvalidArgumentError(f"{q} is not a prime power")
-    ((p, m),) = factors.items()
-    return p, m
+    """Write q = p^m with p prime, or raise: r^m = q for the least m whose
+    integer m-th root r is exact and prime.  q itself is never factored."""
+    if q >= 2:
+        for m in range(1, q.bit_length()):  # 2^m <= q
+            r = _integer_root(q, m)
+            if r**m == q and is_prime(r):
+                return r, m
+    raise InvalidArgumentError(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n, m >= 1, by integer Newton steps from above: x
+    starts at 2^ceil(bits/m) > n^(1/m) and falls until a step would not."""
+    x = 1 << -(-n.bit_length() // m)
+    while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
+        x = y
+    return x
 

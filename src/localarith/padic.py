@@ -37,7 +37,6 @@ from .numtheory import (
     _residue,
     _sqrt_mod_prime,
     int_valuation,
-    rational_valuation,
     require_prime,
 )
 
@@ -82,13 +81,7 @@ class PadicNumber:
         _precision(precision)
         if _exact(x) == 0:
             return _padic(p, INFINITY, None, INFINITY)
-        vn = int_valuation(x.numerator, p)
-        vd = int_valuation(x.denominator, p)
-        v = vn - vd
-        num = abs(x.numerator) // p**vn * (1 if x > 0 else -1)
-        den = x.denominator // p**vd
-        unit = num * pow(den, -1, p**precision) % p**precision
-        return _padic(p, v, unit, precision)
+        return _rational(p, x, precision)
 
     @classmethod
     def _from_integer_at(cls, p, n: int, v, abs_precision) -> "PadicNumber":
@@ -159,16 +152,12 @@ class PadicNumber:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if _exact(other) == 0:
                 return _padic(self.p, INFINITY, None, INFINITY)
-            v_other = rational_valuation(other, self.p)
             if self.is_exact_zero:
-                prec = DEFAULT_PRECISION
-            elif self.is_inexact_zero:
-                prec = max(1, self.valuation - v_other + 1)
-            else:
-                prec = max(1, self.precision, self.absolute_precision - v_other)
-            return PadicNumber.from_rational(self.p, other, int(prec))
+                return _rational(self.p, other, DEFAULT_PRECISION)
+            v = int_valuation(other.numerator, self.p) - int_valuation(other.denominator, self.p)
+            return _rational(self.p, other, max(1, self.precision, self.absolute_precision - v))
         return None
 
     def __add__(self, other):
@@ -180,15 +169,10 @@ class PadicNumber:
         if other.is_exact_zero:
             return self
         cap = min(self.absolute_precision, other.absolute_precision)
-        if self.unit is None or other.unit is None:
-            live = other if self.unit is None else self
-            if live.unit is None or live.valuation >= cap:
-                return _padic(self.p, cap, None, 0)
-            return _padic(self.p, live.valuation, live.unit % self.p ** (cap - live.valuation), cap - live.valuation)
         v = min(self.valuation, other.valuation)
-        n = self.unit * self.p ** (self.valuation - v) + other.unit * self.p ** (
-            other.valuation - v
-        )
+        n = (self.unit * self.p ** (self.valuation - v) if self.unit else 0) + (
+            other.unit * self.p ** (other.valuation - v) if other.unit else 0
+        )  # a zero adds 0 and forms no power of p
         return PadicNumber._from_integer_at(self.p, n, v, cap)
 
     __radd__ = __add__
@@ -213,13 +197,11 @@ class PadicNumber:
             return NotImplemented
         if self.is_exact_zero or other.is_exact_zero:
             return _padic(self.p, INFINITY, None, INFINITY)
-        if self.unit is None or other.unit is None:
-            return _padic(self.p, self.valuation + other.valuation, None, 0)
-        n = min(self.precision, other.precision)
+        n = min(self.precision, other.precision)  # 0 digits for an inexact zero: no unit
         return _padic(
             self.p,
             self.valuation + other.valuation,
-            self.unit * other.unit % self.p**n,
+            self.unit * other.unit % self.p**n if n else None,
             n,
         )
 
@@ -231,19 +213,18 @@ class PadicNumber:
             return NotImplemented
         if other.is_exact_zero:
             raise InvalidArgumentError("division by exact zero")
-        if other.is_inexact_zero:
+        if not other.precision:
             raise PrecisionLossError(
                 f"division by a value indistinguishable from 0 (O({self.p}^{other.valuation}))"
             )
         if self.is_exact_zero:
             return self
-        if self.is_inexact_zero:
-            return _padic(self.p, self.valuation - other.valuation, None, 0)
-        n = min(self.precision, other.precision)
+        n = min(self.precision, other.precision)  # 0 digits for an inexact zero: no unit
+        pn = self.p**n
         return _padic(
             self.p,
             self.valuation - other.valuation,
-            self.unit * pow(other.unit, -1, self.p**n) % self.p**n,
+            self.unit * pow(other.unit, -1, pn) % pn if n else None,
             n,
         )
 
@@ -278,6 +259,15 @@ def _padic(p, valuation, unit, precision) -> PadicNumber:
     x.unit = unit
     x.precision = precision
     return x
+
+
+def _rational(p, x, n) -> PadicNumber:
+    """The nonzero int or Fraction x, already checked, to n digits of relative
+    precision; the divisions by p^vn and p^vd are exact, so the sign survives."""
+    vn = int_valuation(x.numerator, p)
+    vd = int_valuation(x.denominator, p)
+    pn = p**n
+    return _padic(p, vn - vd, x.numerator // p**vn * pow(x.denominator // p**vd, -1, pn) % pn, n)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,9 @@ class TestFormats:
         coeffs = parse_polynomial("-1/4 + T^3")
         assert polynomial_from_json(polynomial_to_json(coeffs)) == coeffs
 
+    def test_zero_polynomial_formats_as_zero(self):
+        assert format_polynomial([]) == format_polynomial([0, 0]) == "0"
+
     def test_bad_term_rejected(self):
         from localarith.errors import InvalidArgumentError
 
@@ -124,6 +127,22 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "teichmuller", "-p", "5", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["precision"] == 4
+
+    def test_a_precision_env_that_is_no_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_PREC", "4.5")
+        code, out, err = run_cli(capsys, "teichmuller", "-p", "5", "2")
+        assert code == 2 and out == "" and err == "error: PADIC_PREC='4.5' is not an integer\n"
+
+    def test_zero_results(self, capsys):
+        lift = ["lift", "-p", "5", "--poly", "T", "--start", "0"]
+        code, out, _ = run_cli(capsys, *lift)
+        assert code == 0 and out.strip() == "O(5^32)"
+        code, out, _ = run_cli(capsys, *lift, "--format", "json")
+        assert code == 0 and json.loads(out) == {"p": 5, "zero_mod": "32"}
+        code, out, _ = run_cli(capsys, "padic", "eval", "-p", "5", "0")
+        assert code == 0 and out.strip() == "0"
+        code, out, _ = run_cli(capsys, "padic", "eval", "-p", "5", "0", "--format", "json")
+        assert code == 0 and json.loads(out) == {"p": 5, "zero": True}
 
     def test_prec_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PADIC_PREC", "4")
@@ -453,6 +472,15 @@ FUZZ_ROWS = [
     (["extensions", "classify", "-q", "2305843009213693951", "-e", "3", "-f", "1", "-r", "0"], 0),
     (["ff-val", "-q", "2305843009213693951", "--place", "T", "T"], 0),
     (["product-formula", "2305843009213693951"], 0),
+    # the prime 2^89 - 1, past psi_13: factoring believes is_prime there too
+    (["ff-val", "-q", "618970019642690137449562111", "--place", "T", "T"], 0),
+    (["product-formula", "618970019642690137449562111"], 0),
+    (["extensions", "count", "-q", "618970019642690137449562111", "-e", "3", "-f", "1"], 0),
+    # field sizes psi_12, psi_13 and (2^61 - 1)^2, read by integer roots
+    # without factoring: two are no prime power, one is past the table bound
+    (["extensions", "count", "-q", "318665857834031151167461", "-e", "3", "-f", "1"], 2),
+    (["ff-val", "-q", "3317044064679887385961981", "--place", "T", "T"], 2),
+    (["ff-val", "-q", "5316911983139663487003542222693990401", "--place", "T", "T"], 2),
 ]
 
 # rejected by the argument parser: usage lines, then one error line
@@ -531,18 +559,23 @@ class TestMalformedInput:
 # tokens, the tokens of FUZZ_ROWS, and strings that int() and Fraction() take
 # unexpectedly or not at all.  Precisions stay <= 64 and degrees <= 12, apart
 # from the degrees past formats.MAX_DEGREE, which are rejected unbuilt.
-# Large tokens: the prime 2^61 - 1; psi_12 and psi_13, the least strong
-# pseudoprimes to the prime bases up to 37 and 41; (2^31 - 1)^2; and 10^30.
-# psi_12, psi_13 and (2^31 - 1)^2 are "primes" only: as a rational or a
-# field size each would be trial-divided up to a prime factor past 10^9.
+# Large tokens: the primes 2^61 - 1 and 2^89 - 1; psi_12 and psi_13, the
+# least strong pseudoprimes to the prime bases up to 37 and 41; (2^31 - 1)^2;
+# and 10^30.  A field size is read by integer roots, so all of these but
+# 10^30 are field sizes too.  psi_12, psi_13 and (2^31 - 1)^2 are not
+# rationals yet: each would be trial-divided up to a prime factor past 10^9.
 EDGE = ["", "+5", "\u0663", "\uff17"]  # ARABIC-INDIC THREE, FULLWIDTH SEVEN
 M61, PSI_12, PSI_13 = str(2**61 - 1), "318665857834031151167461", "3317044064679887385961981"
+M89, M31_SQUARED = str(2**89 - 1), str((2**31 - 1) ** 2)
 INTS = ["0", "1", "2", "3", "12", "-1", "-2", "1_00", "1_000", str(10**30), *EDGE]
 PRIMES = [
     "2", "3", "7", "11", "0", "1", "4", "6", "-3", "1000003", "1_000",
-    M61, PSI_12, PSI_13, str((2**31 - 1) ** 2), *EDGE,
+    M61, PSI_12, PSI_13, M31_SQUARED, *EDGE,
 ]
-FIELD_SIZES = ["2", "3", "4", "5", "7", "9", "1", "6", "1_000", "131072", M61, *EDGE]
+FIELD_SIZES = [
+    "2", "3", "4", "5", "7", "9", "1", "6", "1_000", "131072",
+    M61, M89, PSI_12, PSI_13, M31_SQUARED, *EDGE,
+]
 PRECS = ["1", "2", "8", "64", "0", "-1", *EDGE]
 RATIONALS = [
     "0", "1", "12", "15", "-1/4", "1/3", "1/2", "1/0", "abc", "2^100000", "1_000", M61, *EDGE,

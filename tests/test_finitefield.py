@@ -301,6 +301,10 @@ class TestPolynomials:
         with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
             divmod(FqPoly(f, [1, 1]), FqPoly(f, []))
 
+    def test_a_coefficient_out_of_range_is_zero(self):
+        a = FqPoly(FiniteField(3), [1, 2])
+        assert (a[0], a[1], a[2], a[-1]) == (1, 2, 0, 0)
+
     def test_divides(self):
         f = FiniteField(3)
         t, t1 = FqPoly(f, [0, 1]), FqPoly(f, [1, 1])

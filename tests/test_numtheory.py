@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from localarith import (
     sqrt,
     staudt_clausen,
     teichmuller,
+    unit_filtration_level,
     weierstrass_prepare,
 )
 from localarith import numtheory
@@ -38,20 +40,22 @@ from localarith.extensions import (
     splitting_degree_of_unity,
     unit_group_structure,
 )
-from localarith.finitefield import FiniteField, FqPoly, monic_irreducibles
-from localarith.formats import MAX_DEGREE, parse_polynomial
+from localarith.finitefield import FiniteField, FqPoly, monic_irreducibles, monic_polys
+from localarith.formats import MAX_DEGREE, parse_polynomial, polynomial_from_json
 from localarith.numtheory import (
     INFINITY,
     _halvings,
     _inverse_mod_prime_power,
     _least_nonresidue,
     _sqrt_mod_prime,
+    crt,
     euler_phi,
     factorint,
     int_valuation,
     is_prime,
     least_primitive_root,
     multiplicative_order,
+    prime_power_decomposition,
     rational_valuation,
 )
 from localarith.polynomials import (
@@ -335,14 +339,52 @@ def test_factorint_agrees_with_sympy(rng):
         assert [factorint(n) for n in numbers] == [sympy.factorint(abs(n)) for n in numbers]
 
 
-def test_factorint_trusts_is_prime_only_below_psi_13(monkeypatch):
-    # is_prime fooled into calling 91 = 7 * 13 prime stands for a strong
-    # pseudoprime: past the gate the cofactor is still divided
-    monkeypatch.setattr(numtheory, "is_prime", lambda n: n == 91 or is_prime(n))
-    monkeypatch.setattr(numtheory, "_PSI", (*numtheory._PSI[:-1], 91))
-    assert factorint(91) == {7: 1, 13: 1} and factorint(2 * 91) == {2: 1, 7: 1, 13: 1}
-    monkeypatch.setattr(numtheory, "_PSI", (*numtheory._PSI[:-1], 92))
-    assert factorint(91) == {91: 1}  # below the gate is_prime is believed
+def test_factorint_believes_is_prime_at_every_size(monkeypatch):
+    # is_prime fooled into calling 91 = 7 * 13, or a composite past psi_13,
+    # prime stands for a composite that passes BPSW: factoring believes it
+    # there as every caller that asks is_prime does, so it is not divided
+    c = (2**61 - 1) * (2**31 - 1)
+    assert c > numtheory._PSI[-1]
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: n in (91, c) or is_prime(n))
+    with deadline(5):  # trial division of c would run to 2^31 - 1
+        assert factorint(91) == {91: 1} and factorint(2 * 91) == {2: 1, 91: 1}
+        assert factorint(c) == {c: 1} and factorint(3 * c) == {3: 1, c: 1}
+
+
+def test_prime_power_decomposition_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+
+    def decomposition(q):
+        try:
+            return prime_power_decomposition(q)
+        except InvalidArgumentError as exc:
+            return str(exc)
+
+    qs = range(-2, 2 * 10**4)
+    factors = [sympy.factorint(q) if q >= 2 else {} for q in qs]
+    assert [decomposition(q) for q in qs] == [
+        next(iter(f.items())) if len(f) == 1 else f"{q} is not a prime power"
+        for q, f in zip(qs, factors)
+    ]
+    near = [
+        next(n for n in range(start, start + 10**4) if is_prime(n))
+        for start in (2**61 - 10**4, 2**61, 2**89 - 10**4, 2**89, rng.randrange(2**60, 2**90))
+    ]
+    assert sympy.isprime(near[-1])
+    with deadline(5):  # none of these is factored
+        for p in near:
+            for m in (1, 2, 3, rng.randint(4, 9)):
+                assert prime_power_decomposition(p**m) == (p, m)
+                for bad in (p**m * 2, p**m * p + 1, p**m * (p + 2)):
+                    with pytest.raises(InvalidArgumentError, match="is not a prime power"):
+                        prime_power_decomposition(bad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 64])
+def test_integer_root_is_the_floor(rng, m):
+    for n in [*range(1, 300), *(rng.randrange(1, 10 ** rng.randint(2, 80)) for _ in range(300))]:
+        r = numtheory._integer_root(n, m)
+        assert r**m <= n < (r + 1) ** m
 
 
 @pytest.mark.parametrize(
@@ -560,6 +602,40 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: TruncatedSeries(1, [1, 0, 1], 0), "1 is not a prime"),
         (lambda: TruncatedSeries(0, [1, 0, 1], 0), "0 is not a prime"),
         (lambda: slope_factorization(PadicPolynomial(11, [2]), 8), "degree >= 1"),
+        # checks that no other test reached
+        (lambda: factorint(0), "cannot factor 0"),
+        (lambda: multiplicative_order(3, 12), "3 is not invertible modulo 12"),
+        (lambda: crt([1, 2], [4, 6]), "pairwise coprime"),
+        (lambda: PadicPolynomial(5, [1, 2]) + PadicPolynomial(3, [1, 2]), "same prime"),
+        (lambda: resultant_mn([1, 1], [1, 1], -1, 2), "must be non-negative"),
+        (lambda: sylvester_matrix([1, 1], [1, 1], 1, -1), "must be non-negative"),
+        (lambda: cyclotomic(5, 0), "n must be at least 1"),
+        (
+            lambda: primitive_rescale(
+                PadicPolynomial(5, [Fraction(1, 5), 1]), PadicPolynomial(5, [Fraction(1, 5), 1]),
+                PadicPolynomial(5, [1]),
+            ),
+            "integral coefficients",
+        ),
+        (lambda: monic_polys(FiniteField(5), -1), "must be non-negative"),
+        (lambda: polynomial_from_json({"degree": 2, "coefficients": ["1"]}), "degree field"),
+        # a term that is only a newline, which $ in the term pattern lets
+        # match: without the check "1 +\n" would read as 2
+        (lambda: parse_polynomial("1 +\n"), r"cannot parse polynomial term '\\n'"),
+        (lambda: parse_polynomial("1 -\n"), r"cannot parse polynomial term '-\\n'"),
+        (lambda: phi_via_infimum(cyclotomic_group(3, 2), -2), "u must be >= -1"),
+        (lambda: FilteredGroup([[0, 1], [1, 0]], 0, [INFINITY]), "depth list length"),
+        # a unital table whose greedy S needs 3 > log2(4) elements: 1 and 2
+        # reach only {0, 1, 2}, which no group table allows
+        (
+            lambda: FilteredGroup(
+                [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 3], [3, 3, 3, 0]], 0, [INFINITY, 0, 0, 0]
+            ),
+            "not associative",
+        ),
+        (lambda: unit_filtration_level(5, PadicNumber.from_rational(3, 1, 4)), "prime mismatch"),
+        (lambda: unit_filtration_level(5, PadicNumber.from_rational(5, 5, 4)), "must be a unit"),
+        (lambda: unit_filtration_level(5, PadicNumber.zero_at(5, 3)), "must be a unit"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):

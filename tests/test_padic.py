@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from localarith import (
     ExcludedCaseError,
     HypothesisFailedError,
     InvalidArgumentError,
+    LocalArithError,
     NotASquareError,
     PadicNumber,
     PrecisionLossError,
@@ -21,6 +23,13 @@ from localarith import (
     vp_rational,
 )
 from localarith import padic
+from localarith.numtheory import (
+    _exact,
+    _precision,
+    int_valuation,
+    rational_valuation,
+    require_prime,
+)
 from localarith.polynomials import PadicPolynomial, poly_mul
 
 
@@ -65,6 +74,37 @@ class TestRepresentation:
     def test_constructor_accepts_a_unit(self):
         x = PadicNumber(5, -2, 124, 3)
         assert (x.valuation, x.unit, x.precision) == (-2, 124, 3)
+
+    def test_representatives_of_the_zeros(self):
+        zero, small = PadicNumber.zero(5), PadicNumber.zero_at(5, 3)
+        assert repr(zero) == "PadicNumber(5, 0)" and repr(small) == "O(5^3)"
+        assert zero.as_fraction() == 0 and zero.residue(7) == 0 and small.residue(3) == 0
+        with pytest.raises(PrecisionLossError, match="no canonical representative"):
+            small.as_fraction()
+        with pytest.raises(PrecisionLossError, match="known only modulo 5\\^3"):
+            small.residue(4)
+        assert not PadicNumber.from_rational(5, 3, 4).is_zero()
+
+    def test_residue_needs_an_integer_known_that_far(self):
+        assert PadicNumber.from_rational(5, 30, 4).residue(5) == 30
+        with pytest.raises(InvalidArgumentError, match="negative valuation"):
+            PadicNumber.from_rational(5, Fraction(1, 5), 4).residue(1)
+        with pytest.raises(PrecisionLossError, match="known only modulo 5\\^5"):
+            PadicNumber.from_rational(5, 30, 4).residue(6)
+
+    def test_a_foreign_operand_is_not_implemented(self):
+        x = PadicNumber.from_rational(5, 3, 4)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, "a")
+        assert x != "a" and not x == "a"
+
+    def test_an_inexact_zero_has_no_digits_and_no_square_class(self):
+        assert str(expansion(PadicNumber.zero(3), 4)) == "0"
+        with pytest.raises(PrecisionLossError, match="digits of an inexact zero"):
+            expansion(PadicNumber.zero_at(3, 2), 1)
+        with pytest.raises(PrecisionLossError, match="squareness of an inexact zero"):
+            is_square(PadicNumber.zero_at(3, 2))
 
 
 class TestRingOps:
@@ -170,6 +210,173 @@ class TestRingOps:
                 assert cancelled.is_inexact_zero
                 with pytest.raises(PrecisionLossError):
                     cancelled.is_zero()
+
+
+# The arithmetic as it stood with a branch of its own for each zero, and with
+# rational operands normalized through from_rational: an oracle for the one
+# path that PadicNumber takes now.  Only a False operand answers differently.
+
+
+def branchy_from_rational(p, x, precision):
+    require_prime(p)
+    _precision(precision)
+    if _exact(x) == 0:
+        return PadicNumber.zero(p)
+    vn = int_valuation(x.numerator, p)
+    vd = int_valuation(x.denominator, p)
+    num = abs(x.numerator) // p**vn * (1 if x > 0 else -1)
+    den = x.denominator // p**vd
+    unit = num * pow(den, -1, p**precision) % p**precision
+    return padic._padic(p, vn - vd, unit, precision)
+
+
+def branchy_coerce(x, other):
+    if isinstance(other, PadicNumber):
+        if other.p != x.p:
+            raise InvalidArgumentError(f"mixed primes {x.p} and {other.p} in p-adic arithmetic")
+        return other
+    if other == 0:
+        return PadicNumber.zero(x.p)
+    v_other = rational_valuation(other, x.p)
+    if x.is_exact_zero:
+        prec = padic.DEFAULT_PRECISION
+    elif x.is_inexact_zero:
+        prec = max(1, x.valuation - v_other + 1)
+    else:
+        prec = max(1, x.precision, x.absolute_precision - v_other)
+    return branchy_from_rational(x.p, other, int(prec))
+
+
+def branchy_add(x, y):
+    y = branchy_coerce(x, y)
+    if x.is_exact_zero:
+        return y
+    if y.is_exact_zero:
+        return x
+    cap = min(x.absolute_precision, y.absolute_precision)
+    if x.unit is None or y.unit is None:
+        live = y if x.unit is None else x
+        if live.unit is None or live.valuation >= cap:
+            return PadicNumber.zero_at(x.p, cap)
+        n = cap - live.valuation
+        return padic._padic(x.p, live.valuation, live.unit % x.p**n, n)
+    v = min(x.valuation, y.valuation)
+    n = x.unit * x.p ** (x.valuation - v) + y.unit * x.p ** (y.valuation - v)
+    return PadicNumber._from_integer_at(x.p, n, v, cap)
+
+
+def branchy_mul(x, y):
+    y = branchy_coerce(x, y)
+    if x.is_exact_zero or y.is_exact_zero:
+        return PadicNumber.zero(x.p)
+    if x.unit is None or y.unit is None:
+        return padic._padic(x.p, x.valuation + y.valuation, None, 0)
+    n = min(x.precision, y.precision)
+    return padic._padic(x.p, x.valuation + y.valuation, x.unit * y.unit % x.p**n, n)
+
+
+def branchy_truediv(x, y):
+    y = branchy_coerce(x, y)
+    if y.is_exact_zero:
+        raise InvalidArgumentError("division by exact zero")
+    if y.is_inexact_zero:
+        raise PrecisionLossError(
+            f"division by a value indistinguishable from 0 (O({x.p}^{y.valuation}))"
+        )
+    if x.is_exact_zero:
+        return x
+    if x.is_inexact_zero:
+        return padic._padic(x.p, x.valuation - y.valuation, None, 0)
+    n = min(x.precision, y.precision)
+    return padic._padic(
+        x.p, x.valuation - y.valuation, x.unit * pow(y.unit, -1, x.p**n) % x.p**n, n
+    )
+
+
+# (operator, its branchy form) for x op y, x a PadicNumber
+BRANCHY_OPS = [
+    (operator.add, branchy_add),
+    (operator.sub, lambda x, y: branchy_add(x, -branchy_coerce(x, y))),
+    (operator.mul, branchy_mul),
+    (operator.truediv, branchy_truediv),
+]
+# the same for r op x, r an int or Fraction: PadicNumber's reflected methods answer
+BRANCHY_REFLECTED_OPS = [
+    (operator.add, branchy_add),
+    (operator.sub, lambda x, r: -branchy_add(x, -branchy_coerce(x, r))),
+    (operator.mul, branchy_mul),
+    (operator.truediv, lambda x, r: branchy_truediv(branchy_coerce(x, r), x)),
+]
+
+
+def outcome_of(call):
+    """(p, valuation, unit, precision) of the result, or the exception's type and message."""
+    try:
+        z = call()
+    except LocalArithError as exc:
+        return type(exc), str(exc)
+    return z.p, z.valuation, z.unit, z.precision
+
+
+def seeded_operand(rng, p, padic_only=False):
+    """An exact zero, an inexact zero at one of several valuations, a nonzero
+    PadicNumber, an int or a Fraction, with p-powers in both."""
+    kind = rng.randrange(3 if padic_only else 6)
+    if kind == 0:
+        return PadicNumber.zero(p)
+    if kind == 1:
+        return PadicNumber.zero_at(p, rng.choice([-3, -1, 0, 1, 2, 5, 9, 40]))
+    if kind == 2:
+        n = rng.randint(1, 8)
+        unit = rng.randrange(1, p**n)
+        while unit % p == 0:
+            unit = rng.randrange(1, p**n)
+        return PadicNumber(p, rng.randint(-4, 6), unit, n)
+    if kind == 3:
+        return 0
+    scale = Fraction(p) ** rng.randint(-5, 5)
+    x = rng.randint(-10**4, 10**4) * scale
+    return x.numerator if kind == 4 and x.denominator == 1 else x
+
+
+class TestOnePath:
+    def test_the_branchy_arithmetic_agrees(self):
+        rng = random.Random(32)
+        for _ in range(3000):
+            p = rng.choice([2, 3, 5, 101])
+            x, y = seeded_operand(rng, p, padic_only=True), seeded_operand(rng, p)
+            for op, branchy in BRANCHY_OPS:
+                assert outcome_of(lambda: op(x, y)) == outcome_of(lambda: branchy(x, y)), (x, y)
+            if not isinstance(y, PadicNumber):
+                for op, branchy in BRANCHY_REFLECTED_OPS:
+                    assert outcome_of(lambda: op(y, x)) == outcome_of(lambda: branchy(x, y)), (y, x)
+
+    @pytest.mark.parametrize(
+        "x", [PadicNumber.zero(5), PadicNumber.zero_at(5, 3), PadicNumber(5, 1, 7, 4)]
+    )
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_a_bool_operand_is_rejected_on_either_side(self, x, flag):
+        # _exact runs before the zero tests: False is not read as an exact
+        # zero, whatever the other operand is
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+            for call in (lambda: op(x, flag), lambda: op(flag, x)):
+                with pytest.raises(InvalidArgumentError, match="not an exact rational"):
+                    call()
+
+    def test_a_zero_addend_forms_no_power_of_p(self):
+        # O(5^(10^5)) plus a 5-digit value: no power of p past the sum's 5 digits
+        exponents = []
+
+        class Five(int):
+            def __pow__(self, e, *mod):
+                exponents.append(e)
+                return int.__pow__(int(self), e, *mod)
+
+        p = Five(5)
+        z, x = PadicNumber.zero_at(p, 10**5), padic._padic(p, 0, 1234, 5)
+        for total in (z + x, x + z, z - x):
+            assert (total.valuation, total.precision) == (0, 5)
+        assert (z + x).unit == 1234 and max(exponents) <= 5
 
 
 class TestExpansion:

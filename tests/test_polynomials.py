@@ -495,7 +495,21 @@ class TestRootValuations:
             assert sum(v * m for v, m in pairs) == vals[0] - vals[-1]
 
 
+    def test_a_monomial_has_only_the_root_zero(self):
+        assert root_valuations(PadicPolynomial(5, [0, 0, 7])) == ([], 2)
+        assert root_valuations(PadicPolynomial(5, [Fraction(3, 5)])) == ([], 0)
+
+
 class TestEisenstein:
+    def test_a_constant_is_not_eisenstein(self):
+        assert not eisenstein_test(PadicPolynomial(5, [5]))
+
+    def test_derivative_and_hash(self):
+        f = PadicPolynomial(5, [1, 2, Fraction(1, 2)])
+        assert f.derivative() == PadicPolynomial(5, [2, 1])
+        assert hash(f) == hash(PadicPolynomial(5, [1, 2, Fraction(1, 2)]))
+        assert len({f, PadicPolynomial(5, [1, 2, Fraction(1, 2)]), f.derivative()}) == 2
+
     def test_shifted_cyclotomic(self):
         for p in (2, 3, 5, 7):
             f = PadicPolynomial(p, cyclotomic(p, 1)).shifted_by_one()

@@ -153,6 +153,10 @@ class TestFunctionFieldValuations:
         f = _poly(3, [1, 0, 1])  # T^2 + 1, irreducible over GF(3)
         assert ff_valuation(FunctionFieldPlace.finite(f), f) == 1
 
+    def test_place_degrees(self):
+        assert FunctionFieldPlace.finite(_poly(3, [1, 0, 1])).degree == 2
+        assert FunctionFieldPlace.infinite(3).degree == 1
+
     def test_reducible_place_rejected(self):
         with pytest.raises(InvalidArgumentError):
             FunctionFieldPlace.finite(_poly(2, [0, 0, 1]))  # T^2 = T*T

@@ -26,10 +26,13 @@ _PSI = (
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the prime bases up to 41, stopping after base k once n < psi_k.
+    """Trial division by the primes up to 41, then Miller-Rabin on them as
+    bases, stopping after base k once n < psi_k.
 
-    Exact below psi_13 = _PSI[-1] = 3317044064679887385961981 ~ 3.3e24, the
-    least strong pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993).
+    Below 43^2 = 1849 the trial division decides: a composite that small
+    has a prime factor up to 41.  The answer is exact below psi_13 =
+    _PSI[-1] = 3317044064679887385961981 ~ 3.3e24, the least strong
+    pseudoprime to all 13 bases (Jaeschke, Math. Comp. 61, 1993).
     At or above it a strong Lucas test follows the 13 bases, which makes the
     test BPSW (Baillie-Wagstaff, Math. Comp. 35, 1980): it rejects psi_13, and
     no composite passing it is known, but its answer is not a proof.
@@ -39,6 +42,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 1849:  # 43^2
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -129,7 +129,9 @@ class PadicNumber:
         return Fraction(self.unit) * Fraction(self.p) ** self.valuation
 
     def residue(self, k: int) -> int:
-        """The integer representative modulo p^k (requires valuation >= 0)."""
+        """The integer representative modulo p^k, k >= 0 (requires valuation >= 0)."""
+        if _count(k) < 0:
+            raise InvalidArgumentError("k must be non-negative")
         if self.is_exact_zero:
             return 0
         if self.is_inexact_zero:
@@ -236,9 +238,8 @@ class PadicNumber:
 
     def __eq__(self, other):
         """Indistinguishable at the shared precision (use is_zero for exact tests)."""
-        if isinstance(other, (int, Fraction)) or isinstance(other, PadicNumber):
-            d = self - other
-            return d.unit is None
+        if isinstance(other, (int, Fraction, PadicNumber)):
+            return (self - other).unit is None
         return NotImplemented
 
     __hash__ = None

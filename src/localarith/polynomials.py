@@ -1,12 +1,20 @@
 """Polynomials over Q_p at finite precision.
 
 Coefficients are exact rationals tagged with the prime p (ints and
-Fractions only), so coefficient valuations are always exact.  No floating
-point is used anywhere: Newton polygons are built with exact rational
-slope comparisons, resultants run the subresultant PRS on the operands
-scaled to integer polynomials, and the factor lifts solve linear systems
-over Z/p^k, k the digits the round can use, with minimal-valuation
-pivoting, inverting units modulo p^k by Newton doubling.
+Fractions only), so coefficient valuations are always exact.  Fractions
+are made only at the boundary: the public constructors (PadicPolynomial,
+TruncatedSeries) make int coefficients Fractions and keep the Fractions
+they are given, and results come back as Fractions.  Inside, integers are
+read: a PadicPolynomial holds its integral form (numerators over one
+common denominator), built once, which coefficient valuations, Newton
+polygons, the Eisenstein test, resultants and the factor lifts' entry
+checks read; resultants of coefficient lists read the lists' own.
+
+No floating point is used anywhere: Newton polygons are built with exact
+rational slope comparisons, resultants run the subresultant PRS on the
+operands scaled to integer polynomials, and the factor lifts solve linear
+systems over Z/p^k, k the digits the round can use, with
+minimal-valuation pivoting, inverting units modulo p^k by Newton doubling.
 
 Slope factorization and Weierstrass preparation run one engine, _lift:
 log(precision) Newton steps on f = G*H and on a cofactor p^beta / H mod G
@@ -26,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     HypothesisFailedError,
@@ -75,17 +84,11 @@ def poly_derivative(a):
 
 
 def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_mul(a, b):
@@ -109,77 +112,90 @@ def poly_scale(a, c):
 
 
 class PadicPolynomial:
-    """Polynomial with exact rational coefficients viewed over Q_p."""
+    """Polynomial over Q_p: ``coefficients`` is a tuple of Fractions and
+    ``_form`` their integral form (numerators over their least common
+    denominator D, D), built once."""
 
-    __slots__ = ("p", "coefficients")
+    __slots__ = ("p", "coefficients", "_form")
 
     def __init__(self, p: int, coefficients):
         require_prime(p)
-        cs = _trim(_fractions(coefficients))
-        if not cs:
-            raise InvalidArgumentError("the zero polynomial is not representable")
-        self.p = p
-        self.coefficients = tuple(cs)
+        _polynomial(p, _exacts(coefficients), self)
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def coefficient_valuations(self):
-        return [rational_valuation(c, self.p) for c in self.coefficients]
+        v_D = int_valuation(self._form[1], self.p)
+        return [int_valuation(c, self.p) - v_D for c in self._form[0]]
 
     def evaluate(self, x) -> Fraction:
         return poly_eval(self.coefficients, Fraction(_exact(x)))
 
     def derivative(self) -> "PadicPolynomial":
-        return PadicPolynomial(self.p, poly_derivative(self.coefficients))
+        return _polynomial(self.p, poly_derivative(self.coefficients))
 
     def __mul__(self, other):
         self._check(other)
-        return PadicPolynomial(self.p, poly_mul(self.coefficients, other.coefficients))
+        return _polynomial(self.p, poly_mul(self.coefficients, other.coefficients))
 
     def __add__(self, other):
         self._check(other)
-        return PadicPolynomial(self.p, poly_add(self.coefficients, other.coefficients))
+        return _polynomial(self.p, poly_add(self.coefficients, other.coefficients))
 
     def __sub__(self, other):
         self._check(other)
-        return PadicPolynomial(self.p, poly_sub(self.coefficients, other.coefficients))
+        return _polynomial(self.p, poly_sub(self.coefficients, other.coefficients))
 
     def _check(self, other):
         if not isinstance(other, PadicPolynomial) or other.p != self.p:
             raise InvalidArgumentError("operands must share the same prime")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PadicPolynomial)
-            and self.p == other.p
-            and self.coefficients == other.coefficients
-        )
+        same_type = isinstance(other, PadicPolynomial)
+        return same_type and (self.p, self.coefficients) == (other.p, other.coefficients)
 
     def __hash__(self):
         return hash((self.p, self.coefficients))
 
     def shifted_by_one(self) -> "PadicPolynomial":
-        """The polynomial f(S + 1) in the variable S."""
-        out = [Fraction(0)] * len(self.coefficients)
-        for j, c in enumerate(self.coefficients):
-            if c:
-                for k in range(j + 1):
-                    out[k] += c * math.comb(j, k)
-        return PadicPolynomial(self.p, out)
+        """The polynomial f(S + 1) in the variable S: the coefficient of S^k
+        is the sum of binomial(j, k) c_j over j >= k."""
+        cs = self.coefficients
+        shifted = [sum(cs[j] * math.comb(j, k) for j in range(k, len(cs))) for k in range(len(cs))]
+        return _polynomial(self.p, shifted)
 
     def strip_t_power(self) -> tuple[int, "PadicPolynomial"]:
         """Split off the exact power of T dividing the polynomial."""
-        k = 0
-        while self.coefficients[k] == 0:
-            k += 1
-        return k, PadicPolynomial(self.p, self.coefficients[k:])
+        k = next(k for k, c in enumerate(self.coefficients) if c)
+        return k, _polynomial(self.p, self.coefficients[k:])
 
     def __repr__(self):
         from .formats import format_polynomial
 
         return f"PadicPolynomial(p={self.p}, {format_polynomial(self.coefficients)})"
+
+
+def _polynomial(p, coefficients, f=None) -> PadicPolynomial:
+    """The PadicPolynomial (into f if given) of a checked prime and checked
+    int or Fraction coefficients; Fractions are kept, ints become Fractions."""
+    cs = _trim(coefficients)
+    if not cs:
+        raise InvalidArgumentError("the zero polynomial is not representable")
+    f = object.__new__(PadicPolynomial) if f is None else f
+    f.p, f.coefficients, f._form = p, _fractions(cs), _integral(cs)
+    return f
+
+
+def _exacts(coeffs) -> list:
+    """A sequence of exact rationals, checked and kept as given; a polynomial is not one."""
+    cs = _sequence(coeffs, f"{type(coeffs).__name__} is not a coefficient sequence")
+    return list(map(_exact, cs))
+
+
+def _fractions(cs) -> tuple[Fraction, ...]:
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +221,9 @@ def sylvester_matrix(g, h, m: int, n: int):
     of the associated linear system the descending coefficients of the
     cofactor multiplying g.  g and h must have degree at most m and n.
     """
-    gc, hc = _coeffs_of(g), _coeffs_of(h)
-    _degree_bounds(gc, hc, m, n)
-    return _sylvester(gc, hc, m, n, Fraction(0))
+    (a, Dg), (b, Dh) = _integral_of(g), _integral_of(h)
+    _degree_bounds(a, b, m, n)
+    return _sylvester([Fraction(c, Dg) for c in a], [Fraction(c, Dh) for c in b], m, n, Fraction(0))
 
 
 def _sylvester(gc, hc, m, n, zero=0):
@@ -220,15 +236,9 @@ def _sylvester(gc, hc, m, n, zero=0):
     return [g[k : k + n] + h[k : k + m] for k in range(m + n - 1, -1, -1)]
 
 
-def _coeffs_of(f):
-    """The trimmed coefficients of a PadicPolynomial or a coefficient sequence."""
-    return list(f.coefficients) if isinstance(f, PadicPolynomial) else _trim(_fractions(f))
-
-
-def _fractions(coeffs) -> list[Fraction]:
-    """A sequence of exact rationals as Fractions; a polynomial is not one."""
-    cs = _sequence(coeffs, f"{type(coeffs).__name__} is not a coefficient sequence")
-    return [Fraction(_exact(c)) for c in cs]
+def _integral_of(f):
+    """The integral form of a PadicPolynomial or of a coefficient sequence, trimmed."""
+    return f._form if isinstance(f, PadicPolynomial) else _integral(_trim(_exacts(f)))
 
 
 def resultant_mn(g, h, m: int, n: int) -> Fraction:
@@ -240,14 +250,18 @@ def resultant_mn(g, h, m: int, n: int) -> Fraction:
     bound above deg g multiplies it by (-1)^(n(m - deg g)) b^(m - deg g),
     one above deg h by a^(n - deg h); above both degrees it is 0.
     """
-    gc, hc = _coeffs_of(g), _coeffs_of(h)
-    _degree_bounds(gc, hc, m, n)
+    return _resultant(*_integral_of(g), *_integral_of(h), m, n)
+
+
+def _resultant(a, Dg, b, Dh, m, n) -> Fraction:
+    """resultant_mn of a / Dg and b / Dh, a and b integral."""
+    _degree_bounds(a, b, m, n)
     if not m or not n:  # a diagonal matrix: g_0^n or h_0^m
-        return ((hc if m else gc) or [Fraction(0)])[0] ** (m + n)
-    dg, dh = len(gc) - 1, len(hc) - 1
+        c, D = (b, Dh) if m else (a, Dg)
+        return Fraction(c[0] if c else 0, D) ** (m + n)
+    dg, dh = len(a) - 1, len(b) - 1
     if min(dg, dh) < 0 or (dg < m and dh < n):
         return Fraction(0)
-    (a, Dg), (b, Dh) = _integral(gc), _integral(hc)
     scale = (-1) ** (n * (m - dg)) * b[-1] ** (m - dg) * a[-1] ** (n - dh)
     return Fraction(scale * _subresultant(a, b), Dg**n * Dh**m)
 
@@ -287,19 +301,21 @@ def resultant(g, h) -> Fraction:
     With the adopted column order, swapping the arguments flips the sign
     by (-1)^(deg g * deg h): res(g, h) = (-1)^(mn) res(h, g).
     """
-    gc, hc = _coeffs_of(g), _coeffs_of(h)
-    if not gc or not hc:
+    (a, Dg), (b, Dh) = _integral_of(g), _integral_of(h)
+    if not a or not b:
         raise InvalidArgumentError("resultant of the zero polynomial")
-    return resultant_mn(gc, hc, len(gc) - 1, len(hc) - 1)
+    return _resultant(a, Dg, b, Dh, len(a) - 1, len(b) - 1)
 
 
 def discriminant(g) -> Fraction:
-    """dis(g), from res_{m,m-1}(g, g') = (-1)^(m(m-1)/2) * lead(g) * dis(g)."""
-    gc = _coeffs_of(g)
-    if len(gc) < 2:
+    """dis(g), from res_{m,m-1}(g, g') = (-1)^(m(m-1)/2) * lead(g) * dis(g),
+    taken on g = a / D with a integral: dis(g) = dis(a) / D^(2m - 2)."""
+    a, D = _integral_of(g)
+    if len(a) < 2:
         raise InvalidArgumentError("discriminant needs degree >= 1")
-    m = len(gc) - 1
-    return (-1) ** (m * (m - 1) // 2) * resultant_mn(gc, poly_derivative(gc), m, m - 1) / gc[-1]
+    m = len(a) - 1
+    res = _resultant(a, 1, poly_derivative(a), 1, m, m - 1)
+    return (-1) ** (m * (m - 1) // 2) * res / (a[-1] * D ** (2 * m - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +393,7 @@ def eisenstein_test(f: PadicPolynomial) -> bool:
     """
     _instance(PadicPolynomial, f)
     vals = f.coefficient_valuations()
-    if len(vals) < 2:
-        return False
-    return (
-        vals[0] == 1
-        and vals[-1] == 0
-        and all(v > 0 for v in vals[1:-1])
-    )
+    return len(vals) >= 2 and vals[0] == 1 and vals[-1] == 0 and all(v > 0 for v in vals[1:-1])
 
 
 def cyclotomic(p: int, n: int) -> list[int]:
@@ -525,7 +535,7 @@ def _lift_data(f, g, h, precision, product):
     if f.degree != g.degree + h.degree or f.coefficients[-1] != lead:
         raise HypothesisFailedError(f"f and {product} must have the same leading term")
     # f - g*h = (Dg Dh F - Df G H) / (Df Dg Dh), F = Df f, G = Dg g, H = Dh h integral
-    (F, Df), (G, Dg), (H, Dh) = (_integral(x.coefficients) for x in (f, g, h))
+    (F, Df), (G, Dg), (H, Dh) = f._form, g._form, h._form
     top = math.gcd(*(Dg * Dh * a - Df * b for a, b in zip(F, poly_mul(G, H))))
     w0 = int_valuation(top, p) - int_valuation(Df * Dg * Dh, p)
     return rational_valuation(resultant(g, h), p), w0
@@ -573,7 +583,7 @@ def _lift_factorization(f, g0, h0, beta, w0, precision):
     # the exact leading terms of g0, h0: the reduction may have changed them
     modN = p**precision
     return tuple(
-        PadicPolynomial(p, [c % modN for c in x[:-1]] + [x0.coefficients[-1]])
+        _polynomial(p, [c % modN for c in x[:-1]] + [x0.coefficients[-1]])
         for x, x0 in ((g, g0), (h, h0))
     )
 
@@ -723,7 +733,7 @@ def slope_factorization(
         factors.append(_crop(g, _moduli(p, a, b, cap - b * c_g, len(g))))
     factors.append(_crop(work, _moduli(p, a, b, cap + b * (c_g - v0), len(work))))
     factors[0] = [a * content for a in factors[0]]
-    return [(PadicPolynomial(p, fac), side) for fac, side in zip(factors, polygon.sides)]
+    return [(_polynomial(p, fac), side) for fac, side in zip(factors, polygon.sides)]
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +757,7 @@ class TruncatedSeries:
         require_prime(self.p)
         if isinstance(self.tail, bool) or not isinstance(self.tail, int):
             raise InvalidArgumentError(f"tail bound {self.tail!r} is not an integer")
-        object.__setattr__(self, "coefficients", tuple(_fractions(self.coefficients)))
+        object.__setattr__(self, "coefficients", _fractions(_exacts(self.coefficients)))
 
     @property
     def truncation(self) -> int:
@@ -799,11 +809,11 @@ def weierstrass_prepare(
     mod = p ** max(1, target)
     inv = _inverse_mod_prime_power(h[0], p, max(1, target))
     g_out = [c * h[0] % mod * scale for c in g]
-    h_out = [c * inv % mod for c in h]
-    h_series = TruncatedSeries(
-        p, h_out + [0] * (f.truncation - len(h_out) + 1), target
-    )
-    return PadicPolynomial(p, g_out), h_series
+    h_out = [c * inv % mod for c in h] + [0] * (f.truncation - len(h) + 1)
+    h_series = object.__new__(TruncatedSeries)  # f's prime and int coefficients: no checks
+    for name, value in ("p", p), ("coefficients", _fractions(h_out)), ("tail", target):
+        object.__setattr__(h_series, name, value)
+    return _polynomial(p, g_out), h_series
 
 
 # ---------------------------------------------------------------------------
@@ -825,10 +835,10 @@ def primitive_rescale(
         raise InvalidArgumentError("f, g and h must be over the same Q_p")
     if poly_sub(list(f.coefficients), poly_mul(list(g.coefficients), list(h.coefficients))):
         raise InvalidArgumentError("f must equal g*h exactly")
-    if any(rational_valuation(c, p) < 0 for c in f.coefficients):
+    if min(f.coefficient_valuations()) < 0:
         raise InvalidArgumentError("f must have integral coefficients")
-    w_g = min(rational_valuation(c, p) for c in g.coefficients if c)
+    w_g = min(g.coefficient_valuations())
     b = Fraction(p) ** w_g
-    g_out = PadicPolynomial(p, poly_scale(list(g.coefficients), 1 / b))
-    h_out = PadicPolynomial(p, poly_scale(list(h.coefficients), b))
+    g_out = _polynomial(p, poly_scale(list(g.coefficients), 1 / b))
+    h_out = _polynomial(p, poly_scale(list(h.coefficients), b))
     return b, g_out, h_out

@@ -83,6 +83,14 @@ def normalized_absolute_value(place: RationalPlace, x) -> Fraction:
     return Fraction(place.prime) ** (-v)
 
 
+def _finite_place(p: int) -> RationalPlace:
+    """RationalPlace.finite(p) without proving p prime again, for the primes
+    factorint found."""
+    place = object.__new__(RationalPlace)
+    object.__setattr__(place, "prime", p)
+    return place
+
+
 @dataclass(frozen=True)
 class ProductFormulaReport:
     entries: tuple[tuple[RationalPlace, Fraction], ...]
@@ -100,7 +108,7 @@ def product_formula_report(x) -> ProductFormulaReport:
         raise InvalidArgumentError("the product formula concerns nonzero rationals")
     # numerator and denominator are coprime: v_p(x) is p's exponent in one, signed
     v = factorint(x.numerator) | {p: -e for p, e in factorint(x.denominator).items()}
-    entries = [(RationalPlace.finite(p), Fraction(p) ** -v[p]) for p in sorted(v)]
+    entries = [(_finite_place(p), Fraction(p) ** -v[p]) for p in sorted(v)]
     entries.append((RationalPlace.infinite(), abs(x)))
     return ProductFormulaReport(tuple(entries), math.prod(a for _, a in entries))
 

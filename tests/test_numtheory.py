@@ -22,10 +22,12 @@ from localarith import (
     newton_polygon,
     power_sum,
     power_sum_faulhaber,
+    pth_power_on_units,
     refine_factorization,
     root_valuations,
     slope_factorization,
     sqrt,
+    square_class_basis,
     staudt_clausen,
     teichmuller,
     unit_filtration_level,
@@ -57,6 +59,7 @@ from localarith.numtheory import (
     multiplicative_order,
     prime_power_decomposition,
     rational_valuation,
+    require_prime,
 )
 from localarith.polynomials import (
     PadicPolynomial,
@@ -80,10 +83,12 @@ from localarith.ramification import (
 )
 from localarith.valuations import (
     FunctionFieldPlace,
+    RationalPlace,
     ff_valuation,
     gauss_valuation,
     normalized_absolute_value,
     product_formula_report,
+    vp_rational,
 )
 
 from conftest import deadline
@@ -636,11 +641,52 @@ def test_an_infinite_coefficient_valuation_still_enters():
         (lambda: unit_filtration_level(5, PadicNumber.from_rational(3, 1, 4)), "prime mismatch"),
         (lambda: unit_filtration_level(5, PadicNumber.from_rational(5, 5, 4)), "must be a unit"),
         (lambda: unit_filtration_level(5, PadicNumber.zero_at(5, 3)), "must be a unit"),
+        # a residue modulo p^k for a negative or non-integer k, which used to
+        # come back as a float
+        (lambda: PadicNumber.from_rational(5, Fraction(5, 3), 4).residue(-1), "k must be non-negative"),
+        (lambda: PadicNumber.from_rational(5, Fraction(5, 3), 4).residue(2.5), "2.5 is not an integer"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):
     with pytest.raises(InvalidArgumentError, match=message):
         call()
+
+
+# Every public entry point that takes a prime, called with valid other
+# arguments.  is_prime decides below 43^2 by trial division alone, so 1849 =
+# 43^2 is the first composite that rule could let through, and 2021 = 43 * 47.
+# Some never return on a composite they take for a prime (teichmuller's
+# Newton lift), hence the deadline.
+PRIME_ENTRY_POINTS = {
+    "require_prime": require_prime,
+    "PadicNumber": lambda p: PadicNumber(p, 0, 1, 4),
+    "PadicNumber.zero": PadicNumber.zero,
+    "PadicNumber.zero_at": lambda p: PadicNumber.zero_at(p, 3),
+    "PadicNumber.from_rational": lambda p: PadicNumber.from_rational(p, Fraction(2, 3), 4),
+    "PadicPolynomial": lambda p: PadicPolynomial(p, [1, 2]),
+    "TruncatedSeries": lambda p: TruncatedSeries(p, [1, 2], 3),
+    "vp_rational": lambda p: vp_rational(p, 12),
+    "RationalPlace": RationalPlace,
+    "RationalPlace.finite": RationalPlace.finite,
+    "teichmuller": lambda p: teichmuller(p, 2, 4),
+    "newton_lift": lambda p: newton_lift([-2, 0, 1], 3, p=p, precision=4),
+    "cyclotomic": lambda p: cyclotomic(p, 1),
+    "cyclotomic_group": lambda p: cyclotomic_group(p, 1),
+    "cyclotomic_reduction_kernel": lambda p: cyclotomic_reduction_kernel(p, 1, 0),
+    "unit_group_structure": lambda p: unit_group_structure(p, 2),
+    "least_primitive_root": least_primitive_root,
+    "square_class_basis": square_class_basis,
+    "unit_filtration_level": lambda p: unit_filtration_level(p, 1, 4),
+    "pth_power_on_units": lambda p: pth_power_on_units(p, 2, "forward", 1, 4),
+}
+
+
+@pytest.mark.parametrize("not_prime", [1849, 2021, 1, 0, -7, True, 7.0])
+@pytest.mark.parametrize("name", PRIME_ENTRY_POINTS)
+def test_entry_points_reject_a_number_that_is_not_prime(name, not_prime):
+    with deadline(5), pytest.raises(InvalidArgumentError) as caught:
+        PRIME_ENTRY_POINTS[name](not_prime)
+    assert str(caught.value) == f"{not_prime!r} is not a prime number"
 
 
 def test_a_degree_past_the_bound_is_rejected_before_allocation():

@@ -65,9 +65,10 @@ def is_pure_of(coeffs, p, side):
     )
 
 
-def fraction_hull_polygon(f):
-    """newton_polygon before its hull ran on integers: every point a Fraction."""
-    points = [(j, Fraction(v)) for j, v in enumerate(f.coefficient_valuations()) if v != INFINITY]
+def fraction_hull_polygon(vals):
+    """newton_polygon, from the coefficient valuations, before its hull ran
+    on integers: every point a Fraction."""
+    points = [(j, Fraction(v)) for j, v in enumerate(vals) if v != INFINITY]
     hull = []
     for pt in points:
         while len(hull) >= 2:
@@ -445,7 +446,7 @@ class TestNewtonPolygon:
         # the hull runs on the integer valuations; the result is the one of the
         # hull on Fraction points, type for type
         _, _, f = case
-        assert repr(newton_polygon(f)) == repr(fraction_hull_polygon(f))
+        assert repr(newton_polygon(f)) == repr(fraction_hull_polygon(f.coefficient_valuations()))
 
     def test_pure_coefficient_bound(self, rng):
         for _ in range(200):
@@ -1506,3 +1507,103 @@ class TestResultantConventions:
                 betas = [random_rational(rng, 20) for _ in range(n)]
                 expected = a**n * b**m * math.prod(x - y for x in alphas for y in betas)
                 assert resultant(from_roots(a, alphas), from_roots(b, betas)) == expected
+
+
+# The Fraction route as it stood before the polynomial layer kept integral
+# forms: every coefficient made a Fraction, each valuation read off its
+# Fraction, and resultant_mn taking those Fractions apart again.  An oracle
+# for the integer route taken now, value for value and type for type.
+
+
+def fraction_coefficients(coeffs):
+    return polynomials._trim([Fraction(polynomials._exact(c)) for c in coeffs])
+
+
+def fraction_coefficient_valuations(p, coeffs):
+    return [rational_valuation(c, p) for c in fraction_coefficients(coeffs)]
+
+
+def fraction_resultant_mn(g, h, m, n):
+    gc, hc = fraction_coefficients(g), fraction_coefficients(h)
+    polynomials._degree_bounds(gc, hc, m, n)
+    if not m or not n:
+        return ((hc if m else gc) or [Fraction(0)])[0] ** (m + n)
+    dg, dh = len(gc) - 1, len(hc) - 1
+    if min(dg, dh) < 0 or (dg < m and dh < n):
+        return Fraction(0)
+    (a, Dg), (b, Dh) = polynomials._integral(gc), polynomials._integral(hc)
+    scale = (-1) ** (n * (m - dg)) * b[-1] ** (m - dg) * a[-1] ** (n - dh)
+    return Fraction(scale * polynomials._subresultant(a, b), Dg**n * Dh**m)
+
+
+def fraction_resultant(g, h):
+    gc, hc = fraction_coefficients(g), fraction_coefficients(h)
+    return fraction_resultant_mn(gc, hc, len(gc) - 1, len(hc) - 1)
+
+
+def fraction_discriminant(g):
+    gc = fraction_coefficients(g)
+    m = len(gc) - 1
+    res = fraction_resultant_mn(gc, polynomials.poly_derivative(gc), m, m - 1)
+    return (-1) ** (m * (m - 1) // 2) * res / gc[-1]
+
+
+def fraction_eisenstein_test(p, coeffs):
+    vals = fraction_coefficient_valuations(p, coeffs)
+    return len(vals) >= 2 and vals[0] == 1 and vals[-1] == 0 and all(v > 0 for v in vals[1:-1])
+
+
+def typed(x):
+    """x with the type of each of its leaves, so that == compares types too."""
+    if isinstance(x, NewtonPolygon):
+        x = (x.vertices, x.sides)
+    if isinstance(x, (list, tuple)):
+        return type(x), [typed(y) for y in x]
+    return type(x), x
+
+
+def oracle_coefficients(rng, p, kind, degree):
+    """degree + 1 ints, Fractions or a mix, zeros among them, the ends nonzero."""
+
+    def one(nonzero=False):
+        c = rng.choice((0, 0, 1, -1, 1, -1)) or int(nonzero)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return c * p ** rng.randint(0, 3) * rng.randint(1, 50)
+        unit = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        return c * unit * Fraction(p) ** rng.randint(-2, 2)
+
+    return [one(True)] + [one() for _ in range(degree - 1)] + [one(True)] * (degree > 0)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_integer_route_matches_the_fraction_route(kind):
+    rng = random.Random(f"fraction route {kind}")
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7, 43))
+        g = oracle_coefficients(rng, p, kind, rng.randint(1, 5))
+        h = oracle_coefficients(rng, p, kind, rng.randint(0, 5))
+        m, n = len(g) - 1 + rng.randint(0, 2), len(h) - 1 + rng.randint(0, 2)
+        f, fh = PadicPolynomial(p, g), PadicPolynomial(p, h)
+        assert typed(f.coefficients) == typed(tuple(fraction_coefficients(g)))
+        assert all(type(c) is Fraction for c in (f * fh).coefficients + f.derivative().coefficients)
+        assert all(x is c for x, c in zip(f.coefficients, g) if type(c) is Fraction)
+        assert f.coefficient_valuations() == fraction_coefficient_valuations(p, g)
+        for a, b in ((g, h), (f, fh)):
+            assert typed(resultant(a, b)) == typed(fraction_resultant(g, h))
+            assert typed(resultant_mn(a, b, m, n)) == typed(fraction_resultant_mn(g, h, m, n))
+            gc, hc = fraction_coefficients(g), fraction_coefficients(h)
+            oracle = polynomials._sylvester(gc, hc, m, n, Fraction(0))
+            assert typed(sylvester_matrix(a, b, m, n)) == typed(oracle)
+            assert typed(discriminant(a)) == typed(fraction_discriminant(g))
+        # the diagonal cases: a constant, nonzero or zero, at bound 0
+        diagonal = [(h[:1], g, 0, len(g) - 1), (g, h[:1], len(g) - 1, 0), ([0], g, 0, len(g) - 1)]
+        for a, b, m0, n0 in diagonal:
+            assert typed(resultant_mn(a, b, m0, n0)) == typed(fraction_resultant_mn(a, b, m0, n0))
+        oracle = fraction_hull_polygon(fraction_coefficient_valuations(p, g))
+        assert typed(newton_polygon(f)) == typed(oracle)
+        assert eisenstein_test(f) == fraction_eisenstein_test(p, g)
+        e = [p * rng.randint(1, p - 1)] + [p * rng.randint(-3, 3) for _ in g[2:]]
+        e.append(rng.choice((1, 1 + p)))
+        if kind != "int":
+            e = [Fraction(c) if rng.random() < 0.5 else c for c in e]
+        assert eisenstein_test(PadicPolynomial(p, e)) == fraction_eisenstein_test(p, e)

@@ -130,6 +130,31 @@ def normalized_route_report(x):
     return ProductFormulaReport(tuple(entries), product * abs(x))
 
 
+def checked_places_report(x):
+    """product_formula_report before its places skipped the primality check:
+    each of factorint's primes proved prime again by RationalPlace.finite."""
+    x = Fraction(x)
+    v = factorint(x.numerator) | {p: -e for p, e in factorint(x.denominator).items()}
+    entries = [(RationalPlace.finite(p), Fraction(p) ** -v[p]) for p in sorted(v)]
+    entries.append((RationalPlace.infinite(), abs(x)))
+    return ProductFormulaReport(tuple(entries), math.prod(a for _, a in entries))
+
+
+def test_product_formula_places_match_the_checked_places():
+    rng = random.Random("checked places")
+    xs = [Fraction(75809, 94), 1849, -2021, Fraction(1, 1847 * 1849), 2**61 - 1]
+    xs += [rng.randint(-(10**6), 10**6) or 1 for _ in range(150)]
+    xs += [Fraction(rng.randint(-(10**6), 10**6) or 1, rng.randint(1, 10**6)) for _ in range(150)]
+    for x in xs:
+        report, oracle = product_formula_report(x), checked_places_report(x)
+        assert report == oracle and repr(report) == repr(oracle)
+        assert type(report.product) is Fraction
+        for (place, a), (want, b) in zip(report.entries, oracle.entries):
+            assert type(place) is RationalPlace and type(a) is Fraction is type(b)
+            assert place == want and hash(place) == hash(want)
+            assert not place.is_finite or place == RationalPlace.finite(place.prime)
+
+
 def _poly(q, coeffs):
     return FqPoly(FiniteField(q), coeffs)
 

@@ -5,7 +5,9 @@ the tangent numbers T_n, computed in one sweep of O(k^2) integer steps:
 B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) (Brent and Harvey, "Fast
 computation of Bernoulli, tangent and secant numbers", 2013).  Indices up
 to MAX_BERNOULLI_INDEX are computed; a larger one is rejected before any
-table is allocated.
+table is allocated.  The direct power sum, the oracle for Faulhaber's
+formula, takes at most MAX_POWER_SUM_TERMS terms of exponent at most
+MAX_BERNOULLI_INDEX; a larger sum is rejected before its first term.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .numtheory import _count, divisors, is_prime
 
 MAX_BERNOULLI_INDEX = 3000  # B_3000 takes ~4 s on a 2-core host
+MAX_POWER_SUM_TERMS = 10**4  # S_3000(10^4 + 1), the largest direct sum, takes ~1.6 s
 
 
 def _check_index(k: int) -> None:
@@ -86,6 +89,11 @@ def _check_power_sum(k, n):
 def power_sum(k: int, n: int) -> int:
     """S_k(n) = 1^k + 2^k + ... + (n-1)^k by direct summation."""
     _check_power_sum(k, n)
+    if k > MAX_BERNOULLI_INDEX or n - 1 > MAX_POWER_SUM_TERMS:
+        raise ResourceLimitError(
+            f"a direct power sum has at most {MAX_POWER_SUM_TERMS} terms "
+            f"and exponent at most {MAX_BERNOULLI_INDEX}"
+        )
     return sum(j**k for j in range(1, n))
 
 

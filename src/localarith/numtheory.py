@@ -303,6 +303,19 @@ def _count(n) -> int:
     return n
 
 
+def _unchecked(cls, **fields):
+    """A cls holding fields, built past its constructor's checks: for a value
+    the library made itself, whose construction proves what they check.
+
+    The three slotted types on every hot path keep a direct builder each,
+    padic._padic, polynomials._polynomial and finitefield._wrap: they have
+    no __dict__, and a generic build by setattr costs ~0.7 us per PadicNumber
+    against 0.2 us for _padic, where a whole x * y takes 0.8 us."""
+    x = object.__new__(cls)
+    vars(x).update(fields)
+    return x
+
+
 def int_valuation(n: int, p: int) -> int | float:
     """Exponent of p in n; n = 0 gives +infinity."""
     if n == 0:

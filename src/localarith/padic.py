@@ -35,7 +35,9 @@ from .numtheory import (
     _least_nonresidue,
     _precision,
     _residue,
+    _sequence,
     _sqrt_mod_prime,
+    _unchecked,
     int_valuation,
     require_prime,
 )
@@ -284,6 +286,14 @@ class DigitExpansion:
     start: int
     digits: tuple[int, ...]
 
+    def __post_init__(self):
+        require_prime(self.p)
+        _count(self.start)
+        digits = tuple(_sequence(self.digits, "digits must be a sequence"))
+        if any(type(d) is not int or not 0 <= d < self.p for d in digits):
+            raise InvalidArgumentError(f"digits must be integers in [0, {self.p})")
+        vars(self)["digits"] = digits
+
     def value(self) -> Fraction:
         return sum(
             (Fraction(d) * Fraction(self.p) ** (self.start + i) for i, d in enumerate(self.digits)),
@@ -304,7 +314,7 @@ def expansion(x: PadicNumber, count: int) -> DigitExpansion:
     """
     _instance(PadicNumber, x)
     if x.is_exact_zero:
-        return DigitExpansion(x.p, 0, ())
+        return _unchecked(DigitExpansion, p=x.p, start=0, digits=())
     if x.is_inexact_zero:
         raise PrecisionLossError("digits of an inexact zero are unknown")
     if _count(count) < 1 or count > x.precision:
@@ -314,7 +324,7 @@ def expansion(x: PadicNumber, count: int) -> DigitExpansion:
     for _ in range(count):
         u, d = divmod(u, x.p)
         digits.append(d)
-    return DigitExpansion(x.p, x.valuation, tuple(digits))
+    return _unchecked(DigitExpansion, p=x.p, start=x.valuation, digits=tuple(digits))
 
 
 # ---------------------------------------------------------------------------

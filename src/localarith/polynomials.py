@@ -52,6 +52,7 @@ from .numtheory import (
     _precision,
     _residue,
     _sequence,
+    _unchecked,
     int_valuation,
     rational_valuation,
     require_prime,
@@ -334,6 +335,14 @@ class NewtonPolygon:
     vertices: tuple[tuple[int, Fraction], ...]
     sides: tuple[tuple[int, Fraction], ...]
 
+    def __post_init__(self):
+        message = "vertices and sides must be sequences of pairs"
+        for name in ("vertices", "sides"):
+            pairs = [_sequence(pair, message) for pair in _sequence(getattr(self, name), message)]
+            if any(len(pair) != 2 for pair in pairs):
+                raise InvalidArgumentError(message)
+            vars(self)[name] = tuple((_count(x), Fraction(_exact(y))) for x, y in pairs)
+
     @property
     def is_pure(self) -> bool:
         return len(self.sides) == 1
@@ -362,7 +371,8 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
         (x2 - x1, Fraction(y2 - y1, x2 - x1))
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
-    return NewtonPolygon(tuple((x, Fraction(y)) for x, y in hull), sides)
+    vertices = tuple((x, Fraction(y)) for x, y in hull)
+    return _unchecked(NewtonPolygon, vertices=vertices, sides=sides)
 
 
 def root_valuations(f: PadicPolynomial) -> tuple[list[tuple[Fraction, int]], int]:
@@ -810,9 +820,8 @@ def weierstrass_prepare(
     inv = _inverse_mod_prime_power(h[0], p, max(1, target))
     g_out = [c * h[0] % mod * scale for c in g]
     h_out = [c * inv % mod for c in h] + [0] * (f.truncation - len(h) + 1)
-    h_series = object.__new__(TruncatedSeries)  # f's prime and int coefficients: no checks
-    for name, value in ("p", p), ("coefficients", _fractions(h_out)), ("tail", target):
-        object.__setattr__(h_series, name, value)
+    # f's prime and int coefficients: h skips the checks
+    h_series = _unchecked(TruncatedSeries, p=p, coefficients=_fractions(h_out), tail=target)
     return _polynomial(p, g_out), h_series
 
 

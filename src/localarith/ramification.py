@@ -47,7 +47,8 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
-from .numtheory import INFINITY, _count, _exact, _instance, _sequence, int_valuation, require_prime
+from .numtheory import INFINITY, _count, _exact, _instance, _sequence, _unchecked, int_valuation
+from .numtheory import require_prime
 
 MAX_VERIFIED_ORDER = 512
 
@@ -127,9 +128,9 @@ class PiecewiseLinear:
 def _piecewise(breakpoints, values, final_slope) -> PiecewiseLinear:
     """PiecewiseLinear without the checks, for data that is already exact,
     strictly increasing in its breakpoints and normal."""
-    f = object.__new__(PiecewiseLinear)
-    vars(f).update(breakpoints=breakpoints, values=values, final_slope=final_slope)
-    return f
+    return _unchecked(
+        PiecewiseLinear, breakpoints=breakpoints, values=values, final_slope=final_slope
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +198,10 @@ class FilteredGroup:
     def _derived(cls, identity, row_of, depths, inverses) -> "FilteredGroup":
         """A group whose construction proves what __init__ checks, so none is run.
         row_of(s) is row s, asked for when a query first reads it."""
-        self = cls.__new__(cls)
-        self.identity, self.depths, self.inverses = identity, tuple(depths), tuple(inverses)
-        self.order = len(self.depths)
-        self._rows = _Rows(row_of)
-        return self
+        return _unchecked(
+            cls, identity=identity, depths=tuple(depths), inverses=tuple(inverses),
+            order=len(depths), _rows=_Rows(row_of),
+        )
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -509,6 +509,12 @@ class UpperNumbering:
     psi: PiecewiseLinear
     group: FilteredGroup
 
+    def __post_init__(self):
+        jumps = _sequence(self.jumps, "jumps must be a sequence")
+        vars(self)["jumps"] = tuple(Fraction(_exact(j)) for j in jumps)
+        _instance(PiecewiseLinear, self.phi, self.psi)
+        _instance(FilteredGroup, self.group)
+
     def subgroup_at(self, v) -> frozenset[int]:
         """G^v = G_psi(v)."""
         return self.group.subgroup_at(self.psi.evaluate(v))
@@ -516,7 +522,7 @@ class UpperNumbering:
 
 def upper_numbering(group: FilteredGroup) -> UpperNumbering:
     phi, psi = herbrand_functions(group)
-    return UpperNumbering(phi.values[1:], phi, psi, group)
+    return _unchecked(UpperNumbering, jumps=phi.values[1:], phi=phi, psi=psi, group=group)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .numtheory import (
     _instance,
     _residue,
     _sequence,
+    _unchecked,
     crt,
     factorint,
     is_prime,
@@ -83,14 +84,6 @@ def normalized_absolute_value(place: RationalPlace, x) -> Fraction:
     return Fraction(place.prime) ** (-v)
 
 
-def _finite_place(p: int) -> RationalPlace:
-    """RationalPlace.finite(p) without proving p prime again, for the primes
-    factorint found."""
-    place = object.__new__(RationalPlace)
-    object.__setattr__(place, "prime", p)
-    return place
-
-
 @dataclass(frozen=True)
 class ProductFormulaReport:
     entries: tuple[tuple[RationalPlace, Fraction], ...]
@@ -108,7 +101,8 @@ def product_formula_report(x) -> ProductFormulaReport:
         raise InvalidArgumentError("the product formula concerns nonzero rationals")
     # numerator and denominator are coprime: v_p(x) is p's exponent in one, signed
     v = factorint(x.numerator) | {p: -e for p, e in factorint(x.denominator).items()}
-    entries = [(_finite_place(p), Fraction(p) ** -v[p]) for p in sorted(v)]
+    # factorint's primes are proved prime: the places skip the check
+    entries = [(_unchecked(RationalPlace, prime=p), Fraction(p) ** -v[p]) for p in sorted(v)]
     entries.append((RationalPlace.infinite(), abs(x)))
     return ProductFormulaReport(tuple(entries), math.prod(a for _, a in entries))
 
@@ -156,15 +150,6 @@ class FunctionFieldPlace:
 
     def __str__(self):
         return "inf" if self.poly is None else repr(self.poly)
-
-
-def _place(q: int, poly: FqPoly | None) -> FunctionFieldPlace:
-    """The place of GF(q)(T) at a monic irreducible poly over GF(q), or at
-    infinity, without re-running the checks."""
-    place = object.__new__(FunctionFieldPlace)
-    object.__setattr__(place, "q", q)
-    object.__setattr__(place, "poly", poly)
-    return place
 
 
 def _poly_place_valuation(place_poly: FqPoly, f: FqPoly) -> int:
@@ -225,11 +210,12 @@ def sum_formula_check(num: FqPoly, den: FqPoly | None = None) -> SumFormulaRepor
     for f in sorted(multiplicities, key=lambda g: (g.degree, g.coeffs)):
         v = multiplicities[f]
         if v != 0:
-            entries.append((_place(field.q, f), v))  # factor_monic returns monic irreducibles
+            # factor_monic returns monic irreducibles: the places skip the check
+            entries.append((_unchecked(FunctionFieldPlace, q=field.q, poly=f), v))
             total += f.degree * v
     v_inf = den.degree - num.degree
     if v_inf != 0:
-        entries.append((_place(field.q, None), v_inf))
+        entries.append((_unchecked(FunctionFieldPlace, q=field.q, poly=None), v_inf))
         total += v_inf
     return SumFormulaReport(tuple(entries), total, total == 0)
 

@@ -14,8 +14,10 @@ from localarith import (
     staudt_clausen,
     vp_rational,
 )
-from localarith.bernoulli import MAX_BERNOULLI_INDEX
+from localarith.bernoulli import MAX_BERNOULLI_INDEX, MAX_POWER_SUM_TERMS
 from localarith.numtheory import is_prime
+
+from conftest import deadline
 
 BERNOULLI_MODULE = sys.modules["localarith.bernoulli"]  # localarith.bernoulli is the function
 
@@ -166,3 +168,18 @@ class TestIndexBound:
         assert len(table._values) == 42
         with pytest.raises(ResourceLimitError):
             table.value(42)
+
+
+class TestPowerSumBound:
+    @pytest.mark.parametrize(
+        "k, n",
+        [(3001, 2**61 - 1), (MAX_BERNOULLI_INDEX + 1, 2), (1, MAX_POWER_SUM_TERMS + 2), (0, 10**30)],
+    )
+    def test_rejected_before_the_first_term(self, k, n):
+        with deadline(2), pytest.raises(ResourceLimitError, match="at most 10000 terms"):
+            power_sum(k, n)
+
+    def test_sums_at_the_bounds(self):
+        n = MAX_POWER_SUM_TERMS + 1
+        assert power_sum(1, n) == n * (n - 1) // 2
+        assert power_sum(MAX_BERNOULLI_INDEX, 3) == 1 + 2**MAX_BERNOULLI_INDEX

@@ -18,9 +18,11 @@ from localarith import (
 )
 from localarith import ramification
 from localarith.errors import ResourceLimitError
-from localarith.extensions import GaloisPresentation
-from localarith.numtheory import multiplicative_order
+from localarith.extensions import MAX_ENUMERATION, GaloisPresentation
+from localarith.numtheory import divisors, euler_phi, multiplicative_order
 from localarith.polynomials import eisenstein_test, root_valuations
+
+from conftest import deadline
 
 # every descriptor with q <= 9, f <= 4 and e*f <= 48
 DESCRIPTORS = [
@@ -100,6 +102,27 @@ class TestCounting:
                 galois_census(q, e, big)
         else:
             assert galois_census(q, e, big) == census
+
+
+class TestEnumerationBound:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: orbit_count_oracle(2**61 - 1, 2),
+            lambda: galois_census(2, 2**61 - 1, 61),
+            lambda: orbit_count_oracle(MAX_ENUMERATION + 1, 7),
+            lambda: galois_census(1000003, MAX_ENUMERATION + 2, 1),  # q prime, e | q - 1
+        ],
+    )
+    def test_rejected_before_the_first_residue(self, call):
+        with deadline(2), pytest.raises(ResourceLimitError, match="exceeds the bound 1000000"):
+            call()
+
+    def test_enumerations_at_the_bound(self):
+        g = MAX_ENUMERATION
+        formula = sum(euler_phi(t) // multiplicative_order(7, t) for t in divisors(g))
+        assert orbit_count_oracle(g, 7) == formula
+        assert galois_census(3, g, multiplicative_order(3, g)) == math.gcd(g, 3 - 1)
 
 
 class TestClassification:

@@ -61,7 +61,9 @@ from localarith.numtheory import (
     rational_valuation,
     require_prime,
 )
+from localarith.padic import DigitExpansion
 from localarith.polynomials import (
+    NewtonPolygon,
     PadicPolynomial,
     TruncatedSeries,
     primitive_rescale,
@@ -71,6 +73,7 @@ from localarith.polynomials import (
 from localarith.ramification import (
     FilteredGroup,
     PiecewiseLinear,
+    UpperNumbering,
     all_subgroups,
     cyclotomic_reduction_kernel,
     different_discriminant,
@@ -645,6 +648,12 @@ def test_an_infinite_coefficient_valuation_still_enters():
         # come back as a float
         (lambda: PadicNumber.from_rational(5, Fraction(5, 3), 4).residue(-1), "k must be non-negative"),
         (lambda: PadicNumber.from_rational(5, Fraction(5, 3), 4).residue(2.5), "2.5 is not an integer"),
+        # result types whose methods read fields their constructors used to store unchecked
+        (lambda: NewtonPolygon(5, None).is_pure, "vertices and sides must be sequences of pairs"),
+        (lambda: DigitExpansion(5, 0, 7).value(), "digits must be a sequence"),
+        (lambda: UpperNumbering(1, 2, 3, 4).subgroup_at(1), "jumps must be a sequence"),
+        (lambda: DigitExpansion(5.0, 0, (1,)), "5.0 is not a prime number"),
+        (lambda: DigitExpansion(5, 0, (7,)), r"digits must be integers in \[0, 5\)"),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call, message):

@@ -5,7 +5,10 @@ constants aside) is called with 0-4 arguments drawn from one typed pool.
 Each call must return, or raise an error of the library's own hierarchy,
 within 2 s; a bare TypeError or AttributeError is an argument that passed
 the boundary unchecked.  A returned iterator is stepped a few times, since
-a generator checks nothing before its first step.
+a generator checks nothing before its first step, and a returned library
+value (or a tuple of them) is used: str, repr and every public
+zero-argument method and property, since a constructor that stored a bad
+field fails only when something reads it.
 """
 
 import inspect
@@ -76,6 +79,21 @@ def _arities(f):
     return out
 
 
+def _use(result):
+    """str, repr and every public zero-argument method and property of a
+    library value, or of each library value in a returned tuple."""
+    for value in result if isinstance(result, tuple) else (result,):
+        if not type(value).__module__.startswith("localarith."):
+            continue
+        str(value), repr(value)
+        for name in dir(type(value)):
+            if name.startswith("_"):
+                continue
+            attribute = getattr(value, name)  # runs a property
+            if callable(attribute) and 0 in _arities(attribute):
+                attribute()
+
+
 ARGUMENT = st.sampled_from(POOL).map(lambda make: make())
 TARGETS = {
     name: _arities(value)
@@ -107,5 +125,6 @@ def test_a_public_callable_returns_or_raises_a_library_error(name, data):
             result = f(*args)
             if isinstance(result, Iterator):
                 list(itertools.islice(result, 3))
+            _use(result)
         except LocalArithError:
             pass

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -23,10 +26,31 @@ from localarith import (
     vp_rational,
     weak_approximation,
 )
-from localarith import valuations
+import localarith
+from localarith import numtheory, valuations
 from localarith.finitefield import monic_irreducibles
-from localarith.numtheory import factorint
-from localarith.polynomials import poly_mul
+from localarith.numtheory import _unchecked, factorint
+from localarith.padic import DigitExpansion, expansion
+from localarith.polynomials import (
+    NewtonPolygon,
+    PadicPolynomial,
+    TruncatedSeries,
+    newton_polygon,
+    poly_mul,
+    weierstrass_prepare,
+)
+from localarith.ramification import (
+    FilteredGroup,
+    PiecewiseLinear,
+    UpperNumbering,
+    all_subgroups,
+    cyclotomic_group,
+    herbrand_functions,
+    is_normal,
+    quotient_filtration,
+    subgroup_filtration,
+    upper_numbering,
+)
 from localarith.valuations import ProductFormulaReport
 
 from conftest import random_rational
@@ -140,7 +164,9 @@ def checked_places_report(x):
     return ProductFormulaReport(tuple(entries), math.prod(a for _, a in entries))
 
 
-def test_product_formula_places_match_the_checked_places():
+def places_of_q():
+    """The finite places of product_formula_report, whose whole report must
+    equal the one that proves each prime again."""
     rng = random.Random("checked places")
     xs = [Fraction(75809, 94), 1849, -2021, Fraction(1, 1847 * 1849), 2**61 - 1]
     xs += [rng.randint(-(10**6), 10**6) or 1 for _ in range(150)]
@@ -148,11 +174,113 @@ def test_product_formula_places_match_the_checked_places():
     for x in xs:
         report, oracle = product_formula_report(x), checked_places_report(x)
         assert report == oracle and repr(report) == repr(oracle)
-        assert type(report.product) is Fraction
-        for (place, a), (want, b) in zip(report.entries, oracle.entries):
-            assert type(place) is RationalPlace and type(a) is Fraction is type(b)
-            assert place == want and hash(place) == hash(want)
-            assert not place.is_finite or place == RationalPlace.finite(place.prime)
+        yield from (place for place, _ in report.entries)
+
+
+def places_of_function_fields():
+    rng = random.Random("checked function field places")
+    for q in (2, 3, 4, 5, 9):
+        for _ in range(12):
+            num, den = ([rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1] for _ in "ab")
+            report = sum_formula_check(_poly(q, num), _poly(q, den))
+            yield from (place for place, _ in report.entries)
+
+
+def filtered_groups():
+    for p, n in ((2, 1), (2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2)):
+        group = cyclotomic_group(p, n)
+        yield group
+        for h in all_subgroups(group):
+            yield subgroup_filtration(group, h)
+            if is_normal(group, h):
+                yield quotient_filtration(group, h)
+
+
+def piecewise_linear_functions():
+    for group in filtered_groups():
+        phi, psi = herbrand_functions(group)
+        yield from (phi, psi, phi.inverse(), psi.inverse())
+
+
+def upper_numberings():
+    yield from map(upper_numbering, filtered_groups())
+
+
+def newton_polygons():
+    rng = random.Random("checked polygons")
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            coeffs = [random_rational(rng, 50) * Fraction(p) ** rng.randint(-3, 3) for _ in "abcd"]
+            yield newton_polygon(PadicPolynomial(p, [rng.randint(1, 9) * p**2, *coeffs, 1]))
+
+
+def truncated_series():
+    rng = random.Random("checked series")
+    for p in (2, 3, 5):
+        for _ in range(30):
+            coeffs = [rng.randint(-30, 30) * p ** rng.randint(0, 2) for _ in range(7)]
+            coeffs[rng.randrange(7)] = rng.randint(1, p - 1)  # a unit: w(f) = 0
+            tail, precision = rng.randint(1, 12), rng.randint(1, 12)
+            yield weierstrass_prepare(TruncatedSeries(p, coeffs, tail), precision)[1]
+
+
+def digit_expansions():
+    rng = random.Random("checked expansions")
+    for p in (2, 3, 5, 101):
+        yield expansion(PadicNumber.zero(p), 1)
+        for _ in range(30):
+            x = PadicNumber.from_rational(p, random_rational(rng), rng.randint(1, 12))
+            yield expansion(x, rng.randint(1, x.precision))
+
+
+UNCHECKED_BUILDS = {
+    RationalPlace: places_of_q,
+    FunctionFieldPlace: places_of_function_fields,
+    FilteredGroup: filtered_groups,
+    PiecewiseLinear: piecewise_linear_functions,
+    UpperNumbering: upper_numberings,
+    NewtonPolygon: newton_polygons,
+    TruncatedSeries: truncated_series,
+    DigitExpansion: digit_expansions,
+}
+
+
+@pytest.mark.parametrize("cls", UNCHECKED_BUILDS, ids=lambda cls: cls.__name__)
+def test_unchecked_values_equal_their_checked_construction(cls):
+    """A value the library builds past its constructor's checks equals the one
+    the checked constructor builds from the same fields: in ==, hash, repr and
+    type.  A group, which compares by identity, must match field for field."""
+    values = list(UNCHECKED_BUILDS[cls]())
+    assert values and {type(x) for x in values} == {cls}
+    for x in values:
+        if cls is FilteredGroup:
+            x.table  # a derived group composes its table on first use
+            assert vars(FilteredGroup(x.table, x.identity, x.depths)) == vars(x)
+            continue
+        checked = cls(**{f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
+        assert type(checked) is cls and checked == x and hash(checked) == hash(x)
+        assert repr(checked) == repr(x)
+
+
+def test_every_type_built_unchecked_is_compared(monkeypatch):
+    built = set()
+
+    def recording(cls, **fields):
+        built.add(cls)
+        return _unchecked(cls, **fields)
+
+    # the modules that import _unchecked: a new one must add its types above
+    names = [m.name for m in pkgutil.iter_modules(localarith.__path__)]
+    modules = [importlib.import_module(f"localarith.{name}") for name in names]
+    users = [m for m in modules if m is not numtheory and vars(m).get("_unchecked") is _unchecked]
+    assert [m.__name__ for m in users] == [
+        f"localarith.{name}" for name in ("padic", "polynomials", "ramification", "valuations")
+    ]
+    for module in users:
+        monkeypatch.setattr(module, "_unchecked", recording)
+    for make in UNCHECKED_BUILDS.values():
+        list(make())
+    assert built == set(UNCHECKED_BUILDS)
 
 
 def _poly(q, coeffs):
